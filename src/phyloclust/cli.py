@@ -61,7 +61,7 @@ from .io_formats import (
 from .mcmc import ChainConfig, linkage_estimate, load_chain_summary, run_chain, save_chain_summary
 from .phylo import annotate_support, majority_consensus, patristic_matrix
 from .simulate import SimConfig, simulate_alignment, simulate_metadata, simulate_tree
-from .threshold import ClusterCriteria, Statistic, threshold_cluster
+from .threshold import ClusterCriteria, Statistic, threshold_cluster, tip_p_matrix
 
 log = logging.getLogger(__name__)
 
@@ -150,7 +150,15 @@ def _resolve_threads(args: argparse.Namespace) -> int:
         return max(1, args.threads)
     env = os.environ.get("PHYLOCLUST_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise _UsageError(
+                f"PHYLOCLUST_THREADS must be a positive integer, got {env!r}"
+            )
+        return threads
     return os.cpu_count() or 1
 
 
@@ -305,10 +313,17 @@ def _cmd_sweep(args) -> None:
     alignment = load_fasta(args.align) if args.align else None
     reference = load_partition(args.ref)
     statistic = _STATISTIC_BY_METHOD[args.method]
-    ref = ReferenceSet(reference, tuple(tree.tip_labels()))
+    labels = tree.tip_labels()
+    ref = ReferenceSet(reference, tuple(labels))
+    # one matrix serves every grid point
+    if statistic is not Statistic.MAX_PAIRWISE_P:
+        source = patristic_matrix(tree)
+    elif alignment is not None:
+        source = tip_p_matrix(alignment, labels, _resolve_threads(args))
+    else:
+        source = None  # threshold_cluster reports the missing sequences
 
     def runner(criteria: ClusterCriteria):
-        source = alignment if criteria.statistic is Statistic.MAX_PAIRWISE_P else None
         return threshold_cluster(tree, source, criteria)
 
     support_grid = [float(x) for x in args.support_grid.split(",")]
@@ -440,8 +455,8 @@ def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
         "--threads",
         type=int,
         default=None,
-        help="worker threads for distance kernels "
-        "(default: PHYLOCLUST_THREADS or all cores)",
+        help="worker threads for the p/K80 pair counts, clamped to the "
+        "cores and the rows (default: PHYLOCLUST_THREADS or all cores)",
     )
     parser.add_argument(
         "--config",

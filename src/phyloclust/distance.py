@@ -3,9 +3,11 @@
 Two alignment-based distances are provided: the proportion of differing
 sites (p) and the two-parameter transition/transversion correction (K80).
 Both use pairwise deletion: a site counts for a pair only when both
-sequences hold a plain A/C/G/T there.  Tree-derived path-length matrices
-share the same container so downstream clustering code does not care where
-a matrix came from.
+sequences hold a plain A/C/G/T there.  Both derive from one set of pair
+counts (compared sites, mismatches, transitions), which a single
+bit-packed kernel produces for one pair or for all pairs.  Tree-derived
+path-length matrices share the same container so downstream clustering
+code does not care where a matrix came from.
 
 Matrices are stored condensed (upper triangle, row major).  NaN encodes an
 undefined entry: an empty site overlap, or a saturated K80 pair whose log
@@ -17,6 +19,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyInput, LengthMismatch
+from .errors import DuplicateId, EmptyInput, LengthMismatch, MalformedMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .io_formats import Alignment
@@ -72,6 +75,83 @@ def encode_alignment(alignment: "Alignment") -> np.ndarray:
     return np.vstack([encode_sequence(r.residues) for r in alignment.records])
 
 
+# Pair counts come from three bit-planes per sequence, 64 sites to a
+# uint64 word: valid (a plain A/C/G/T), bit 0 and bit 1 of the residue
+# code.  For a pair, with v = va & vb, x0 = a0 ^ b0 and x1 = a1 ^ b1:
+#   compared    = popcount(v)
+#   mismatches  = popcount(v & (x0 | x1))
+#   transitions = mismatches - popcount(v & x0)    (x0 = 0 and x1 = 1)
+# Padding bits past the last site are not valid, so they never count.
+
+
+def _pack_planes(codes: np.ndarray) -> np.ndarray:
+    """Pack (n, sites) residue codes into (3, words, n) uint64 bit-planes.
+
+    The planes are valid, code bit 0 and code bit 1.  Words run along the
+    middle axis, so the rows after any one sequence are a slice whose
+    inner axis is long.
+    """
+    n, sites = codes.shape
+    words = -(-sites // 64)
+    bits = np.packbits(
+        np.stack([codes != 255, codes & 1, codes & 2]), axis=-1, bitorder="little"
+    )
+    padded = np.zeros((3, n, words * 8), dtype=np.uint8)
+    padded[:, :, : bits.shape[2]] = bits
+    return np.ascontiguousarray(padded.view(np.uint64).transpose(0, 2, 1))
+
+
+def _count_rows(planes: np.ndarray, rows: Iterable[int], counts: np.ndarray) -> None:
+    # Counts each row i against rows i+1.. into its condensed slice of
+    # counts; the slices are disjoint, so stripes may run concurrently.
+    # Row 2 of counts holds popcount(v & x0) until pair_counts fixes it up.
+    valid, bit0, bit1 = planes
+    _, words, n = planes.shape
+    work = np.empty((3, words, n), dtype=np.uint64)
+    pop = np.empty((3, words, n), dtype=np.uint8)
+    for i in rows:
+        m = n - 1 - i
+        lo = condensed_index(n, i, i + 1)
+        v, mism, x0 = work[:, :, :m]
+        np.bitwise_and(valid[:, i + 1 :], valid[:, i, None], out=v)
+        np.bitwise_xor(bit0[:, i + 1 :], bit0[:, i, None], out=x0)
+        np.bitwise_xor(bit1[:, i + 1 :], bit1[:, i, None], out=mism)
+        np.bitwise_or(mism, x0, out=mism)
+        np.bitwise_and(mism, v, out=mism)
+        np.bitwise_and(x0, v, out=x0)
+        np.bitwise_count(work[:, :, :m], out=pop[:, :, :m])
+        np.add.reduce(
+            pop[:, :, :m], axis=1, dtype=counts.dtype, out=counts[:, lo : lo + m]
+        )
+
+
+def pair_counts(codes: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Compared, mismatched and transition site counts of every pair.
+
+    codes is an (n, sites) matrix from encode_alignment.  Returns a
+    (3, n*(n-1)/2) int32 array whose rows hold compared sites,
+    mismatches and transitions in condensed pair order.  threads splits
+    the rows across a thread pool of at most min(threads, cores, n - 1)
+    workers; the counts do not depend on it.
+    """
+    n = codes.shape[0]
+    planes = _pack_planes(codes)
+    counts = np.empty((3, condensed_size(n)), dtype=np.int32)
+    workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))
+    if workers == 1:
+        _count_rows(planes, range(n - 1), counts)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futs = [
+                pool.submit(_count_rows, planes, range(w, n - 1, workers), counts)
+                for w in range(workers)
+            ]
+            for f in futs:
+                f.result()
+    np.subtract(counts[1], counts[2], out=counts[2])
+    return counts
+
+
 def compare_pair(x: str, y: str) -> PairComparison:
     """Count compared, differing, transition and transversion sites.
 
@@ -79,14 +159,8 @@ def compare_pair(x: str, y: str) -> PairComparison:
     """
     if len(x) != len(y):
         raise LengthMismatch(len(x), len(y))
-    a = encode_sequence(x)
-    b = encode_sequence(y)
-    sites = (a != 255) & (b != 255)
-    neq = (a != b) & sites
-    ts = ((a ^ b) == 2) & neq
-    compared = int(np.count_nonzero(sites))
-    mism = int(np.count_nonzero(neq))
-    tsc = int(np.count_nonzero(ts))
+    codes = np.vstack([encode_sequence(x), encode_sequence(y)])
+    compared, mism, tsc = pair_counts(codes)[:, 0].tolist()
     return PairComparison(compared, mism, tsc, mism - tsc)
 
 
@@ -212,21 +286,6 @@ class DistanceMatrix:
         return self.values[condensed_indices_within(self.n, idx)]
 
 
-def _count_block(codes, valid, rows, n, compared, mism, tsc):
-    # Writes disjoint condensed slices, safe under the thread pool.
-    for i in rows:
-        lo = condensed_index(n, i, i + 1) if i + 1 < n else 0
-        a = codes[i]
-        va = valid[i]
-        sites = valid[i + 1 :] & va
-        neq = (codes[i + 1 :] != a) & sites
-        ts = ((codes[i + 1 :] ^ a) == 2) & neq
-        hi = lo + (n - i - 1)
-        compared[lo:hi] = np.count_nonzero(sites, axis=1)
-        mism[lo:hi] = np.count_nonzero(neq, axis=1)
-        tsc[lo:hi] = np.count_nonzero(ts, axis=1)
-
-
 def build_distance_matrix(
     alignment: "Alignment",
     kind: MatrixKind,
@@ -236,35 +295,15 @@ def build_distance_matrix(
     """All-pairs p or K80 distances for an alignment.
 
     cap=None leaves undefined pairs as NaN; a float replaces them with that
-    value and flags them in the capped array.  threads partitions the row
-    loop across a thread pool; results are identical for any thread count.
+    value and flags them in the capped array.  threads is passed to
+    pair_counts, which clamps it to the cores and rows; results are
+    identical for any thread count.
     """
     if kind is MatrixKind.PATRISTIC:
         raise ValueError("patristic matrices are built from a tree")
-    n = len(alignment.records)
-    if n < 2:
+    if len(alignment.records) < 2:
         raise EmptyInput("need at least two sequences")
-    codes = encode_alignment(alignment)
-    valid = codes != 255
-    m = condensed_size(n)
-    compared = np.empty(m, dtype=np.int64)
-    mism = np.empty(m, dtype=np.int64)
-    tsc = np.empty(m, dtype=np.int64)
-
-    threads = max(1, int(threads))
-    if threads == 1 or n < 4:
-        _count_block(codes, valid, range(n - 1), n, compared, mism, tsc)
-    else:
-        stripes = [range(w, n - 1, threads) for w in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(
-                    _count_block, codes, valid, rows, n, compared, mism, tsc
-                )
-                for rows in stripes
-            ]
-            for f in futs:
-                f.result()
+    compared, mism, tsc = pair_counts(encode_alignment(alignment), threads)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind is MatrixKind.P_DISTANCE:
@@ -324,20 +363,33 @@ def read_matrix_phylip(
         header = fh.readline().split()
         if not header:
             raise EmptyInput(str(path))
-        n = int(header[0])
+        try:
+            n = int(header[0])
+        except ValueError:
+            raise MalformedMatrix(
+                f"{path}: count line {header[0]!r} is not an integer"
+            ) from None
         ids = []
         rows = []
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
+            if len(parts) != n + 1:
+                raise MalformedMatrix(
+                    f"{path}: row {parts[0]!r} has {len(parts) - 1} cells, "
+                    f"expected {n}"
+                )
             ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError:
+                raise MalformedMatrix(
+                    f"{path}: row {parts[0]!r} holds a non-numeric cell"
+                ) from None
     if len(ids) != n:
-        raise EmptyInput(f"expected {n} rows, found {len(ids)}")
-    sq = np.asarray(rows, dtype=np.float64)
-    if sq.shape != (n, n):
-        raise EmptyInput("matrix is not square")
+        raise MalformedMatrix(f"{path}: expected {n} rows, found {len(ids)}")
+    sq = np.asarray(rows, dtype=np.float64).reshape(n, n)
     iu = np.triu_indices(n, k=1)
     return DistanceMatrix(ids, sq[iu], kind)
 
@@ -361,23 +413,28 @@ def write_matrix_binary(dm: DistanceMatrix, path: str | Path) -> None:
 def read_matrix_binary(
     path: str | Path, kind: MatrixKind = MatrixKind.P_DISTANCE
 ) -> DistanceMatrix:
+    """Read write_matrix_binary's triangle and its <path>.ids sidecar."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise EmptyInput(f"{path} is not a distance-matrix file")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _BINARY_VERSION:
-            raise EmptyInput(f"unsupported matrix version {version}")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        vals = np.frombuffer(
-            fh.read(8 * condensed_size(n)), dtype="<f8"
-        ).astype(np.float64)
-    if vals.shape[0] != condensed_size(n):
-        raise EmptyInput(f"{path} is truncated")
+        data = fh.read()
+    if data[:4] != _BINARY_MAGIC:
+        raise MalformedMatrix(f"{path} is not a distance-matrix file")
+    if len(data) < 13:
+        raise MalformedMatrix(f"{path}: header is cut short")
+    version, n = struct.unpack_from("<BQ", data, 4)
+    if version != _BINARY_VERSION:
+        raise MalformedMatrix(f"{path}: unsupported matrix version {version}")
+    if len(data) != 13 + 8 * condensed_size(n):
+        raise MalformedMatrix(
+            f"{path}: {len(data) - 13} value bytes for n={n}, "
+            f"expected {8 * condensed_size(n)}"
+        )
+    vals = np.frombuffer(data, dtype="<f8", offset=13).astype(np.float64)
     sidecar = path.with_name(path.name + ".ids")
-    if sidecar.exists():
+    try:
         ids = sidecar.read_text().split()
-    else:
-        ids = [str(k) for k in range(n)]
+    except FileNotFoundError:
+        raise MalformedMatrix(f"{path}: id sidecar {sidecar} is missing") from None
+    if len(ids) != n:
+        raise MalformedMatrix(f"{sidecar}: {len(ids)} ids for n={n}")
     return DistanceMatrix(ids, vals, kind)

@@ -97,6 +97,10 @@ class LengthMismatch(DataError):
         self.len_b = len_b
 
 
+class MalformedMatrix(DataError):
+    """A distance-matrix file or its id sidecar does not hold a matrix."""
+
+
 class UndefinedDistance(DataError):
     def __init__(self, i: str | int, j: str | int):
         super().__init__(f"distance between {i!r} and {j!r} is undefined")

@@ -13,7 +13,6 @@ the tip bipartition its edge induces.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -277,12 +276,12 @@ def _collapse_unary(root: Node) -> None:
 # ------------------------------------------------------------ path lengths
 
 
-def patristic_matrix(tree: PhyloTree, threads: int = 1) -> DistanceMatrix:
+def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
     """Sum of branch lengths along the path between every tip pair.
 
-    Missing lengths count as zero.  The fill partitions cleanly over
-    internal nodes (pairs are grouped by their lowest common ancestor), so
-    a thread pool only changes wall time, never values.
+    Missing lengths count as zero.  One postorder pass fills each internal
+    node's cross-child blocks: every pair is written once, at its lowest
+    common ancestor.
     """
     labels = tree.tip_labels()
     n = len(labels)
@@ -290,13 +289,6 @@ def patristic_matrix(tree: PhyloTree, threads: int = 1) -> DistanceMatrix:
         raise DegenerateTree("patristic distances need at least two tips")
     sq = np.zeros((n, n), dtype=np.float64)
 
-    def fill(ia, da, ib, db):
-        block = da[:, None] + db[None, :]
-        sq[np.ix_(ia, ib)] = block
-        sq[np.ix_(ib, ia)] = block.T
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    futures = []
     acc: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     tip_counter = 0
     for node in tree.postorder():
@@ -315,18 +307,13 @@ def patristic_matrix(tree: PhyloTree, threads: int = 1) -> DistanceMatrix:
             for b in range(a + 1, len(parts)):
                 ia, da = parts[a]
                 ib, db = parts[b]
-                if pool is None:
-                    fill(ia, da, ib, db)
-                else:
-                    futures.append(pool.submit(fill, ia, da, ib, db))
+                block = da[:, None] + db[None, :]
+                sq[np.ix_(ia, ib)] = block
+                sq[np.ix_(ib, ia)] = block.T
         acc[id(node)] = (
             np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]),
         )
-    if pool is not None:
-        for f in futures:
-            f.result()
-        pool.shutdown()
     iu = np.triu_indices(n, k=1)
     return DistanceMatrix(labels, sq[iu], MatrixKind.PATRISTIC)
 

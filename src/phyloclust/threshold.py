@@ -125,6 +125,21 @@ def _tips_below(node: Node) -> list[str]:
     return out
 
 
+def tip_p_matrix(
+    alignment: Alignment, labels: list[str], threads: int = 1
+) -> DistanceMatrix:
+    """p-distances among the named tips, rows in label order.
+
+    Raises MissingSequence for a tip the alignment lacks.
+    """
+    for lab in labels:
+        if lab not in alignment:
+            raise MissingSequence(lab)
+    return build_distance_matrix(
+        alignment.subset(labels), MatrixKind.P_DISTANCE, threads=threads
+    )
+
+
 def _resolve_matrix(
     tree: PhyloTree,
     source: Alignment | DistanceMatrix | None,
@@ -133,12 +148,7 @@ def _resolve_matrix(
 ) -> DistanceMatrix:
     if statistic is Statistic.MAX_PAIRWISE_P:
         if isinstance(source, Alignment):
-            for lab in labels:
-                if lab not in source:
-                    raise MissingSequence(lab)
-            return build_distance_matrix(
-                source.subset(labels), MatrixKind.P_DISTANCE
-            )
+            return tip_p_matrix(source, labels)
         if isinstance(source, DistanceMatrix):
             if source.kind is not MatrixKind.P_DISTANCE:
                 raise ValueError(

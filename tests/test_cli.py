@@ -376,3 +376,78 @@ def test_growth_command(cohort, tmp_path, capsys):
          "--out", str(out), "--svg", str(svg)]
     )
     assert svg.read_bytes() == first
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_env_exits_two(cohort, tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("PHYLOCLUST_THREADS", value)
+    out = tmp_path / "dm.phy"
+    rc = main(["dist", "--align", str(cohort / "alignment.fasta"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "PHYLOCLUST_THREADS" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _cut_header(path):
+    path.write_bytes(path.read_bytes()[:9])
+
+
+def _drop_sidecar(path):
+    Path(str(path) + ".ids").unlink()
+
+
+@pytest.mark.parametrize("corrupt", [_cut_header, _drop_sidecar])
+def test_malformed_binary_matrix_exits_one(cohort, tmp_path, capsys, corrupt):
+    dm = tmp_path / "dm.bin"
+    main(["dist", "--align", str(cohort / "alignment.fasta"), "--binary",
+          "--out", str(dm)])
+    corrupt(dm)
+    rc = main(["cluster", "--method", "gap", "--matrix", str(dm),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert "MalformedMatrix" in capsys.readouterr().err
+
+
+def test_malformed_phylip_count_exits_one(cohort, tmp_path, capsys):
+    dm = tmp_path / "dm.phy"
+    dm.write_text("abc\na 0 1\nb 1 0\n")
+    rc = main(["cluster", "--method", "gap", "--matrix", str(dm),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert "MalformedMatrix" in capsys.readouterr().err
+
+
+def test_sweep_maxp_builds_one_matrix(cohort, tmp_path, monkeypatch):
+    from phyloclust import threshold
+
+    calls = []
+    real = threshold.build_distance_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("threads"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(threshold, "build_distance_matrix", counted)
+    rc = main(
+        ["--threads", "2", "sweep", "--tree", str(cohort / "tree.nwk"),
+         "--align", str(cohort / "alignment.fasta"),
+         "--ref", str(cohort / "planted.csv"),
+         "--support-grid", "0.70,0.90",
+         "--distance-grid", "0.03,0.045",
+         "--out", str(tmp_path / "sweep.tsv")]
+    )
+    assert rc == 0
+    assert calls == [2]
+
+
+def test_sweep_maxp_missing_sequence_exits_one(cohort, tmp_path, capsys):
+    records = (cohort / "alignment.fasta").read_text().split(">")[2:]
+    short = tmp_path / "short.fasta"
+    short.write_text("".join(">" + r for r in records))
+    rc = main(
+        ["sweep", "--tree", str(cohort / "tree.nwk"), "--align", str(short),
+         "--ref", str(cohort / "planted.csv"), "--out", str(tmp_path / "s.tsv")]
+    )
+    assert rc == 1
+    assert "MissingSequence" in capsys.readouterr().err

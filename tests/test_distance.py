@@ -1,22 +1,34 @@
 """Pairwise distance kernels and the matrix container."""
 
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
-from phyloclust import DistanceMatrix, MatrixKind, build_distance_matrix, parse_fasta
+from phyloclust import (
+    Alignment,
+    DistanceMatrix,
+    MatrixKind,
+    SequenceRecord,
+    build_distance_matrix,
+    parse_fasta,
+)
+from phyloclust import distance
 from phyloclust.distance import (
     compare_pair,
     condensed_index,
+    encode_alignment,
     k80_distance,
     p_distance,
+    pair_counts,
     read_matrix_binary,
     read_matrix_phylip,
     write_matrix_binary,
     write_matrix_phylip,
 )
-from phyloclust.errors import LengthMismatch
+from phyloclust.errors import DataError, LengthMismatch, MalformedMatrix
 
 _BASES = "ACGT"
 
@@ -73,6 +85,104 @@ def test_p_matches_site_loop():
             assert math.isnan(got)
         else:
             assert got == expect
+
+
+# gaps, N, IUPAC ambiguity codes and lowercase bases
+_MIXED = "ACGTacgtN-RYKMSWn."
+_TRANSITIONS = ({"A", "G"}, {"C", "T"})
+
+
+def _oracle_counts(x, y):
+    """(compared, mismatches, transitions) by a per-site loop."""
+    compared = mismatches = transitions = 0
+    for a, b in zip(x.upper(), y.upper()):
+        if a in _BASES and b in _BASES:
+            compared += 1
+            if a != b:
+                mismatches += 1
+                transitions += {a, b} in _TRANSITIONS
+    return compared, mismatches, transitions
+
+
+@pytest.mark.parametrize("sites", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pair_counts_match_site_oracle(sites, n, threads):
+    """Every count of the bit-packed kernel equals a per-site loop, across
+    word boundaries and padding, for either thread count."""
+    rng = np.random.default_rng(1000 * sites + 10 * n + threads)
+    seqs = [_random_seq(rng, sites, _MIXED) for _ in range(n)]
+    seqs[0] = seqs[1]  # one pair with no mismatches
+    # built directly, so lowercase reaches the kernel unnormalized
+    aln = Alignment([SequenceRecord(f"s{i}", s) for i, s in enumerate(seqs)])
+    oracle = np.array(
+        [_oracle_counts(x, y) for x, y in itertools.combinations(seqs, 2)]
+    ).T
+    counts = pair_counts(encode_alignment(aln), threads)
+    assert np.array_equal(counts, oracle)
+    for (x, y), (c, m, t) in zip(itertools.combinations(seqs, 2), oracle.T):
+        assert compare_pair(x, y) == distance.PairComparison(c, m, t, m - t)
+
+    compared, mism, ts = oracle.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = mism / compared
+        w1 = 1.0 - 2.0 * (ts / compared) - (mism - ts) / compared
+        w2 = 1.0 - 2.0 * ((mism - ts) / compared)
+        bad = (compared == 0) | (w1 <= 0.0) | (w2 <= 0.0)
+        k80 = -0.5 * np.log(np.where(bad, 1.0, w1)) - 0.25 * np.log(
+            np.where(bad, 1.0, w2)
+        )
+    p[compared == 0] = np.nan
+    k80[bad] = np.nan
+    got_p = build_distance_matrix(aln, MatrixKind.P_DISTANCE, threads=threads)
+    got_k80 = build_distance_matrix(aln, MatrixKind.K80, threads=threads)
+    assert np.array_equal(got_p.values, p, equal_nan=True)
+    assert np.array_equal(got_k80.values, k80, equal_nan=True)
+
+
+def test_compare_pair_empty_strings():
+    assert compare_pair("", "") == distance.PairComparison(0, 0, 0, 0)
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each
+    task at once on the calling thread, so no thread is started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize(
+    "cores, n, threads, expect",
+    [(2, 40, 8, 2), (2, 40, 2, 2), (16, 3, 8, 2), (16, 40, 3, 3), (2, 40, 1, None),
+     (2, 2, 8, None)],
+)
+def test_thread_pool_clamped_to_cores_and_rows(monkeypatch, cores, n, threads, expect):
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(distance, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    rng = np.random.default_rng(n)
+    aln = parse_fasta("".join(f">r{i}\n{_random_seq(rng, 70)}\n" for i in range(n)))
+    serial = build_distance_matrix(aln, MatrixKind.K80, threads=1)
+    _RecordingPool.created.clear()
+    pooled = build_distance_matrix(aln, MatrixKind.K80, threads=threads)
+    assert _RecordingPool.created == ([] if expect is None else [expect])
+    assert np.array_equal(serial.values, pooled.values, equal_nan=True)
 
 
 def test_k80_identical_is_zero():
@@ -189,3 +299,57 @@ def test_phylip_roundtrip(tmp_path):
     back = read_matrix_phylip(path)
     assert back.ids == dm.ids
     assert np.allclose(back.values, dm.values, atol=1e-9)
+
+
+def _write_bin(tmp_path):
+    dm = DistanceMatrix(["a", "b", "c"], np.array([0.1, 0.2, 0.3]), MatrixKind.P_DISTANCE)
+    path = tmp_path / "m.bin"
+    write_matrix_binary(dm, path)
+    return path
+
+
+@pytest.mark.parametrize("keep", [0, 3, 4, 5, 12, 20])
+def test_binary_cut_short_is_data_error(tmp_path, keep):
+    path = _write_bin(tmp_path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(MalformedMatrix):
+        read_matrix_binary(path)
+
+
+def test_binary_huge_count_is_data_error(tmp_path):
+    path = _write_bin(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[5:13] = (2**63).to_bytes(8, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(MalformedMatrix):
+        read_matrix_binary(path)
+
+
+def test_binary_without_sidecar_is_data_error(tmp_path):
+    path = _write_bin(tmp_path)
+    (tmp_path / "m.bin.ids").unlink()
+    with pytest.raises(MalformedMatrix, match="sidecar"):
+        read_matrix_binary(path)
+
+
+def test_binary_sidecar_count_mismatch_is_data_error(tmp_path):
+    path = _write_bin(tmp_path)
+    (tmp_path / "m.bin.ids").write_text("a\nb\n")
+    with pytest.raises(MalformedMatrix):
+        read_matrix_binary(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "abc\na 0 1\nb 1 0\n",  # count line is not an integer
+        "2\na 0 1\nb 1\n",  # short row
+        "2\na 0 1\nb 1 x\n",  # non-numeric cell
+        "3\na 0 1\nb 1 0\n",  # missing row
+    ],
+)
+def test_phylip_malformed_is_data_error(tmp_path, text):
+    path = tmp_path / "m.phy"
+    path.write_text(text)
+    with pytest.raises(DataError):
+        read_matrix_phylip(path)
