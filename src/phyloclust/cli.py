@@ -596,7 +596,11 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(known.config) as fh:
                 overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(overrides, dict):
+                raise ValueError("expected a JSON object of flag defaults")
+            if "func" in overrides:
+                raise ValueError("'func' is not a flag")
+        except (OSError, ValueError) as exc:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return 1
         parser.set_defaults(**overrides)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+from typing import Sequence
 
 import numpy as np
 
@@ -54,29 +55,32 @@ class WeightedGraph:
         return float(self.weights.sum()) / 2.0
 
 
+def cocluster_fraction(
+    partitions: Sequence[Partition], ids: Sequence[str]
+) -> np.ndarray:
+    """Fraction of partitions that put each pair of ids in one cluster.
+
+    There must be at least one partition, and every partition must assign
+    every id.  Rows and columns follow ids, and the diagonal is 1.
+    """
+    n = len(ids)
+    counts = np.zeros((n, n), dtype=np.float64)
+    for p in partitions:
+        codes: dict[str, int] = {}
+        vec = np.array(
+            [codes.setdefault(p.assignment[i], len(codes)) for i in ids]
+        )
+        counts += vec[:, None] == vec[None, :]
+    counts /= len(partitions)
+    return counts
+
+
 def partition_adjacency(p: Partition) -> WeightedGraph:
     """Unit-weight edges between every co-clustered pair of ids."""
     ids = p.ids()
     if not ids:
         raise EmptyInput("empty partition")
-    labels = [p.assignment[i] for i in ids]
-    codes = {lab: k for k, lab in enumerate(dict.fromkeys(labels))}
-    vec = np.array([codes[lab] for lab in labels])
-    w = (vec[:, None] == vec[None, :]).astype(np.float64)
-    np.fill_diagonal(w, 0.0)
-    return WeightedGraph(ids, w)
-
-
-def average_adjacency(graphs: list[WeightedGraph]) -> WeightedGraph:
-    """Element-wise mean of the weight matrices (identical id lists)."""
-    if not graphs:
-        raise EmptyInput("no graphs to average")
-    first = graphs[0]
-    for g in graphs[1:]:
-        if g.ids != first.ids:
-            raise IdSetMismatch("graphs must share the same vertex order")
-    stack = np.stack([g.weights for g in graphs])
-    return WeightedGraph(first.ids, stack.mean(axis=0))
+    return WeightedGraph(ids, cocluster_fraction([p], ids))
 
 
 def modularity(g: WeightedGraph, p: Partition) -> float:

@@ -143,10 +143,6 @@ class UnannotatedSupport(DataError):
         super().__init__(detail)
 
 
-class NoWithinEdges(DataError):
-    pass
-
-
 # --------------------------------------------------------------- evaluation
 
 
@@ -158,13 +154,6 @@ class UnassignedId(DataError):
 
 class IdSetMismatch(DataError):
     pass
-
-
-class SizeMismatch(DataError):
-    def __init__(self, expected: int, got: int):
-        super().__init__(f"size mismatch: expected {expected}, got {got}")
-        self.expected = expected
-        self.got = got
 
 
 class EmptyList(DataError):

@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .community import WeightedGraph, walktrap_communities
+from .community import WeightedGraph, cocluster_fraction, walktrap_communities
 from .distance import DistanceMatrix, MatrixKind, read_matrix_binary, write_matrix_binary
 from .errors import DegenerateTree
 from .io_formats import (
@@ -31,38 +31,12 @@ from .io_formats import (
     load_partition,
     write_partition,
 )
-from .phylo import Clade, Node, PhyloTree, mask_to_labels
+from .phylo import Clade, Node, PhyloTree
 from .threshold import ClusterCriteria, Statistic, threshold_cluster
 
 log = logging.getLogger(__name__)
 
 _EDGE_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class ReservedConstants:
-    """Upstream tuning constants carried verbatim for fidelity.
-
-    These parameterize a sequence-level likelihood this sampler does not
-    evaluate; they are stored so configurations round-trip losslessly.
-    Limiting probabilities are in (A, T, C, G) order.
-    """
-
-    limiting_probabilities: tuple[float, float, float, float] = (
-        0.38,
-        0.24,
-        0.16,
-        0.21,
-    )
-    rate_matrix: tuple[tuple[float, float, float, float], ...] = (
-        (-0.8891, 0.0659, 0.1324, 0.6908),
-        (0.1047, -0.7205, 0.5477, 0.0681),
-        (0.3096, 0.8069, -1.1801, 0.0636),
-        (1.2540, 0.0779, 0.0494, -1.3812),
-    )
-    discrete_states: int = 20
-    tpm_samples: int = 100_000
-    discrete_gamma: int = 1
 
 
 @dataclass(frozen=True)
@@ -85,7 +59,6 @@ class ChainConfig:
     init_mu_b: float | None = None
     init_alpha: float | None = None
     topology_only: bool = False
-    reserved: ReservedConstants = field(default_factory=ReservedConstants)
 
     def __post_init__(self):
         if self.iterations <= self.burn_in:
@@ -112,8 +85,9 @@ class ChainState:
     mu_b_window: tuple[float, float]
 
     def to_partition(self, labels: list[str]) -> Partition:
-        groups = [mask_to_labels(c.mask, labels) for c in self.clades]
-        return Partition.from_clusters(groups)
+        return Partition.from_clusters(
+            [labels[_tip_span(c.mask)] for c in self.clades]
+        )
 
 
 @dataclass(frozen=True)
@@ -124,6 +98,15 @@ class ChainSummary:
     cocluster_ids: list[str]
     trace: list[tuple[int, float]]
     retained_samples: list[Partition]
+
+
+def _tip_span(mask: int) -> slice:
+    """A clade's tips as a slice of the preorder tip labels.
+
+    Preorder lists every clade's tips consecutively, so a clade mask over
+    that order is one run of set bits.
+    """
+    return slice((mask & -mask).bit_length() - 1, mask.bit_length())
 
 
 # ---------------------------------------------------------------- scoring
@@ -474,11 +457,9 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
     lp = current_logpost()
     trace: list[tuple[int, float]] = []
     retained: list[Partition] = []
-    cocluster = np.zeros((n, n), dtype=np.float64)
-    tipindex = t.tip_index()
-    masks = t.node_masks(tipindex)
+    spans = {k: _tip_span(mask) for k, mask in t.node_masks().items()}
     best_lp = -math.inf
-    best_snapshot: list[int] | None = None
+    best_snapshot: list[slice] | None = None
 
     num_moves = 2 if cfg.topology_only else 4
 
@@ -611,29 +592,22 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
         trace.append((it, lp))
         if lp > best_lp:
             best_lp = lp
-            best_snapshot = [masks[cid] for cid in clusters]
+            best_snapshot = [spans[cid] for cid in clusters]
         if (it - cfg.burn_in) % cfg.thin == 0:
             lp = current_logpost()  # resync accumulated rounding
-            groups = [mask_to_labels(masks[cid], labels) for cid in clusters]
-            part = Partition.from_clusters(groups)
-            retained.append(part)
-            for members in groups:
-                idx = [tipindex[ident] for ident in members]
-                cocluster[np.ix_(idx, idx)] += 1.0
+            retained.append(
+                Partition.from_clusters([labels[spans[cid]] for cid in clusters])
+            )
             total_sizes = sum(sizes.values())
             assert total_sizes == n and k_count == len(clusters)
 
     assert best_snapshot is not None
-    if retained:
-        cocluster /= len(retained)
-    np.fill_diagonal(cocluster, 1.0)
-    map_partition = Partition.from_clusters(
-        [mask_to_labels(mask, labels) for mask in best_snapshot]
-    )
     return ChainSummary(
-        map_partition=map_partition,
+        map_partition=Partition.from_clusters(
+            [labels[span] for span in best_snapshot]
+        ),
         map_log_posterior=best_lp,
-        cocluster=cocluster,
+        cocluster=cocluster_fraction(retained, labels) if retained else np.eye(n),
         cocluster_ids=list(labels),
         trace=trace,
         retained_samples=retained,

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +225,35 @@ def test_bad_config_exits_one(tmp_path, capsys):
                "--out-dir", str(tmp_path / "d")])
     assert rc == 1
     assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [[0.5, 0.95], {"func": 1}])
+def test_config_not_flag_defaults_exits_one(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    rc = main(["--config", str(cfg), "simulate", "--cluster-sizes", "3",
+               "--out-dir", str(tmp_path / "d")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config file: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    probe = (
+        "import sys, phyloclust.cli; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_reruns_byte_identical_and_inputs_untouched(cohort, tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from phyloclust import Partition
 from phyloclust.community import (
     WeightedGraph,
-    average_adjacency,
     modularity,
     partition_adjacency,
     walktrap_communities,
@@ -92,35 +91,6 @@ def test_adjacency_matches_equality_scan():
         for a, b in itertools.combinations(ids, 2):
             expect = 1.0 if p.label_of(a) == p.label_of(b) else 0.0
             assert g.weights[pos[a], pos[b]] == expect
-
-
-def test_average_single_graph():
-    g = two_cliques()
-    out = average_adjacency([g])
-    assert np.array_equal(out.weights, g.weights)
-
-
-def test_average_half():
-    ids = ["a", "b"]
-    ones = WeightedGraph(ids, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    zeros = WeightedGraph(ids, np.zeros((2, 2)))
-    out = average_adjacency([ones, zeros])
-    assert out.weights[0, 1] == 0.5
-
-
-def test_average_order_invariant():
-    rng = np.random.default_rng(13)
-    ids = [f"v{i}" for i in range(6)]
-    graphs = []
-    for _ in range(5):
-        w = rng.random((6, 6))
-        w = (w + w.T) / 2.0
-        np.fill_diagonal(w, 0.0)
-        graphs.append(WeightedGraph(ids, w))
-    fwd = average_adjacency(graphs)
-    rev = average_adjacency(graphs[::-1])
-    assert np.allclose(fwd.weights, rev.weights, atol=1e-15)
-    assert np.allclose(fwd.weights, sum(g.weights for g in graphs) / 5.0)
 
 
 def test_modularity_matches_naive():

@@ -12,7 +12,6 @@ from phyloclust.community import WeightedGraph, modularity, walktrap_communities
 from phyloclust.mcmc import (
     ChainConfig,
     ChainSummary,
-    ReservedConstants,
     initialize_chain,
     linkage_estimate,
     load_chain_summary,
@@ -119,20 +118,6 @@ def total_variation(exact, samples):
 
 
 # ------------------------------------------------------------------- tests
-
-
-def test_reserved_constants_verbatim():
-    r = ReservedConstants()
-    assert r.limiting_probabilities == (0.38, 0.24, 0.16, 0.21)
-    assert r.rate_matrix == (
-        (-0.8891, 0.0659, 0.1324, 0.6908),
-        (0.1047, -0.7205, 0.5477, 0.0681),
-        (0.3096, 0.8069, -1.1801, 0.0636),
-        (1.2540, 0.0779, 0.0494, -1.3812),
-    )
-    assert r.discrete_states == 20
-    assert r.tpm_samples == 100_000
-    assert r.discrete_gamma == 1
 
 
 def test_config_defaults_and_schedule():
@@ -342,6 +327,14 @@ def test_chain_summary_invariants():
             p.label_of(a) == p.label_of(b) for p in summary.retained_samples
         ) / m
         assert c[pos[a], pos[b]] == pytest.approx(manual)
+
+
+def test_chain_retaining_nothing_has_identity_cocluster():
+    tree, cfg, summary = chain_on_six_tips(iterations=3_000, burn_in=1_000, thin=2_001)
+    assert cfg.num_retained == 0
+    assert summary.retained_samples == []
+    assert len(summary.trace) == 2_000
+    assert np.array_equal(summary.cocluster, np.eye(len(tree.tip_labels())))
 
 
 def test_chain_determinism():
