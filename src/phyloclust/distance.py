@@ -205,19 +205,6 @@ def condensed_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-def condensed_indices_within(n: int, idx: np.ndarray) -> np.ndarray:
-    """Condensed positions of every pair drawn from sorted indices idx."""
-    idx = np.asarray(idx, dtype=np.int64)
-    chunks = []
-    for a in range(len(idx) - 1):
-        i = idx[a]
-        js = idx[a + 1 :]
-        chunks.append(i * (2 * n - i - 1) // 2 + (js - i - 1))
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
-
-
 class DistanceMatrix:
     """Symmetric pairwise distances over named sequences.
 
@@ -283,7 +270,8 @@ class DistanceMatrix:
     def values_within(self, idx: Iterable[int]) -> np.ndarray:
         """Condensed values for all pairs among the given indices."""
         idx = np.sort(np.fromiter(idx, dtype=np.int64))
-        return self.values[condensed_indices_within(self.n, idx)]
+        a, b = (idx[k] for k in np.triu_indices(len(idx), k=1))
+        return self.values[a * (2 * self.n - a - 1) // 2 + (b - a - 1)]
 
 
 def build_distance_matrix(

@@ -31,7 +31,7 @@ from .io_formats import (
     load_partition,
     write_partition,
 )
-from .phylo import Clade, Node, PhyloTree
+from .phylo import Clade, Node, PhyloTree, mask_to_labels
 from .threshold import ClusterCriteria, Statistic, threshold_cluster
 
 log = logging.getLogger(__name__)
@@ -86,7 +86,7 @@ class ChainState:
 
     def to_partition(self, labels: list[str]) -> Partition:
         return Partition.from_clusters(
-            [labels[_tip_span(c.mask)] for c in self.clades]
+            [mask_to_labels(c.mask, labels) for c in self.clades]
         )
 
 
@@ -98,15 +98,6 @@ class ChainSummary:
     cocluster_ids: list[str]
     trace: list[tuple[int, float]]
     retained_samples: list[Partition]
-
-
-def _tip_span(mask: int) -> slice:
-    """A clade's tips as a slice of the preorder tip labels.
-
-    Preorder lists every clade's tips consecutively, so a clade mask over
-    that order is one run of set bits.
-    """
-    return slice((mask & -mask).bit_length() - 1, mask.bit_length())
 
 
 # ---------------------------------------------------------------- scoring
@@ -457,7 +448,7 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
     lp = current_logpost()
     trace: list[tuple[int, float]] = []
     retained: list[Partition] = []
-    spans = {k: _tip_span(mask) for k, mask in t.node_masks().items()}
+    spans = {k: slice(lo, hi) for k, (lo, hi) in t.tip_spans().items()}
     best_lp = -math.inf
     best_snapshot: list[slice] | None = None
 

@@ -3,7 +3,7 @@
 Trees are mutable node structures; every algorithm here is iterative so
 pathological caterpillar shapes do not hit the interpreter recursion limit.
 Clades are identified by their rooted tip set, held as an integer bitset
-over the tree's left-to-right tip order.
+over the tree's left-to-right tip order; in that order a clade is one range.
 
 Support values are attached to internal nodes but belong conceptually to
 the edge above the node; re-rooting moves them so each value stays with
@@ -121,6 +121,22 @@ class PhyloTree:
 
     def tip_index(self) -> dict[str, int]:
         return {lab: k for k, lab in enumerate(self.tip_labels())}
+
+    def tip_spans(self) -> dict[int, tuple[int, int]]:
+        """Each node's tips as a range [lo, hi) of tip_labels(), by id(node);
+        in that left-to-right order every clade's tips are one run."""
+        spans: dict[int, tuple[int, int]] = {}
+        k = 0
+        for node in self.postorder():
+            if node.is_tip:
+                spans[id(node)] = (k, k + 1)
+                k += 1
+            else:
+                spans[id(node)] = (
+                    spans[id(node.children[0])][0],
+                    spans[id(node.children[-1])][1],
+                )
+        return spans
 
     def node_masks(self, index: dict[str, int] | None = None) -> dict[int, int]:
         """Bitset of descendant tips per node, keyed by id(node)."""
@@ -288,32 +304,25 @@ def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
     if n < 2:
         raise DegenerateTree("patristic distances need at least two tips")
     sq = np.zeros((n, n), dtype=np.float64)
+    spans = tree.tip_spans()
 
-    acc: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    tip_counter = 0
+    # path length from each tip below a node up to that node
+    up: dict[int, np.ndarray] = {}
     for node in tree.postorder():
         if node.is_tip:
-            acc[id(node)] = (
-                np.array([tip_counter], dtype=np.int64),
-                np.zeros(1, dtype=np.float64),
-            )
-            tip_counter += 1
+            up[id(node)] = np.zeros(1, dtype=np.float64)
             continue
-        parts = []
-        for c in node.children:
-            idx, dist = acc.pop(id(c))
-            parts.append((idx, dist + (c.length or 0.0)))
+        parts = [
+            (spans[id(c)], up.pop(id(c)) + (c.length or 0.0)) for c in node.children
+        ]
         for a in range(len(parts)):
             for b in range(a + 1, len(parts)):
-                ia, da = parts[a]
-                ib, db = parts[b]
+                (alo, ahi), da = parts[a]
+                (blo, bhi), db = parts[b]
                 block = da[:, None] + db[None, :]
-                sq[np.ix_(ia, ib)] = block
-                sq[np.ix_(ib, ia)] = block.T
-        acc[id(node)] = (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
+                sq[alo:ahi, blo:bhi] = block
+                sq[blo:bhi, alo:ahi] = block.T
+        up[id(node)] = np.concatenate([d for _, d in parts])
     iu = np.triu_indices(n, k=1)
     return DistanceMatrix(labels, sq[iu], MatrixKind.PATRISTIC)
 

@@ -70,7 +70,7 @@ def threshold_cluster(
     MAX_PAIRWISE_P, from which p-distances are computed), a precomputed
     DistanceMatrix of the matching kind, or None to derive patristic
     distances from the tree.  The root counts as support 1.0; an
-    undefined p-distance inside a clade disqualifies that clade.
+    undefined (NaN) distance inside a clade disqualifies that clade.
     """
     labels = tree.tip_labels()
     if len(labels) != len(set(labels)):
@@ -83,46 +83,57 @@ def threshold_cluster(
                 )
 
     dm = _resolve_matrix(tree, source, criteria.statistic, labels)
-    pos = {lab: dm.index_of(lab) for lab in labels}
-    use_median = criteria.statistic is Statistic.MEDIAN_PATRISTIC
+    sq = dm.square()
+    if dm.ids != labels:
+        perm = [dm.index_of(lab) for lab in labels]
+        sq = sq[np.ix_(perm, perm)]
+    # 2-D prefix counts of the cells under the cutoff and of the NaN cells
+    count = np.zeros((2, len(labels) + 1, len(labels) + 1), dtype=np.int32)
+    count[0, 1:, 1:] = sq <= criteria.distance_max
+    count[1, 1:, 1:] = np.isnan(sq)
+    np.cumsum(count, axis=1, out=count)
+    np.cumsum(count, axis=2, out=count)
 
     clusters: list[list[str]] = []
+    spans = tree.tip_spans()
     stack: list[Node] = [tree.root]
     while stack:
         node = stack.pop()
-        if node.is_tip:
-            clusters.append([node.label or ""])
-            continue
+        lo, hi = spans[id(node)]
         support = 1.0 if node is tree.root else (node.support or 0.0)
-        if support >= criteria.support_min:
-            tips = _tips_below(node)
-            vals = dm.values_within([pos[t] for t in tips])
-            stat = _statistic(vals, use_median)
-            if stat <= criteria.distance_max:
-                clusters.append(tips)
-                continue
-        stack.extend(node.children)
+        if hi - lo < 2 or (
+            support >= criteria.support_min
+            and _clade_passes(sq, count, lo, hi, criteria)
+        ):
+            clusters.append(labels[lo:hi])
+        else:
+            stack.extend(node.children)
     return Partition.from_clusters(clusters)
 
 
-def _statistic(vals: np.ndarray, use_median: bool) -> float:
-    if np.isnan(vals).any():
-        return math.inf
-    if use_median:
-        return float(np.median(vals))
-    return float(vals.max())
+def _clade_passes(
+    sq: np.ndarray, count: np.ndarray, lo: int, hi: int, criteria: ClusterCriteria
+) -> bool:
+    """Whether the pairs among tips [lo, hi) pass the statistic's cutoff.
 
-
-def _tips_below(node: Node) -> list[str]:
-    out = []
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        if nd.is_tip:
-            out.append(nd.label or "")
-        else:
-            stack.extend(reversed(nd.children))
-    return out
+    The pairs are the block sq[lo:hi, lo:hi], and count's prefix sums
+    count its cells in O(1).  A NaN fails the clade.  A median is computed
+    only when its two middle values straddle the cutoff.
+    """
+    under, undefined = (
+        count[:, hi, hi] - count[:, lo, hi] - count[:, hi, lo] + count[:, lo, lo]
+    ).tolist()
+    if undefined:
+        return False
+    m = hi - lo
+    pairs = m * (m - 1) // 2
+    k = (under - m) // 2  # the zero diagonal is under the cutoff
+    if criteria.statistic is not Statistic.MEDIAN_PATRISTIC:
+        return k == pairs
+    if 2 * k != pairs:
+        return 2 * k > pairs
+    vals = sq[lo:hi, lo:hi][np.triu_indices(m, k=1)]
+    return float(np.median(vals)) <= criteria.distance_max
 
 
 def tip_p_matrix(

@@ -3,6 +3,7 @@
 import numpy as np
 
 from phyloclust import DistanceMatrix, MatrixKind
+from phyloclust.phylo import Node
 
 
 def square_dm(ids, arr, kind=MatrixKind.P_DISTANCE):
@@ -26,3 +27,17 @@ def blob_matrix(sizes, within, between):
     np.fill_diagonal(arr, 0.0)
     ids = [f"q{i}" for i in range(n)]
     return ids, arr
+
+
+def decorate_tree(tree, rng, unary_rate=0.15):
+    """Give every internal node a random support, and put a supported unary
+    node on some edges, in place."""
+    for node in list(tree.preorder()):
+        if node.children:
+            node.support = float(rng.choice([0.5, 0.75, 0.95, 1.0]))
+        if node.parent is not None and rng.random() < unary_rate:
+            parent = node.parent
+            unary = Node(length=0.001, support=float(rng.choice([0.6, 1.0])))
+            parent.children[parent.children.index(node)] = unary
+            unary.parent = parent
+            unary.add(node)

@@ -154,6 +154,24 @@ def test_gap_quantile_flag_matches_library(cohort, tmp_path):
     assert load_partition(out).same_grouping(direct)
 
 
+@pytest.mark.parametrize("method", ["maxp", "maxpatristic", "medianpatristic"])
+def test_unary_clade_gives_its_singleton(tmp_path, recwarn, method):
+    """A one-tip clade under a unary node is a singleton, not an error."""
+    tree = tmp_path / "tree.nwk"
+    tree.write_text("((a:1)1.0:1,(b:0.1,c:0.1)1.0:1);")
+    align = tmp_path / "align.fasta"
+    align.write_text(">a\n" + "C" * 40 + "\n>b\n" + "A" * 40 + "\n>c\n" + "A" * 40 + "\n")
+    out = tmp_path / "part.csv"
+    argv = ["cluster", "--method", method, "--tree", str(tree),
+            "--support-min", "0.7", "--distance-max", "0.5", "--out", str(out)]
+    if method == "maxp":
+        argv += ["--align", str(align)]
+    assert main(argv) == 0
+    clusters = load_partition(out).clusters().values()
+    assert sorted(sorted(m) for m in clusters) == [["a"], ["b", "c"]]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_usage_errors_exit_two(cohort, tmp_path):
     out = tmp_path / "nope.csv"
     assert main(["cluster", "--method", "mcmc", "--out", str(out)]) == 2

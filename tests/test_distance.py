@@ -269,6 +269,16 @@ def test_matrix_cap_policy():
     assert not capped.capped[condensed_index(3, 1, 2)]
 
 
+@pytest.mark.parametrize("idx", [[7, 2, 11, 5], [13, 0], [9], [], [12, 3, 8, 1, 6]])
+def test_values_within_matches_get_loop(idx):
+    """Pairs of the sorted indices, in row-major order, as get(i, j) reads them."""
+    n = 14
+    vals = np.random.default_rng(5).random(n * (n - 1) // 2)
+    dm = DistanceMatrix([f"t{k}" for k in range(n)], vals, MatrixKind.P_DISTANCE)
+    want = [dm.get(i, j) for i, j in itertools.combinations(sorted(idx), 2)]
+    assert dm.values_within(iter(idx)).tolist() == want
+
+
 def test_threads_do_not_change_values():
     rng = np.random.default_rng(23)
     rows = [f">r{i}\n{_random_seq(rng, 400)}\n" for i in range(40)]

@@ -17,6 +17,8 @@ from phyloclust.phylo import (
 )
 from phyloclust.simulate import SimConfig, simulate_tree
 
+from conftest import decorate_tree
+
 
 def _naive_patristic(tree, a, b):
     """Distance via explicit root paths, nothing shared with the library."""
@@ -75,6 +77,16 @@ def test_patristic_matches_naive_walk():
             assert abs(dm.get(i, j) - expect) <= 1e-12
 
 
+def test_patristic_matches_naive_walk_through_unary_nodes():
+    for seed in range(4):
+        tree, _ = simulate_tree(SimConfig(cluster_sizes=(6, 4, 3), rng_seed=seed))
+        decorate_tree(tree, np.random.default_rng(seed), unary_rate=0.3)
+        dm = patristic_matrix(tree)
+        for i, j in itertools.combinations(range(dm.n), 2):
+            expect = _naive_patristic(tree, dm.ids[i], dm.ids[j])
+            assert abs(dm.get(i, j) - expect) <= 1e-12
+
+
 def test_patristic_metric_properties():
     tree, _ = simulate_tree(SimConfig(cluster_sizes=(12,), rng_seed=4))
     sq = patristic_matrix(tree).square()
@@ -115,6 +127,37 @@ def test_clade_union_equals_parent():
 def test_mask_to_labels_order():
     labels = ["a", "b", "c", "d"]
     assert mask_to_labels(0b1010, labels) == ["b", "d"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "((a:1)1.0:1,(b:0.1,c:0.1)1.0:1);",
+        "(((a:1,b:1)0.9:1)1.0:1);",
+        "((((a:1)1.0:1)1.0:1,b:1)1.0:1,c:1);",
+    ],
+)
+def test_tip_spans_unary_newick(text):
+    _assert_spans_match_masks(parse_newick(text))
+
+
+def test_tip_spans_match_masks():
+    for seed in range(10):
+        tree, _ = simulate_tree(SimConfig(cluster_sizes=(6, 4, 3), rng_seed=seed))
+        decorate_tree(tree, np.random.default_rng(seed))
+        assert any(len(n.children) == 1 for n in tree.preorder())
+        _assert_spans_match_masks(tree)
+
+
+def _assert_spans_match_masks(tree):
+    labels = tree.tip_labels()
+    masks = tree.node_masks()
+    spans = tree.tip_spans()
+    nodes = list(tree.preorder())
+    assert len(spans) == len(nodes)
+    for node in nodes:
+        lo, hi = spans[id(node)]
+        assert labels[lo:hi] == mask_to_labels(masks[id(node)], labels)
 
 
 def test_root_at_outgroup_sibling_case():

@@ -2,11 +2,19 @@
 
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
 
-from phyloclust import MatrixKind, build_distance_matrix, parse_fasta, parse_newick
+from phyloclust import (
+    DistanceMatrix,
+    MatrixKind,
+    build_distance_matrix,
+    parse_fasta,
+    parse_newick,
+)
+from phyloclust.distance import condensed_index
 from phyloclust.errors import MissingSequence, UnannotatedSupport
 from phyloclust.phylo import patristic_matrix
 from phyloclust.threshold import (
@@ -16,6 +24,8 @@ from phyloclust.threshold import (
     threshold_cluster,
 )
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
+
+from conftest import decorate_tree, square_dm
 
 TWO_CHERRIES = "((a:0.005,b:0.005)1.0:0.15,(c:0.005,d:0.005)1.0:0.15);"
 
@@ -207,3 +217,123 @@ def test_criteria_validation():
         ClusterCriteria(-0.1, 0.05, Statistic.MAX_PAIRWISE_P)
     with pytest.raises(ValueError):
         ClusterCriteria(0.5, 0.0, Statistic.MAX_PAIRWISE_P)
+
+
+# ------------------------------------------------- naive top-down oracle
+
+
+def _pair_values(tree, dm):
+    """Each node's explicit list of within-clade pair values, by id(node)."""
+    out = {}
+
+    def tips(node):
+        if node.is_tip:
+            return [node.label]
+        return [t for c in node.children for t in tips(c)]
+
+    for node in tree.preorder():
+        members = tips(node)
+        out[id(node)] = (
+            members,
+            [dm.get_by_id(a, b) for a, b in itertools.combinations(members, 2)],
+        )
+    return out
+
+
+def _oracle(tree, pair_values, crit):
+    """Top-down search; a NaN among a clade's pairs fails the clade."""
+
+    def passes(vals):
+        if any(math.isnan(v) for v in vals):
+            return False
+        if crit.statistic is Statistic.MEDIAN_PATRISTIC:
+            return statistics.median(vals) <= crit.distance_max
+        return max(vals) <= crit.distance_max
+
+    out, stack = set(), [tree.root]
+    while stack:
+        node = stack.pop()
+        members, vals = pair_values[id(node)]
+        support = 1.0 if node is tree.root else (node.support or 0.0)
+        if len(members) < 2 or (support >= crit.support_min and passes(vals)):
+            out.add(frozenset(members))
+        else:
+            stack.extend(node.children)
+    return out
+
+
+def _clusters(part):
+    return {frozenset(m) for m in part.clusters().values()}
+
+
+def _with_nans(dm, rng, rate):
+    vals = dm.values.copy()
+    vals[rng.random(vals.size) < rate] = np.nan
+    return DistanceMatrix(dm.ids, vals, dm.kind)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(16))
+def test_threshold_matches_pair_list_oracle(seed):
+    """Random trees with random supports and unary nodes; p-distances in a
+    shuffled id order, and patristic distances with and without NaN cells."""
+    rng = np.random.default_rng(seed)
+    cfg = SimConfig(
+        cluster_sizes=(7, 5, 4, 3, 2),
+        within_mean=0.02,
+        between_mean=0.08,
+        seq_length=80,
+        rng_seed=seed,
+    )
+    tree, _ = simulate_tree(cfg)
+    aln = simulate_alignment(tree, cfg)
+    decorate_tree(tree, rng)
+
+    p = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
+    order = rng.permutation(p.n)
+    shuffled = square_dm([p.ids[k] for k in order], p.square()[np.ix_(order, order)])
+    pat = patristic_matrix(tree)
+    cases = [
+        (Statistic.MAX_PAIRWISE_P, shuffled),
+        (Statistic.MAX_PAIRWISE_P, _with_nans(shuffled, rng, 0.01)),
+        (Statistic.MEDIAN_PATRISTIC, pat),
+        (Statistic.MEDIAN_PATRISTIC, _with_nans(pat, rng, 0.01)),
+        (Statistic.MAX_PATRISTIC, pat),
+        (Statistic.MAX_PATRISTIC, _with_nans(pat, rng, 0.01)),
+    ]
+    for stat, dm in cases:
+        pair_values = _pair_values(tree, dm)
+        finite = dm.values[~np.isnan(dm.values)]
+        cutoffs = list(np.quantile(finite, [0.05, 0.3, 0.7]))
+        # a clade's median and its lower middle value put the cutoff on
+        # either side of a median whose two middle values straddle it
+        clades = list(pair_values.values())
+        for k in rng.choice(len(clades), 4, replace=False):
+            vals = sorted(clades[k][1])
+            if len(vals) >= 2 and not math.isnan(vals[-1]):
+                cutoffs += [vals[(len(vals) - 1) // 2], statistics.median(vals)]
+        for cut in [c for c in cutoffs if c > 0]:
+            for support in (0.0, 0.7, 0.95):
+                crit = ClusterCriteria(support, float(cut), stat)
+                got = _clusters(threshold_cluster(tree, dm, crit))
+                assert got == _oracle(tree, pair_values, crit), (stat, cut, support)
+
+
+def test_nan_fails_a_clade_whose_median_passes():
+    tree = parse_newick(
+        "(((a:0.01,b:0.01)1.0:0.01,(c:0.01,d:0.01)1.0:0.01)1.0:0.5,"
+        "(e:0.01,f:0.01)1.0:0.5);"
+    )
+    crit = ClusterCriteria(0.70, 0.1, Statistic.MEDIAN_PATRISTIC)
+    pat = patristic_matrix(tree)
+    assert _clusters(threshold_cluster(tree, pat, crit)) == {
+        frozenset("abcd"),
+        frozenset("ef"),
+    }
+    # five of the clade's six pairs stay under the cutoff
+    vals = pat.values.copy()
+    vals[condensed_index(pat.n, pat.index_of("a"), pat.index_of("c"))] = np.nan
+    holed = DistanceMatrix(pat.ids, vals, MatrixKind.PATRISTIC)
+    got = _clusters(threshold_cluster(tree, holed, crit))
+    assert got == {frozenset("ab"), frozenset("cd"), frozenset("ef")}
+    assert got == _oracle(tree, _pair_values(tree, holed), crit)
