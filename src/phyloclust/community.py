@@ -135,7 +135,6 @@ def walktrap_communities(g: WeightedGraph, walk_length: int = 4) -> Partition:
 
     na = int(active.size)
     total_m = g.total_weight()
-    members: dict[int, list[int]] = {k: [k] for k in range(na)}
     size: dict[int, int] = {k: 1 for k in range(na)}
     profile: dict[int, np.ndarray] = {k: profiles[k] for k in range(na)}
     internal: dict[int, float] = {k: 0.0 for k in range(na)}
@@ -178,7 +177,6 @@ def walktrap_communities(g: WeightedGraph, walk_length: int = 4) -> Partition:
         c = nxt
         nxt += 1
         q_now -= contrib(a) + contrib(b)
-        members[c] = members.pop(a) + members.pop(b)
         profile[c] = (size[a] * profile[a] + size[b] * profile[b]) / (
             size[a] + size[b]
         )

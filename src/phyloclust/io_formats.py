@@ -163,15 +163,6 @@ class Partition:
     def restrict(self, ids: Iterable[str]) -> "Partition":
         return Partition({i: self.label_of(i) for i in ids})
 
-    def relabel_canonical(self) -> "Partition":
-        """Clusters labeled '1'..'K' in order of their smallest member id."""
-        groups = sorted(self.clusters().values(), key=lambda g: g[0])
-        out: dict[str, str] = {}
-        for k, members in enumerate(groups, start=1):
-            for ident in members:
-                out[ident] = str(k)
-        return Partition(out)
-
     # --------------------------------------------------------- construction
 
     @classmethod

@@ -31,29 +31,36 @@ from .io_formats import (
     load_partition,
     write_partition,
 )
-from .phylo import Clade, Node, PhyloTree, mask_to_labels
+from .phylo import Node, PhyloTree
 from .threshold import ClusterCriteria, Statistic, threshold_cluster
 
 log = logging.getLogger(__name__)
 
 _EDGE_FLOOR = 1e-9
+# starting partition: max-p threshold clustering at the paper's criteria
+_INIT_SUPPORT_MIN = 0.90
+_INIT_DISTANCE_MAX = 0.045
+# walk tuning: fraction of the uniform window per mu step, log step for alpha
+_MU_STEP_FRACTION = 0.10
+_ALPHA_STEP = 0.10
+
+# a clade as (lowest node, lo, hi): its tips are tip_labels()[lo:hi]
+CladeSpan = tuple[Node, int, int]
 
 
 @dataclass(frozen=True)
 class ChainConfig:
+    """Chain length, priors and seed.  The starting criteria and the walk
+    step sizes are module constants (_INIT_*, _MU_STEP_FRACTION, _ALPHA_STEP)."""
+
     iterations: int = 220_000
     burn_in: int = 20_000
     thin: int = 200
-    init_support_min: float = 0.90
-    init_distance_max: float = 0.045
     radius: float = 0.25
     concentration_shape: float = 500.0
     concentration_scale: float = 0.2
     cluster_count_rate: float = 2368.0
     rng_seed: int = 0
-    # walk tuning: fraction of the uniform window per mu step, log step for alpha
-    mu_step_fraction: float = 0.10
-    alpha_step: float = 0.10
     # overrides for controlled runs; None means data-driven initialization
     init_mu_w: float | None = None
     init_mu_b: float | None = None
@@ -75,9 +82,10 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainState:
-    """An antichain of clades covering all tips, plus the walk parameters."""
+    """An antichain of clades covering all tips, sorted by lo, plus the
+    walk parameters."""
 
-    clades: tuple[Clade, ...]
+    clades: tuple[CladeSpan, ...]
     mu_w: float
     mu_b: float
     alpha: float
@@ -85,9 +93,7 @@ class ChainState:
     mu_b_window: tuple[float, float]
 
     def to_partition(self, labels: list[str]) -> Partition:
-        return Partition.from_clusters(
-            [mask_to_labels(c.mask, labels) for c in self.clades]
-        )
+        return Partition.from_clusters([labels[lo:hi] for _, lo, hi in self.clades])
 
 
 @dataclass(frozen=True)
@@ -117,29 +123,19 @@ def _edge_terms(tree: PhyloTree) -> tuple[int, float]:
     return count, total
 
 
-def _within_terms(clades: tuple[Clade, ...]) -> tuple[int, float]:
+def _within_terms(clades: tuple[CladeSpan, ...]) -> tuple[int, float]:
     count = 0
     total = 0.0
-    for clade in clades:
-        if clade.size < 2:
+    for top, lo, hi in clades:
+        if hi - lo < 2:
             continue
-        stack = list(clade.node.children)
+        stack = list(top.children)
         while stack:
             node = stack.pop()
             count += 1
             total += _floored_length(node)
             stack.extend(node.children)
     return count, total
-
-
-def _log_crp(sizes: list[int], alpha: float) -> float:
-    n = sum(sizes)
-    return (
-        len(sizes) * math.log(alpha)
-        + math.lgamma(alpha)
-        - math.lgamma(alpha + n)
-        + sum(math.lgamma(s) for s in sizes)
-    )
 
 
 def _log_poisson(k: int, rate: float) -> float:
@@ -205,7 +201,7 @@ def log_posterior(s: ChainState, t: PhyloTree, cfg: ChainConfig) -> float:
     """Joint log score of a state; -inf outside the parameter support."""
     e_count, e_total = _edge_terms(t)
     w_count, w_total = _within_terms(s.clades)
-    sizes = [c.size for c in s.clades]
+    sizes = [hi - lo for _, lo, hi in s.clades]
     return _assembled_log_posterior(
         w_count,
         w_total,
@@ -226,22 +222,21 @@ def log_posterior(s: ChainState, t: PhyloTree, cfg: ChainConfig) -> float:
 # ----------------------------------------------------------- initialization
 
 
-def _clade_nodes_for(tree: PhyloTree, p: Partition) -> tuple[Clade, ...]:
+def _clade_nodes_for(tree: PhyloTree, p: Partition) -> tuple[CladeSpan, ...]:
     index = tree.tip_index()
-    masks = tree.node_masks(index)
-    by_mask: dict[int, Node] = {}
-    for node in tree.postorder():
-        by_mask.setdefault(masks[id(node)], node)
+    spans = tree.tip_spans()
+    by_span: dict[tuple[int, int], Node] = {}
+    for node in tree.postorder():  # children first: a unary chain keeps its lowest
+        by_span.setdefault(spans[id(node)], node)
     clades = []
     for members in p.clusters().values():
-        mask = 0
-        for ident in members:
-            mask |= 1 << index[ident]
-        node = by_mask.get(mask)
-        if node is None:
+        tips = [index[ident] for ident in members]
+        lo, hi = min(tips), max(tips) + 1
+        node = by_span.get((lo, hi))
+        if node is None or hi - lo != len(members):
             raise DegenerateTree("cluster is not a clade of the tree")
-        clades.append(Clade(node, mask, len(members)))
-    clades.sort(key=lambda c: c.mask & -c.mask)  # by lowest tip bit
+        clades.append((node, lo, hi))
+    clades.sort(key=lambda c: c[1])
     return tuple(clades)
 
 
@@ -256,7 +251,7 @@ def initialize_chain(
     edge when nothing is left over.
     """
     criteria = ClusterCriteria(
-        cfg.init_support_min, cfg.init_distance_max, Statistic.MAX_PAIRWISE_P
+        _INIT_SUPPORT_MIN, _INIT_DISTANCE_MAX, Statistic.MAX_PAIRWISE_P
     )
     start = threshold_cluster(t, a, criteria)
     clades = _clade_nodes_for(t, start)
@@ -371,29 +366,25 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
     n = len(labels)
     rng = np.random.default_rng([cfg.rng_seed, 23])
 
-    tip_count: dict[int, int] = {}
-    child_len_sum: dict[int, float] = {}
-    for node in t.postorder():
-        if node.is_tip:
-            tip_count[id(node)] = 1
-        else:
-            tip_count[id(node)] = sum(tip_count[id(c)] for c in node.children)
-        child_len_sum[id(node)] = sum(_floored_length(c) for c in node.children)
+    spans = {k: slice(lo, hi) for k, (lo, hi) in t.tip_spans().items()}
+    tip_count = {k: s.stop - s.start for k, s in spans.items()}
+    child_len_sum = {
+        id(node): sum(_floored_length(c) for c in node.children)
+        for node in t.postorder()
+    }
 
     e_count, e_total = _edge_terms(t)
     w_count, w_total = _within_terms(state.clades)
-    sizes = {id(c.node): c.size for c in state.clades}
     k_count = len(state.clades)
-    size_lgamma = sum(math.lgamma(s) for s in sizes.values())
+    size_lgamma = sum(math.lgamma(hi - lo) for _, lo, hi in state.clades)
 
-    clusters: set[int] = set(sizes)
-    node_of: dict[int, Node] = {id(c.node): c.node for c in state.clades}
+    clusters: set[int] = {id(node) for node, _, _ in state.clades}
     splittable = _IndexedSet()
     mergeable = _IndexedSet()
     ready: dict[int, int] = {}
-    for c in state.clades:
-        if len(c.node.children) >= 2:
-            splittable.add(c.node)
+    for node, _, _ in state.clades:
+        if len(node.children) >= 2:
+            splittable.add(node)
     for node in t.preorder():
         if len(node.children) >= 2:
             ready[id(node)] = sum(
@@ -424,9 +415,18 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
             cfg,
         )
 
+    def topology_delta(d_w: int, d_tw: float, d_k: int, d_lg: float) -> float:
+        return (
+            d_w * (math.log(mu_b) - math.log(mu_w))
+            + d_tw * (1.0 / mu_b - 1.0 / mu_w)
+            + d_k * math.log(alpha)
+            + d_lg
+            + d_k * math.log(lam)
+            - (math.lgamma(k_count + d_k + 1) - math.lgamma(k_count + 1))
+        )
+
     def register_cluster(node: Node) -> None:
         clusters.add(id(node))
-        node_of[id(node)] = node
         if len(node.children) >= 2:
             splittable.add(node)
         parent = node.parent
@@ -437,7 +437,6 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
 
     def unregister_cluster(node: Node) -> None:
         clusters.discard(id(node))
-        node_of.pop(id(node), None)
         splittable.discard(node)
         parent = node.parent
         if parent is not None and id(parent) in ready:
@@ -448,7 +447,6 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
     lp = current_logpost()
     trace: list[tuple[int, float]] = []
     retained: list[Partition] = []
-    spans = {k: slice(lo, hi) for k, (lo, hi) in t.tip_spans().items()}
     best_lp = -math.inf
     best_snapshot: list[slice] | None = None
 
@@ -467,14 +465,7 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
             d_lg = sum(
                 math.lgamma(tip_count[id(ch)]) for ch in kids
             ) - math.lgamma(tip_count[id(target)])
-            delta = (
-                d_w * (math.log(mu_b) - math.log(mu_w))
-                + d_tw * (1.0 / mu_b - 1.0 / mu_w)
-                + d_k * math.log(alpha)
-                + d_lg
-                + d_k * math.log(lam)
-                - (math.lgamma(k_count + d_k + 1) - math.lgamma(k_count + 1))
-            )
+            delta = topology_delta(d_w, d_tw, d_k, d_lg)
             # merge targets afterwards: the split node joins; its parent
             # stops qualifying if it only qualified through the target
             parent = target.parent
@@ -485,9 +476,6 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
                 unregister_cluster(target)
                 for ch in kids:
                     register_cluster(ch)
-                for ch in kids:
-                    sizes[id(ch)] = tip_count[id(ch)]
-                del sizes[id(target)]
                 w_count += d_w
                 w_total += d_tw
                 k_count += d_k
@@ -504,14 +492,7 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
             d_lg = math.lgamma(tip_count[id(target)]) - sum(
                 math.lgamma(tip_count[id(ch)]) for ch in kids
             )
-            delta = (
-                d_w * (math.log(mu_b) - math.log(mu_w))
-                + d_tw * (1.0 / mu_b - 1.0 / mu_w)
-                + d_k * math.log(alpha)
-                + d_lg
-                + d_k * math.log(lam)
-                - (math.lgamma(k_count + d_k + 1) - math.lgamma(k_count + 1))
-            )
+            delta = topology_delta(d_w, d_tw, d_k, d_lg)
             # split targets afterwards: merged children leave, parent joins
             n_split_after = (
                 len(splittable)
@@ -522,9 +503,7 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
             if _accept(rng, delta + log_hastings):
                 for ch in kids:
                     unregister_cluster(ch)
-                    del sizes[id(ch)]
                 register_cluster(target)
-                sizes[id(target)] = tip_count[id(target)]
                 w_count += d_w
                 w_total += d_tw
                 k_count += d_k
@@ -533,7 +512,7 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
         elif move == 2:
             # WALK-mu: nudge one regime mean inside its uniform window
             if int(rng.integers(2)) == 0:
-                step = cfg.mu_step_fraction * (w_hi - w_lo)
+                step = _MU_STEP_FRACTION * (w_hi - w_lo)
                 prop = mu_w + float(rng.uniform(-step, step))
                 if w_lo <= prop <= w_hi and prop <= mu_b:
                     delta = (
@@ -544,7 +523,7 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
                         mu_w = prop
                         lp += delta
             else:
-                step = cfg.mu_step_fraction * (b_hi - b_lo)
+                step = _MU_STEP_FRACTION * (b_hi - b_lo)
                 prop = mu_b + float(rng.uniform(-step, step))
                 if b_lo <= prop <= b_hi and prop >= mu_w:
                     b_count = e_count - w_count
@@ -559,7 +538,7 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
         elif move == 3:
             # WALK-alpha: symmetric step in log space, hence the log ratio
             # enters the acceptance as the proposal-density correction
-            prop = alpha * math.exp(float(rng.uniform(-cfg.alpha_step, cfg.alpha_step)))
+            prop = alpha * math.exp(float(rng.uniform(-_ALPHA_STEP, _ALPHA_STEP)))
             delta = (
                 k_count * (math.log(prop) - math.log(alpha))
                 + math.lgamma(prop)
@@ -589,8 +568,8 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
             retained.append(
                 Partition.from_clusters([labels[spans[cid]] for cid in clusters])
             )
-            total_sizes = sum(sizes.values())
-            assert total_sizes == n and k_count == len(clusters)
+            assert sum(tip_count[cid] for cid in clusters) == n
+            assert k_count == len(clusters)
 
     assert best_snapshot is not None
     return ChainSummary(

@@ -2,8 +2,10 @@
 
 Trees are mutable node structures; every algorithm here is iterative so
 pathological caterpillar shapes do not hit the interpreter recursion limit.
-Clades are identified by their rooted tip set, held as an integer bitset
-over the tree's left-to-right tip order; in that order a clade is one range.
+Within one tree a clade is a range [lo, hi) of its left-to-right tip
+order (`PhyloTree.tip_spans`).  Comparisons across trees (rooting,
+support, consensus) identify a clade by its tip set instead, held as an
+integer bitset over a shared tip index.
 
 Support values are attached to internal nodes but belong conceptually to
 the edge above the node; re-rooting moves them so each value stays with
@@ -91,9 +93,6 @@ class PhyloTree:
 
     def tip_labels(self) -> list[str]:
         return [n.label or "" for n in self.tips()]
-
-    def internal_nodes(self) -> list[Node]:
-        return [n for n in self.preorder() if not n.is_tip]
 
     @property
     def num_tips(self) -> int:

@@ -20,6 +20,10 @@ GOLDEN = {
     "sweep-medianpatristic.tsv": "7b8bec6f9b12fc7f4643013611646dccbe6de7539d1ea7f7bab41da68d715908",
     "chain/map_partition.csv": "72665d6980fd506889b38f045c64d334d789eae1bd620c859c1b372409f7bc2c",
     "chain/retained_samples.txt": "6048fd50b24e36a745aecb7a6660388eef8669a30de259471b536cea33aacd10",
+    "chain/trace.tsv": "69649ef879e823cc1e2d66dc96ff1c221fe705f76324270fd28773cde1497dfd",
+    "chain/summary.json": "dba9d74ef47f69270d1863eb322d6faec8c31466ef5984fc99275bac60457142",
+    "chain/cocluster.bin": "37f110e3d8befdb8da7687415a5976dc91f97557b0887b2e390da0926bd76b42",
+    "linkage.csv": "72665d6980fd506889b38f045c64d334d789eae1bd620c859c1b372409f7bc2c",
 }
 
 
@@ -45,6 +49,7 @@ def outputs(tmp_path_factory):
     run("cluster", "--method", "mcmc", "--tree", tree, "--align", align,
         "--iterations", 3000, "--burn-in", 1000, "--thin", 500, "--seed", 0,
         "--chain-dir", d / "chain", "--out", d / "mcmc.csv")
+    run("linkage", "--chain-dir", d / "chain", "--out", d / "linkage.csv")
     return d
 
 

@@ -9,9 +9,11 @@ import pytest
 
 from phyloclust import Partition, parse_fasta, parse_newick
 from phyloclust.community import WeightedGraph, modularity, walktrap_communities
+from phyloclust.errors import DegenerateTree
 from phyloclust.mcmc import (
     ChainConfig,
     ChainSummary,
+    _clade_nodes_for,
     initialize_chain,
     linkage_estimate,
     load_chain_summary,
@@ -179,6 +181,31 @@ def test_initialize_singleton_fallback(caplog):
     assert state.mu_w == pytest.approx(0.05)  # single smallest edge
     assert state.mu_b == pytest.approx((0.05 + 0.08 + 0.3 + 0.06 + 0.07 + 0.4) / 6)
     assert any("decile" in r.getMessage() for r in caplog.records)
+
+
+def test_clade_lookup_rejects_non_clades():
+    # {b, c} is a contiguous tip range but no node's clade
+    tree = parse_newick("((a:1,b:1)1.0:1,(c:1,d:1)1.0:1);")
+    with pytest.raises(DegenerateTree):
+        _clade_nodes_for(tree, Partition.from_clusters([["a"], ["b", "c"], ["d"]]))
+    # {a, c} has a gap; its covering range [a, c] is the root clade
+    tree = parse_newick("((a:1,b:1)1.0:1,c:1);")
+    with pytest.raises(DegenerateTree):
+        _clade_nodes_for(tree, Partition.from_clusters([["a", "c"], ["b"]]))
+
+
+def test_clade_lookup_takes_lowest_node_of_unary_chain():
+    tree = parse_newick("((a:1)1.0:1,(b:0.1,c:0.1)1.0:1);")
+    clades = _clade_nodes_for(tree, Partition.from_clusters([["a"], ["b", "c"]]))
+    (tip, lo, hi), (cherry, c_lo, c_hi) = clades
+    assert tip.is_tip and tip.label == "a" and (lo, hi) == (0, 1)
+    assert [ch.label for ch in cherry.children] == ["b", "c"]
+    assert (c_lo, c_hi) == (1, 3)
+
+    tree = parse_newick("(((a:1,b:1)0.9:1)1.0:1);")
+    ((node, lo, hi),) = _clade_nodes_for(tree, Partition.from_clusters([["a", "b"]]))
+    assert [ch.label for ch in node.children] == ["a", "b"]
+    assert node.support == pytest.approx(0.9) and (lo, hi) == (0, 2)
 
 
 def test_log_posterior_two_tip_arithmetic():
