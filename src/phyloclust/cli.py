@@ -18,10 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .community import WeightedGraph
 from .distance import (
     DistanceMatrix,
     MatrixKind,
@@ -213,7 +210,10 @@ def _cmd_cluster(args) -> None:
         if not args.tree or not args.align:
             raise _UsageError("--method mcmc needs --tree and --align")
         tree = load_newick(args.tree)
-        alignment = load_fasta(args.align)
+        # every chain starts from the same p-distances: build them once
+        p_matrix = tip_p_matrix(
+            load_fasta(args.align), tree.tip_labels(), _resolve_threads(args)
+        )
         inputs += [args.tree, args.align]
         seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
         summaries = []
@@ -224,7 +224,7 @@ def _cmd_cluster(args) -> None:
                 thin=args.thin,
                 rng_seed=seed,
             )
-            summaries.append(run_chain(tree, alignment, cfg))
+            summaries.append(run_chain(tree, p_matrix, cfg))
         best = max(summaries, key=lambda s: s.map_log_posterior)
         for seed, summary in zip(seeds, summaries):
             log.info(
@@ -367,12 +367,8 @@ def _cmd_compare(args) -> None:
     started = time.monotonic()
     partitions = [load_partition(p) for p in args.partitions]
     universe = partitions[0].ids()
-    graph, order = method_cocluster_matrix(partitions, universe)
     out = Path(args.out)
-    n = len(order)
-    iu = np.triu_indices(n, k=1)
-    dm = DistanceMatrix(order, graph.weights[iu], MatrixKind.COCLUSTER)
-    write_matrix_binary(dm, out)
+    write_matrix_binary(method_cocluster_matrix(partitions, universe), out)
     _write_manifest(args, out, list(args.partitions), started)
 
 

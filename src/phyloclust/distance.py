@@ -210,7 +210,9 @@ class DistanceMatrix:
 
     values is the condensed upper triangle (row major, float64); NaN marks
     an undefined entry.  capped, when present, flags entries that were
-    undefined before a cap policy replaced them.
+    undefined before a cap policy replaced them.  The condensed layout is
+    private to this module: other modules convert with square() and
+    from_square(), or pass values to scipy, which shares the layout.
     """
 
     def __init__(
@@ -258,13 +260,25 @@ class DistanceMatrix:
     def num_undefined(self) -> int:
         return int(np.count_nonzero(np.isnan(self.values)))
 
+    @classmethod
+    def from_square(
+        cls, ids: list[str], sq: np.ndarray, kind: MatrixKind
+    ) -> "DistanceMatrix":
+        """Condense the upper triangle of a square matrix whose rows follow
+        ids; the diagonal and the lower triangle are not read."""
+        rows = [sq[i, i + 1 :] for i in range(len(ids) - 1)]
+        values = np.concatenate(rows, dtype=np.float64) if rows else np.empty(0)
+        return cls(ids, values, kind)
+
     def square(self) -> np.ndarray:
         """Materialize the full symmetric matrix (zero diagonal)."""
         n = self.n
         out = np.zeros((n, n), dtype=np.float64)
-        iu = np.triu_indices(n, k=1)
-        out[iu] = self.values
-        out.T[iu] = self.values
+        lo = 0
+        for i in range(n - 1):
+            hi = lo + n - 1 - i
+            out[i, i + 1 :] = out[i + 1 :, i] = self.values[lo:hi]
+            lo = hi
         return out
 
     def values_within(self, idx: Iterable[int]) -> np.ndarray:
@@ -378,8 +392,7 @@ def read_matrix_phylip(
     if len(ids) != n:
         raise MalformedMatrix(f"{path}: expected {n} rows, found {len(ids)}")
     sq = np.asarray(rows, dtype=np.float64).reshape(n, n)
-    iu = np.triu_indices(n, k=1)
-    return DistanceMatrix(ids, sq[iu], kind)
+    return DistanceMatrix.from_square(ids, sq, kind)
 
 
 def write_matrix_binary(dm: DistanceMatrix, path: str | Path) -> None:

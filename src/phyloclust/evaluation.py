@@ -11,7 +11,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .community import WeightedGraph, cocluster_fraction
+from .community import cocluster_fraction
+from .distance import DistanceMatrix, MatrixKind
 from .errors import EmptyList, EmptyPartition, IdSetMismatch
 from .io_formats import Partition
 from .threshold import ClusterCriteria, Statistic
@@ -156,13 +157,14 @@ def cutpoint_sweep(
 def method_cocluster_matrix(
     partitions: list[Partition],
     ids: Sequence[str],
-) -> tuple[WeightedGraph, list[str]]:
+) -> DistanceMatrix:
     """Fraction of partitions co-clustering each pair of ids.
 
     Only ids that are non-singleton in at least one partition appear.
     Rows are ordered by the leaf order of average-linkage clustering on
     1 - frequency, which groups mutually agreeing ids together.
-    Returns the graph and its row order.
+    Returns a COCLUSTER-kind DistanceMatrix whose ids are the kept ids in
+    that order and whose values are the pair fractions.
     """
     # imported here because no other command needs scipy's half-second
     # import; imported before the n x n arrays exist, because importing
@@ -179,18 +181,15 @@ def method_cocluster_matrix(
     for p in partitions:
         keep |= p.restrict(ids).multi_member_ids()
     kept = sorted(keep)
-    n = len(kept)
-    if n == 0:
-        return WeightedGraph([], np.zeros((0, 0))), []
     freq = cocluster_fraction(partitions, kept)
-    np.fill_diagonal(freq, 0.0)
-    if n > 2:
-        iu = np.triu_indices(n, k=1)
-        order = leaves_list(linkage(1.0 - freq[iu], method="average"))
-    else:
-        order = np.arange(n)
-    ids_ordered = [kept[k] for k in order]
-    return WeightedGraph(ids_ordered, freq[np.ix_(order, order)]), ids_ordered
+    if len(kept) < 3:
+        return DistanceMatrix.from_square(kept, freq, MatrixKind.COCLUSTER)
+    dissent = 1.0 - DistanceMatrix.from_square(kept, freq, MatrixKind.COCLUSTER).values
+    order = leaves_list(linkage(dissent, method="average"))
+    del dissent  # freed before the leaf-ordered copy, which is the peak
+    return DistanceMatrix.from_square(
+        [kept[k] for k in order], freq[np.ix_(order, order)], MatrixKind.COCLUSTER
+    )
 
 
 @dataclass(frozen=True)

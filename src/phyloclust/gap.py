@@ -33,18 +33,12 @@ class GapConfig:
             )
 
 
-def _check_defined(dm: DistanceMatrix) -> None:
-    bad = np.isnan(dm.values)
+def _check_defined(dm: DistanceMatrix, sq: np.ndarray) -> None:
+    # sq is dm.square(): its first NaN in row-major order has i < j
+    bad = np.isnan(sq)
     if bad.any():
-        flat = int(np.flatnonzero(bad)[0])
-        # recover (i, j) from the condensed position for the message
-        n = dm.n
-        i = 0
-        pos = flat
-        while pos >= n - i - 1:
-            pos -= n - i - 1
-            i += 1
-        raise UndefinedDistance(dm.ids[i], dm.ids[i + 1 + pos])
+        i, j = divmod(int(np.argmax(bad)), dm.n)
+        raise UndefinedDistance(dm.ids[i], dm.ids[j])
 
 
 def _row_friends(order: np.ndarray, row: np.ndarray, q: float) -> np.ndarray:
@@ -84,9 +78,8 @@ def gap_cluster(dm: DistanceMatrix, config: GapConfig = GapConfig()) -> Partitio
     n = dm.n
     if n < 2:
         raise EmptyInput("gap clustering needs at least two sequences")
-    _check_defined(dm)
-
     sq = dm.square()
+    _check_defined(dm, sq)
     np.fill_diagonal(sq, -np.inf)  # self sorts first even among zero ties
     order = np.argsort(sq, axis=1, kind="stable")
 

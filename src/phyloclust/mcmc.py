@@ -241,14 +241,15 @@ def _clade_nodes_for(tree: PhyloTree, p: Partition) -> tuple[CladeSpan, ...]:
 
 
 def initialize_chain(
-    t: PhyloTree, a: Alignment, cfg: ChainConfig
+    t: PhyloTree, a: Alignment | DistanceMatrix, cfg: ChainConfig
 ) -> ChainState:
     """Starting state from a conservative support-and-distance partition.
 
-    The within mean comes from edges inside the initial multi-member
-    clusters; when there are none the smallest decile of all edges
-    stands in.  The between mean covers the remaining edges, or every
-    edge when nothing is left over.
+    a supplies its p-distances: an alignment or a p-distance matrix over
+    the tips.  The within mean comes from edges inside the initial
+    multi-member clusters; when there are none the smallest decile of all
+    edges stands in.  The between mean covers the remaining edges, or
+    every edge when nothing is left over.
     """
     criteria = ClusterCriteria(
         _INIT_SUPPORT_MIN, _INIT_DISTANCE_MAX, Statistic.MAX_PAIRWISE_P
@@ -354,7 +355,9 @@ class _IndexedSet:
         return self.items[int(rng.integers(len(self.items)))]
 
 
-def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
+def run_chain(
+    t: PhyloTree, a: Alignment | DistanceMatrix, cfg: ChainConfig
+) -> ChainSummary:
     """Sample the chain and summarize it.
 
     Iterations count from 1; everything after burn_in feeds the trace
@@ -586,9 +589,7 @@ def run_chain(t: PhyloTree, a: Alignment, cfg: ChainConfig) -> ChainSummary:
 
 def linkage_estimate(summary: ChainSummary, walk_length: int = 4) -> Partition:
     """Communities of the co-clustering graph, one cluster each."""
-    weights = summary.cocluster.copy()
-    np.fill_diagonal(weights, 0.0)
-    graph = WeightedGraph(summary.cocluster_ids, weights)
+    graph = WeightedGraph(summary.cocluster_ids, summary.cocluster)
     return walktrap_communities(graph, walk_length=walk_length)
 
 
@@ -601,12 +602,8 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_partition(summary.map_partition, directory / "map_partition.csv")
 
-    n = len(summary.cocluster_ids)
-    iu = np.triu_indices(n, k=1)
-    dm = DistanceMatrix(
-        summary.cocluster_ids,
-        summary.cocluster[iu].astype(np.float64),
-        MatrixKind.COCLUSTER,
+    dm = DistanceMatrix.from_square(
+        summary.cocluster_ids, summary.cocluster, MatrixKind.COCLUSTER
     )
     write_matrix_binary(dm, directory / "cocluster.bin")
 
@@ -628,7 +625,7 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
             {
                 "map_log_posterior": summary.map_log_posterior,
                 "num_retained": len(summary.retained_samples),
-                "num_ids": n,
+                "num_ids": dm.n,
             },
             fh,
             indent=2,

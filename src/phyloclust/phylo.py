@@ -322,8 +322,7 @@ def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
                 sq[alo:ahi, blo:bhi] = block
                 sq[blo:bhi, alo:ahi] = block.T
         up[id(node)] = np.concatenate([d for _, d in parts])
-    iu = np.triu_indices(n, k=1)
-    return DistanceMatrix(labels, sq[iu], MatrixKind.PATRISTIC)
+    return DistanceMatrix.from_square(labels, sq, MatrixKind.PATRISTIC)
 
 
 # ---------------------------------------------------------- support values

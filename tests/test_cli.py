@@ -491,6 +491,28 @@ def test_sweep_maxp_builds_one_matrix(cohort, tmp_path, monkeypatch):
     assert calls == [2]
 
 
+def test_mcmc_seeds_build_one_matrix(cohort, tmp_path, monkeypatch):
+    from phyloclust import threshold
+
+    calls = []
+    real = threshold.build_distance_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("threads"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(threshold, "build_distance_matrix", counted)
+    rc = main(
+        ["--threads", "2", "cluster", "--method", "mcmc",
+         "--tree", str(cohort / "tree.nwk"),
+         "--align", str(cohort / "alignment.fasta"),
+         "--iterations", "300", "--burn-in", "100", "--thin", "100",
+         "--seeds", "1,2", "--out", str(tmp_path / "mcmc.csv")]
+    )
+    assert rc == 0
+    assert calls == [2]
+
+
 def test_sweep_maxp_missing_sequence_exits_one(cohort, tmp_path, capsys):
     records = (cohort / "alignment.fasta").read_text().split(">")[2:]
     short = tmp_path / "short.fasta"

@@ -279,6 +279,40 @@ def test_values_within_matches_get_loop(idx):
     assert dm.values_within(iter(idx)).tolist() == want
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17])
+def test_square_conversions_match_triu_reference(n):
+    rng = np.random.default_rng(n)
+    ids = [f"t{k}" for k in range(n)]
+    vals = rng.random(n * (n - 1) // 2)
+    vals[rng.random(vals.shape) < 0.25] = np.nan
+    iu = np.triu_indices(n, k=1)
+    ref = np.zeros((n, n))
+    ref[iu] = vals
+    ref.T[iu] = vals
+    sq = DistanceMatrix(ids, vals, MatrixKind.P_DISTANCE).square()
+    assert sq.dtype == np.float64
+    assert np.array_equal(sq, ref, equal_nan=True)
+    # from_square reads the strict upper triangle only
+    noisy = ref.copy()
+    noisy[np.tril_indices(n)] = -7.0
+    back = DistanceMatrix.from_square(ids, noisy, MatrixKind.K80)
+    assert back.ids == ids and back.kind is MatrixKind.K80
+    assert back.values.dtype == np.float64
+    assert back.values.tobytes() == ref[iu].tobytes()
+
+
+def test_from_square_inverts_square_bit_for_bit():
+    rng = np.random.default_rng(37)
+    rows = [f">r{i}\n{_random_seq(rng, 60, 'ACGTN-')}\n" for i in range(25)]
+    rows.append(">blank\n" + "N" * 60 + "\n")  # NaN against everyone
+    aln = parse_fasta("".join(rows))
+    for kind in (MatrixKind.P_DISTANCE, MatrixKind.K80):
+        dm = build_distance_matrix(aln, kind)
+        assert dm.num_undefined() > 0
+        back = DistanceMatrix.from_square(dm.ids, dm.square(), kind)
+        assert back.values.tobytes() == dm.values.tobytes()
+
+
 def test_threads_do_not_change_values():
     rng = np.random.default_rng(23)
     rows = [f">r{i}\n{_random_seq(rng, 400)}\n" for i in range(40)]

@@ -238,32 +238,34 @@ def test_sweep_single_cell():
 def test_cocluster_identical_partitions():
     ids = [f"s{i}" for i in range(6)]
     p = Partition.from_labels(ids, ["1", "1", "1", "2", "2", "2"])
-    g, kept = method_cocluster_matrix([p] * 6, ids)
-    pos = {ident: k for k, ident in enumerate(g.ids)}
-    assert sorted(kept) == sorted(ids)
+    dm = method_cocluster_matrix([p] * 6, ids)
+    sq = dm.square()
+    pos = {ident: k for k, ident in enumerate(dm.ids)}
+    assert sorted(dm.ids) == sorted(ids)
     for a, b in itertools.combinations(ids, 2):
         expect = 1.0 if p.label_of(a) == p.label_of(b) else 0.0
-        assert g.weights[pos[a], pos[b]] == expect
+        assert sq[pos[a], pos[b]] == expect
 
 
 def test_cocluster_drops_universal_singletons():
     ids = ["a", "b", "c"]
     p = Partition.from_labels(ids, ["1", "1", "2"])
     q = Partition.from_labels(ids, ["1", "1", "3"])
-    g, kept = method_cocluster_matrix([p, q], ids)
-    assert set(kept) == {"a", "b"}
+    dm = method_cocluster_matrix([p, q], ids)
+    assert set(dm.ids) == {"a", "b"}
 
 
 def test_cocluster_matches_manual_counts():
     rng = np.random.default_rng(29)
     ids = [f"s{i}" for i in range(15)]
     parts = [random_partition(rng, ids) for _ in range(3)]
-    g, kept = method_cocluster_matrix(parts, ids)
-    pos = {ident: k for k, ident in enumerate(g.ids)}
-    for a, b in itertools.combinations(kept, 2):
+    dm = method_cocluster_matrix(parts, ids)
+    sq = dm.square()
+    pos = {ident: k for k, ident in enumerate(dm.ids)}
+    for a, b in itertools.combinations(dm.ids, 2):
         manual = sum(p.label_of(a) == p.label_of(b) for p in parts) / 3.0
-        assert g.weights[pos[a], pos[b]] == pytest.approx(manual)
-        assert g.weights[pos[a], pos[b]] in (0.0, 1 / 3, 2 / 3, 1.0)
+        assert sq[pos[a], pos[b]] == pytest.approx(manual)
+        assert sq[pos[a], pos[b]] in (0.0, 1 / 3, 2 / 3, 1.0)
 
 
 def test_summary_hand_example():

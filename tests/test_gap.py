@@ -84,6 +84,16 @@ def test_undefined_distance_rejected():
         friend_set(dm, 0)
 
 
+def test_undefined_distance_names_first_pair():
+    # undefined pairs (b, c) and (a, d): (a, d) comes first in row order
+    arr = np.full((4, 4), 0.1)
+    np.fill_diagonal(arr, 0.0)
+    arr[1, 2] = arr[2, 1] = arr[0, 3] = arr[3, 0] = np.nan
+    with pytest.raises(UndefinedDistance) as err:
+        gap_cluster(square_dm(["a", "b", "c", "d"], arr))
+    assert (err.value.i, err.value.j) == ("a", "d")
+
+
 def test_scale_invariance():
     rng = np.random.default_rng(29)
     pts = np.concatenate([rng.normal(0, 0.05, 6), rng.normal(2, 0.05, 7)])

@@ -24,6 +24,12 @@ GOLDEN = {
     "chain/summary.json": "dba9d74ef47f69270d1863eb322d6faec8c31466ef5984fc99275bac60457142",
     "chain/cocluster.bin": "37f110e3d8befdb8da7687415a5976dc91f97557b0887b2e390da0926bd76b42",
     "linkage.csv": "72665d6980fd506889b38f045c64d334d789eae1bd620c859c1b372409f7bc2c",
+    "p.phy": "3dd3a8b229100a0789a0bc7d43ab37fc9be72055ac8823877f163519c59b8f8c",
+    "k80.phy": "2f157ff6e116ce39d4cf27df75ba70beaf92dd91db80f6a053aff8c2905da12f",
+    "p.bin": "174259ba4f6958f819c5147b7bdbf3448236b2b092d61366e69e48f8b094fe65",
+    "p.bin.ids": "af4f2eea9a005cc73e8e70591548a337a3a7fa17cac8a24b6fcdccaeb0a9e8ab",
+    "compare.bin": "40495551b2da17f53f994b27383ba7bb7a2bf1f2128167ff6004fee441da70b9",
+    "compare.bin.ids": "f54679e7fd6c92994128a70032f113fcdf07fa70bf40016d590923b21d86cd2e",
 }
 
 
@@ -38,11 +44,15 @@ def outputs(tmp_path_factory):
 
     run("simulate", "--preset", "acceptance", "--seed", 0, "--out-dir", c)
     run("dist", "--align", align, "--out", d / "p.phy")
+    run("dist", "--align", align, "--kind", "k80", "--out", d / "k80.phy")
+    run("dist", "--align", align, "--binary", "--out", d / "p.bin")
     run("cluster", "--method", "maxp", "--tree", tree, "--matrix", d / "p.phy",
         "--out", d / "maxp.csv")
     run("cluster", "--method", "gap", "--matrix", d / "p.phy", "--out", d / "gap.csv")
     for method in ("medianpatristic", "maxpatristic"):
         run("cluster", "--method", method, "--tree", tree, "--out", d / f"{method}.csv")
+    run("compare", "--partitions", d / "maxp.csv", d / "gap.csv",
+        d / "medianpatristic.csv", "--out", d / "compare.bin")
     for method in ("maxp", "medianpatristic", "maxpatristic"):
         run("sweep", "--tree", tree, "--align", align, "--ref", planted,
             "--method", method, "--out", d / f"sweep-{method}.tsv")
