@@ -261,7 +261,9 @@ def _cmd_cluster(args) -> None:
                 source = _load_matrix(args.matrix, MatrixKind.P_DISTANCE)
                 inputs.append(args.matrix)
             elif args.align:
-                source = load_fasta(args.align)
+                source = tip_p_matrix(
+                    load_fasta(args.align), tree.tip_labels(), _resolve_threads(args)
+                )
                 inputs.append(args.align)
             else:
                 raise _UsageError("--method maxp needs --align or --matrix")

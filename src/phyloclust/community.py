@@ -14,35 +14,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, IdSetMismatch
+from .distance import DistanceMatrix, MatrixKind
+from .errors import EmptyInput
 from .io_formats import Partition
 
 log = logging.getLogger(__name__)
 
 
 class WeightedGraph:
-    """Undirected weighted graph as a dense symmetric matrix.
+    """Undirected weighted graph over a COCLUSTER-kind DistanceMatrix.
 
-    No self-loops in the stored form: the diagonal is zero and weights are
-    non-negative.
+    weights is the matrix's square: symmetric, zero on the diagonal (no
+    self-loops) and non-negative.  The graph owns that square; the matrix
+    is not kept.
     """
 
-    def __init__(self, ids: list[str], weights: np.ndarray):
-        n = len(ids)
-        if len(set(ids)) != n:
-            raise IdSetMismatch("duplicate vertex ids")
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n, n):
-            raise ValueError(f"weight matrix shape {w.shape} does not fit {n} ids")
-        if n and not np.allclose(w, w.T):
-            raise ValueError("weight matrix must be symmetric")
-        if n and w.min() < 0:
-            raise ValueError("negative edge weight")
-        w = w.copy()
-        if n:
-            np.fill_diagonal(w, 0.0)
-        self.ids = list(ids)
-        self.weights = w
+    def __init__(self, dm: DistanceMatrix):
+        if dm.values.size and not dm.values.min() >= 0.0:
+            raise ValueError("edge weights must be non-negative numbers")
+        self.ids = dm.ids
+        self.weights = dm.square()
 
     @property
     def n(self) -> int:
@@ -80,7 +71,8 @@ def partition_adjacency(p: Partition) -> WeightedGraph:
     ids = p.ids()
     if not ids:
         raise EmptyInput("empty partition")
-    return WeightedGraph(ids, cocluster_fraction([p], ids))
+    freq = cocluster_fraction([p], ids)
+    return WeightedGraph(DistanceMatrix.from_square(ids, freq, MatrixKind.COCLUSTER))
 
 
 def modularity(g: WeightedGraph, p: Partition) -> float:

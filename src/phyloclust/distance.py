@@ -254,9 +254,6 @@ class DistanceMatrix:
     def index_of(self, ident: str) -> int:
         return self._index[ident]
 
-    def defined(self, i: int, j: int) -> bool:
-        return not math.isnan(self.get(i, j))
-
     def num_undefined(self) -> int:
         return int(np.count_nonzero(np.isnan(self.values)))
 
@@ -406,7 +403,8 @@ def write_matrix_binary(dm: DistanceMatrix, path: str | Path) -> None:
         fh.write(_BINARY_MAGIC)
         fh.write(struct.pack("<B", _BINARY_VERSION))
         fh.write(struct.pack("<Q", dm.n))
-        fh.write(dm.values.astype("<f8").tobytes())
+        # a view of values on a little-endian host, a byte-swapped copy elsewhere
+        fh.write(np.ascontiguousarray(dm.values, dtype="<f8"))
     with open(path.with_name(path.name + ".ids"), "w") as fh:
         fh.write("".join(f"{ident}\n" for ident in dm.ids))
 

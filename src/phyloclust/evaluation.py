@@ -184,11 +184,17 @@ def method_cocluster_matrix(
     freq = cocluster_fraction(partitions, kept)
     if len(kept) < 3:
         return DistanceMatrix.from_square(kept, freq, MatrixKind.COCLUSTER)
-    dissent = 1.0 - DistanceMatrix.from_square(kept, freq, MatrixKind.COCLUSTER).values
+    dissent = DistanceMatrix.from_square(kept, freq, MatrixKind.COCLUSTER).values
+    np.subtract(1.0, dissent, out=dissent)  # a second triangle here was the peak
     order = leaves_list(linkage(dissent, method="average"))
-    del dissent  # freed before the leaf-ordered copy, which is the peak
+    del dissent  # freed before the result triangle, the peak, is built
+    # leaf order in place, rows then columns, so no second n x n array exists
+    for col in freq.T:
+        col[:] = col[order]
+    for row in freq:
+        row[:] = row[order]
     return DistanceMatrix.from_square(
-        [kept[k] for k in order], freq[np.ix_(order, order)], MatrixKind.COCLUSTER
+        [kept[k] for k in order], freq, MatrixKind.COCLUSTER
     )
 
 

@@ -57,22 +57,6 @@ def _row_friends(order: np.ndarray, row: np.ndarray, q: float) -> np.ndarray:
     return order[: j + 1]
 
 
-def friend_set(
-    dm: DistanceMatrix, i: int, config: GapConfig = GapConfig()
-) -> set[int]:
-    """Friend indices of sequence i under the largest-gap rule."""
-    if dm.n < 2:
-        raise EmptyInput("friend sets need at least two sequences")
-    row = np.array([dm.get(i, j) for j in range(dm.n) if j != i])
-    if np.isnan(row).any():
-        j = int(np.flatnonzero(np.isnan(row))[0])
-        other = j if j < i else j + 1
-        raise UndefinedDistance(dm.ids[i], dm.ids[other])
-    others = np.array([j for j in range(dm.n) if j != i], dtype=np.int64)
-    order = np.argsort(row, kind="stable")
-    return set(others[_row_friends(order, row[order], config.search_quantile)])
-
-
 def gap_cluster(dm: DistanceMatrix, config: GapConfig = GapConfig()) -> Partition:
     """Connected components of the symmetric friendship graph."""
     n = dm.n

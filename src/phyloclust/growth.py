@@ -55,7 +55,7 @@ def _meta_index(meta: list[CaseMetadata], p: Partition) -> dict[str, CaseMetadat
     by_id = {m.id: m for m in meta}
     for ident in p.assignment:
         if ident not in by_id:
-            raise MissingMetadata(f"no metadata for id {ident!r}")
+            raise MissingMetadata(ident)
     return by_id
 
 

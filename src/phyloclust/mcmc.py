@@ -98,10 +98,14 @@ class ChainState:
 
 @dataclass(frozen=True)
 class ChainSummary:
+    """A chain's MAP partition and score, its post-burn-in trace and its
+    retained samples.  cocluster (kind COCLUSTER, ids in tip order) holds
+    the fraction of retained samples that put each pair in one cluster;
+    all zeros when nothing was retained."""
+
     map_partition: Partition
     map_log_posterior: float
-    cocluster: np.ndarray
-    cocluster_ids: list[str]
+    cocluster: DistanceMatrix
     trace: list[tuple[int, float]]
     retained_samples: list[Partition]
 
@@ -580,16 +584,20 @@ def run_chain(
             [labels[span] for span in best_snapshot]
         ),
         map_log_posterior=best_lp,
-        cocluster=cocluster_fraction(retained, labels) if retained else np.eye(n),
-        cocluster_ids=list(labels),
+        cocluster=DistanceMatrix.from_square(
+            labels,
+            cocluster_fraction(retained, labels) if retained else np.zeros((n, n)),
+            MatrixKind.COCLUSTER,
+        ),
         trace=trace,
         retained_samples=retained,
     )
 
 
 def linkage_estimate(summary: ChainSummary, walk_length: int = 4) -> Partition:
-    """Communities of the co-clustering graph, one cluster each."""
-    graph = WeightedGraph(summary.cocluster_ids, summary.cocluster)
+    """Walktrap communities of the graph whose edge weights are the chain's
+    co-clustering fractions, one cluster each."""
+    graph = WeightedGraph(summary.cocluster)
     return walktrap_communities(graph, walk_length=walk_length)
 
 
@@ -601,11 +609,7 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_partition(summary.map_partition, directory / "map_partition.csv")
-
-    dm = DistanceMatrix.from_square(
-        summary.cocluster_ids, summary.cocluster, MatrixKind.COCLUSTER
-    )
-    write_matrix_binary(dm, directory / "cocluster.bin")
+    write_matrix_binary(summary.cocluster, directory / "cocluster.bin")
 
     with open(directory / "trace.tsv", "w") as fh:
         fh.write("iteration\tlog_posterior\n")
@@ -613,19 +617,17 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
             fh.write(f"{it}\t{lp!r}\n")
 
     with open(directory / "retained_samples.txt", "w") as fh:
-        fh.write(",".join(summary.cocluster_ids) + "\n")
+        ids = summary.cocluster.ids
+        fh.write(",".join(ids) + "\n")
         for part in summary.retained_samples:
-            fh.write(
-                ",".join(part.assignment[i] for i in summary.cocluster_ids)
-                + "\n"
-            )
+            fh.write(",".join(part.assignment[i] for i in ids) + "\n")
 
     with open(directory / "summary.json", "w") as fh:
         json.dump(
             {
                 "map_log_posterior": summary.map_log_posterior,
                 "num_retained": len(summary.retained_samples),
-                "num_ids": dm.n,
+                "num_ids": summary.cocluster.n,
             },
             fh,
             indent=2,
@@ -636,9 +638,7 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
 def load_chain_summary(directory: str | Path) -> ChainSummary:
     directory = Path(directory)
     map_partition = load_partition(directory / "map_partition.csv")
-    dm = read_matrix_binary(directory / "cocluster.bin", MatrixKind.COCLUSTER)
-    cocluster = dm.square()
-    np.fill_diagonal(cocluster, 1.0)
+    cocluster = read_matrix_binary(directory / "cocluster.bin", MatrixKind.COCLUSTER)
 
     trace: list[tuple[int, float]] = []
     with open(directory / "trace.tsv") as fh:
@@ -660,7 +660,6 @@ def load_chain_summary(directory: str | Path) -> ChainSummary:
         map_partition=map_partition,
         map_log_posterior=float(meta["map_log_posterior"]),
         cocluster=cocluster,
-        cocluster_ids=dm.ids,
         trace=trace,
         retained_samples=retained,
     )

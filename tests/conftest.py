@@ -3,6 +3,7 @@
 import numpy as np
 
 from phyloclust import DistanceMatrix, MatrixKind
+from phyloclust.community import WeightedGraph
 from phyloclust.phylo import Node
 
 
@@ -13,6 +14,11 @@ def square_dm(ids, arr, kind=MatrixKind.P_DISTANCE):
     assert arr.shape == (n, n)
     iu = np.triu_indices(n, k=1)
     return DistanceMatrix(list(ids), arr[iu].copy(), kind)
+
+
+def weighted_graph(ids, arr):
+    """WeightedGraph whose edge weights are the upper triangle of arr."""
+    return WeightedGraph(square_dm(ids, arr, MatrixKind.COCLUSTER))
 
 
 def blob_matrix(sizes, within, between):

@@ -19,7 +19,6 @@ import pytest
 
 from phyloclust import CaseMetadata, Partition, Stage, parse_newick
 from phyloclust.community import (
-    WeightedGraph,
     modularity,
     partition_adjacency,
     walktrap_communities,
@@ -37,6 +36,8 @@ from phyloclust.mcmc import ChainConfig, run_chain
 from phyloclust.phylo import enumerate_clades, mask_to_labels, patristic_matrix
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 from phyloclust.threshold import ClusterCriteria, Statistic, threshold_cluster
+
+from conftest import weighted_graph
 
 from test_mcmc import exact_distribution, total_variation
 
@@ -312,7 +313,7 @@ def test_criterion_08_walktrap_two_cliques():
         for a, b in itertools.combinations(block, 2):
             w[a, b] = w[b, a] = 1.0
     w[4, 5] = w[5, 4] = 0.01  # weak bridge
-    g = WeightedGraph(ids, w)
+    g = weighted_graph(ids, w)
 
     start = time.perf_counter()
     found = walktrap_communities(g)

@@ -468,7 +468,9 @@ def test_malformed_phylip_count_exits_one(cohort, tmp_path, capsys):
     assert "MalformedMatrix" in capsys.readouterr().err
 
 
-def test_sweep_maxp_builds_one_matrix(cohort, tmp_path, monkeypatch):
+@pytest.fixture
+def build_threads(monkeypatch):
+    """The threads argument of every p-matrix build from an alignment."""
     from phyloclust import threshold
 
     calls = []
@@ -479,6 +481,10 @@ def test_sweep_maxp_builds_one_matrix(cohort, tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(threshold, "build_distance_matrix", counted)
+    return calls
+
+
+def test_sweep_maxp_builds_one_matrix(cohort, tmp_path, build_threads):
     rc = main(
         ["--threads", "2", "sweep", "--tree", str(cohort / "tree.nwk"),
          "--align", str(cohort / "alignment.fasta"),
@@ -488,20 +494,10 @@ def test_sweep_maxp_builds_one_matrix(cohort, tmp_path, monkeypatch):
          "--out", str(tmp_path / "sweep.tsv")]
     )
     assert rc == 0
-    assert calls == [2]
+    assert build_threads == [2]
 
 
-def test_mcmc_seeds_build_one_matrix(cohort, tmp_path, monkeypatch):
-    from phyloclust import threshold
-
-    calls = []
-    real = threshold.build_distance_matrix
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("threads"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(threshold, "build_distance_matrix", counted)
+def test_mcmc_seeds_build_one_matrix(cohort, tmp_path, build_threads):
     rc = main(
         ["--threads", "2", "cluster", "--method", "mcmc",
          "--tree", str(cohort / "tree.nwk"),
@@ -510,7 +506,18 @@ def test_mcmc_seeds_build_one_matrix(cohort, tmp_path, monkeypatch):
          "--seeds", "1,2", "--out", str(tmp_path / "mcmc.csv")]
     )
     assert rc == 0
-    assert calls == [2]
+    assert build_threads == [2]
+
+
+def test_cluster_maxp_align_builds_on_threads(cohort, tmp_path, build_threads):
+    rc = main(
+        ["--threads", "2", "cluster", "--method", "maxp",
+         "--tree", str(cohort / "tree.nwk"),
+         "--align", str(cohort / "alignment.fasta"),
+         "--out", str(tmp_path / "maxp.csv")]
+    )
+    assert rc == 0
+    assert build_threads == [2]
 
 
 def test_sweep_maxp_missing_sequence_exits_one(cohort, tmp_path, capsys):

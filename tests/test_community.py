@@ -7,11 +7,12 @@ import pytest
 
 from phyloclust import Partition
 from phyloclust.community import (
-    WeightedGraph,
     modularity,
     partition_adjacency,
     walktrap_communities,
 )
+
+from conftest import weighted_graph
 
 
 def two_cliques(bridge=0.1):
@@ -22,7 +23,7 @@ def two_cliques(bridge=0.1):
             for j in range(i + 1, base + 5):
                 w[i, j] = w[j, i] = 1.0
     w[4, 5] = w[5, 4] = bridge
-    return WeightedGraph([f"v{i}" for i in range(n)], w)
+    return weighted_graph([f"v{i}" for i in range(n)], w)
 
 
 def set_partitions(items):
@@ -52,13 +53,11 @@ def naive_modularity(w, groups):
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        WeightedGraph(["a", "b"], np.zeros((2, 3)))
-    bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        WeightedGraph(["a", "b"], bad)
-    with pytest.raises(ValueError):
-        WeightedGraph(["a", "b"], np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    # the DistanceMatrix fixes shape and symmetry; the weights must be
+    # non-negative numbers
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            weighted_graph(["a", "b", "c"], [[0, 1, bad], [1, 0, 1], [bad, 1, 0]])
 
 
 def test_adjacency_two_blocks():
@@ -104,7 +103,7 @@ def test_modularity_matches_naive():
 
 
 def test_modularity_edgeless_zero():
-    g = WeightedGraph(["a", "b"], np.zeros((2, 2)))
+    g = weighted_graph(["a", "b"], np.zeros((2, 2)))
     p = Partition.from_labels(["a", "b"], ["1", "2"])
     assert modularity(g, p) == 0.0
 
@@ -128,7 +127,7 @@ def test_walktrap_matches_exhaustive_max_on_two_cliques():
 
 
 def test_walktrap_edgeless_singletons():
-    g = WeightedGraph(["a", "b", "c"], np.zeros((3, 3)))
+    g = weighted_graph(["a", "b", "c"], np.zeros((3, 3)))
     part = walktrap_communities(g)
     assert part.num_clusters() == 3
 
@@ -137,7 +136,7 @@ def test_walktrap_single_clique():
     n = 6
     w = np.ones((n, n))
     np.fill_diagonal(w, 0.0)
-    part = walktrap_communities(WeightedGraph([f"v{i}" for i in range(n)], w))
+    part = walktrap_communities(weighted_graph([f"v{i}" for i in range(n)], w))
     assert part.num_clusters() == 1
 
 
@@ -149,7 +148,7 @@ def test_walktrap_permutation_equivariant():
         perm = rng.permutation(10)
         ids = [g.ids[k] for k in perm]
         w = g.weights[np.ix_(perm, perm)]
-        got = walktrap_communities(WeightedGraph(ids, w))
+        got = walktrap_communities(weighted_graph(ids, w))
         assert got.same_grouping(base)
 
 

@@ -7,9 +7,18 @@ import pytest
 
 from phyloclust import MatrixKind
 from phyloclust.errors import UndefinedDistance
-from phyloclust.gap import GapConfig, friend_set, gap_cluster
+from phyloclust.gap import GapConfig, _row_friends, gap_cluster
 
 from conftest import blob_matrix, square_dm
+
+
+def friend_set(dm, i, config=GapConfig()):
+    """Friend indices of row i, ordered and cut as gap_cluster does."""
+    sq = dm.square()
+    np.fill_diagonal(sq, -np.inf)
+    row_order = np.argsort(sq[i], kind="stable")[1:]  # drop self
+    friends = _row_friends(row_order, sq[i, row_order], config.search_quantile)
+    return set(friends.tolist())
 
 
 def test_friend_set_dominant_gap():
@@ -80,8 +89,6 @@ def test_undefined_distance_rejected():
     dm = square_dm(["a", "b", "c"], arr)
     with pytest.raises(UndefinedDistance):
         gap_cluster(dm)
-    with pytest.raises(UndefinedDistance):
-        friend_set(dm, 0)
 
 
 def test_undefined_distance_names_first_pair():

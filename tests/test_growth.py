@@ -93,8 +93,10 @@ def test_window_validation():
 
 def test_missing_metadata_rejected():
     part = Partition.from_labels(["a", "b"], ["1", "1"])
-    with pytest.raises(MissingMetadata):
+    with pytest.raises(MissingMetadata) as exc:
         growth_report(part, [meta_row("a", D(2014, 1, 1))])
+    assert exc.value.ident == "b"
+    assert str(exc.value) == "no metadata row for id 'b'"
 
 
 def _random_cohort(rng, n):

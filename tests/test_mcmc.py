@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from phyloclust import Partition, parse_fasta, parse_newick
-from phyloclust.community import WeightedGraph, modularity, walktrap_communities
+from phyloclust import MatrixKind, Partition, parse_fasta, parse_newick
+from phyloclust.community import modularity, walktrap_communities
 from phyloclust.errors import DegenerateTree
 from phyloclust.mcmc import (
     ChainConfig,
@@ -21,6 +21,8 @@ from phyloclust.mcmc import (
     run_chain,
     save_chain_summary,
 )
+
+from conftest import square_dm, weighted_graph
 
 EDGE_FLOOR = 1e-9
 
@@ -336,9 +338,8 @@ def test_exactness_with_walk_moves():
 def test_chain_summary_invariants():
     _, cfg, summary = chain_on_six_tips(iterations=40_000, burn_in=5_000, thin=10)
     assert len(summary.retained_samples) == cfg.num_retained
-    c = summary.cocluster
-    assert np.array_equal(c, c.T)
-    assert np.all(np.diag(c) == 1.0)
+    assert summary.cocluster.kind is MatrixKind.COCLUSTER
+    c = summary.cocluster.square()
     assert np.all((c >= 0.0) & (c <= 1.0))
     assert summary.map_log_posterior == max(lp for _, lp in summary.trace)
     iters = [it for it, _ in summary.trace]
@@ -346,7 +347,7 @@ def test_chain_summary_invariants():
     assert iters[0] > cfg.burn_in
     assert iters[-1] <= cfg.iterations
     # cocluster frequencies equal a recount over the retained partitions
-    ids = list(summary.cocluster_ids)
+    ids = summary.cocluster.ids
     pos = {ident: k for k, ident in enumerate(ids)}
     m = len(summary.retained_samples)
     for a, b in itertools.combinations(ids[:4], 2):
@@ -361,7 +362,9 @@ def test_chain_retaining_nothing_has_identity_cocluster():
     assert cfg.num_retained == 0
     assert summary.retained_samples == []
     assert len(summary.trace) == 2_000
-    assert np.array_equal(summary.cocluster, np.eye(len(tree.tip_labels())))
+    # no pair co-clusters: the identity, less the diagonal the type omits
+    assert summary.cocluster.ids == tree.tip_labels()
+    assert not summary.cocluster.values.any()
 
 
 def test_chain_determinism():
@@ -369,7 +372,7 @@ def test_chain_determinism():
     _, _, s2 = chain_on_six_tips(iterations=30_000, burn_in=3_000, thin=9, seed=7)
     assert s1.map_log_posterior == s2.map_log_posterior
     assert s1.trace == s2.trace
-    assert np.array_equal(s1.cocluster, s2.cocluster)
+    assert np.array_equal(s1.cocluster.values, s2.cocluster.values)
     assert all(
         a.assignment == b.assignment
         for a, b in zip(s1.retained_samples, s2.retained_samples)
@@ -391,8 +394,9 @@ def test_summary_roundtrip(tmp_path):
     back = load_chain_summary(tmp_path)
     assert back.map_log_posterior == summary.map_log_posterior
     assert back.map_partition.same_grouping(summary.map_partition)
-    assert np.allclose(back.cocluster, summary.cocluster, atol=0)
-    assert list(back.cocluster_ids) == list(summary.cocluster_ids)
+    assert np.array_equal(back.cocluster.values, summary.cocluster.values)
+    assert back.cocluster.ids == summary.cocluster.ids
+    assert back.cocluster.kind is MatrixKind.COCLUSTER
     assert back.trace == summary.trace
     assert len(back.retained_samples) == len(summary.retained_samples)
     assert all(
@@ -412,8 +416,7 @@ def constant_summary(ids, labels):
     return ChainSummary(
         map_partition=p,
         map_log_posterior=0.0,
-        cocluster=c,
-        cocluster_ids=tuple(ids),
+        cocluster=square_dm(ids, c, MatrixKind.COCLUSTER),
         trace=[(1, 0.0)],
         retained_samples=[p],
     )
@@ -436,8 +439,7 @@ def test_linkage_two_blobs():
     summary = ChainSummary(
         map_partition=Partition(dict.fromkeys(ids, "1")),
         map_log_posterior=0.0,
-        cocluster=c,
-        cocluster_ids=tuple(ids),
+        cocluster=square_dm(ids, c, MatrixKind.COCLUSTER),
         trace=[(1, 0.0)],
         retained_samples=[],
     )
@@ -448,7 +450,7 @@ def test_linkage_two_blobs():
     # zero-diagonal graph walktrap saw
     w = c.copy()
     np.fill_diagonal(w, 0.0)
-    g = WeightedGraph(list(ids), w)
+    g = weighted_graph(ids, w)
     assert modularity(g, estimate) == pytest.approx(
         modularity(g, Partition(dict(zip(ids, ["a"] * 10 + ["b"] * 10))))
     )
