@@ -24,7 +24,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -267,15 +267,19 @@ class DistanceMatrix:
         values = np.concatenate(rows, dtype=np.float64) if rows else np.empty(0)
         return cls(ids, values, kind)
 
+    def upper_rows(self) -> Iterator[np.ndarray]:
+        """Row i's distances to sequences i+1.., for i = 0 .. n-2 (views)."""
+        lo = 0
+        for i in range(self.n - 1):
+            hi = lo + self.n - 1 - i
+            yield self.values[lo:hi]
+            lo = hi
+
     def square(self) -> np.ndarray:
         """Materialize the full symmetric matrix (zero diagonal)."""
-        n = self.n
-        out = np.zeros((n, n), dtype=np.float64)
-        lo = 0
-        for i in range(n - 1):
-            hi = lo + n - 1 - i
-            out[i, i + 1 :] = out[i + 1 :, i] = self.values[lo:hi]
-            lo = hi
+        out = np.zeros((self.n, self.n), dtype=np.float64)
+        for i, row in enumerate(self.upper_rows()):
+            out[i, i + 1 :] = out[i + 1 :, i] = row
         return out
 
     def values_within(self, idx: Iterable[int]) -> np.ndarray:
@@ -415,20 +419,22 @@ def read_matrix_binary(
     """Read write_matrix_binary's triangle and its <path>.ids sidecar."""
     path = Path(path)
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _BINARY_MAGIC:
-        raise MalformedMatrix(f"{path} is not a distance-matrix file")
-    if len(data) < 13:
-        raise MalformedMatrix(f"{path}: header is cut short")
-    version, n = struct.unpack_from("<BQ", data, 4)
-    if version != _BINARY_VERSION:
-        raise MalformedMatrix(f"{path}: unsupported matrix version {version}")
-    if len(data) != 13 + 8 * condensed_size(n):
-        raise MalformedMatrix(
-            f"{path}: {len(data) - 13} value bytes for n={n}, "
-            f"expected {8 * condensed_size(n)}"
-        )
-    vals = np.frombuffer(data, dtype="<f8", offset=13).astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(13)
+        if head[:4] != _BINARY_MAGIC:
+            raise MalformedMatrix(f"{path} is not a distance-matrix file")
+        if len(head) < 13:
+            raise MalformedMatrix(f"{path}: header is cut short")
+        version, n = struct.unpack_from("<BQ", head, 4)
+        if version != _BINARY_VERSION:
+            raise MalformedMatrix(f"{path}: unsupported matrix version {version}")
+        if size != 13 + 8 * condensed_size(n):
+            raise MalformedMatrix(
+                f"{path}: {size - 13} value bytes for n={n}, "
+                f"expected {8 * condensed_size(n)}"
+            )
+        # straight into the array; astype copies only on a big-endian host
+        vals = np.fromfile(fh, "<f8", condensed_size(n)).astype(np.float64, copy=False)
     sidecar = path.with_name(path.name + ".ids")
     try:
         ids = sidecar.read_text().split()

@@ -1,10 +1,12 @@
 """Largest-gap clustering on a distance matrix.
 
-Each sequence sorts its distances to everyone else and keeps as friends
-everything before the largest jump between consecutive values, with the
-search restricted to the closest fraction of the list.  Friendship is
-closed symmetrically (either direction suffices) and connected components
-of the resulting graph are the clusters.
+Each sequence sorts its distances to everyone else and finds the largest
+jump between consecutive values, with the search restricted to the
+closest fraction of the list.  Its friends are the others at or under
+the value before that jump, which is the same set as the sorted prefix
+before it.  Friendship is closed symmetrically (either direction
+suffices) and connected components of the resulting graph are the
+clusters.
 """
 
 from __future__ import annotations
@@ -41,20 +43,27 @@ def _check_defined(dm: DistanceMatrix, sq: np.ndarray) -> None:
         raise UndefinedDistance(dm.ids[i], dm.ids[j])
 
 
-def _row_friends(order: np.ndarray, row: np.ndarray, q: float) -> np.ndarray:
-    """Indices of the friends of one row; order/row exclude self."""
+def _row_cut(row: np.ndarray, q: float) -> float:
+    """The distance at or under which one row's others are its friends.
+
+    row holds the sorted distances to the others, self excluded.  The cut
+    is the value before the largest gap in the window; a row with no
+    positive gap gets -inf (no friends) and a pair gets +inf (always
+    linked).  The next sorted value is larger, so the friends are exactly
+    the sorted prefix up to the gap.
+    """
     n_others = row.shape[0]
     if n_others == 1:
-        return order[:1]  # a pair is always linked
+        return math.inf
     m = math.ceil(q * n_others)
     if m < 2:
-        return order[:0]
+        return -math.inf
     window = row[:m]
     gaps = window[1:] - window[:-1]
     j = int(np.argmax(gaps))  # first maximum = smallest j*
     if gaps[j] <= 0.0:
-        return order[:0]
-    return order[: j + 1]
+        return -math.inf
+    return float(window[j])
 
 
 def gap_cluster(dm: DistanceMatrix, config: GapConfig = GapConfig()) -> Partition:
@@ -65,7 +74,8 @@ def gap_cluster(dm: DistanceMatrix, config: GapConfig = GapConfig()) -> Partitio
     sq = dm.square()
     _check_defined(dm, sq)
     np.fill_diagonal(sq, -np.inf)  # self sorts first even among zero ties
-    order = np.argsort(sq, axis=1, kind="stable")
+    sq.sort(axis=1)
+    cut = np.array([_row_cut(row[1:], config.search_quantile) for row in sq])
 
     parent = list(range(n))
 
@@ -80,11 +90,10 @@ def gap_cluster(dm: DistanceMatrix, config: GapConfig = GapConfig()) -> Partitio
         if ra != rb:
             parent[rb] = ra
 
-    for i in range(n):
-        row_order = order[i, 1:]  # drop self
-        sorted_row = sq[i, row_order]
-        for j in _row_friends(row_order, sorted_row, config.search_quantile):
-            union(i, int(j))
+    # pair (i, k) is linked when either end counts the other as a friend
+    for i, row in enumerate(dm.upper_rows()):
+        for k in np.flatnonzero(row <= np.maximum(cut[i], cut[i + 1 :])).tolist():
+            union(i, i + 1 + k)
 
     groups: dict[int, list[str]] = {}
     for i in range(n):

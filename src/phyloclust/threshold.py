@@ -5,6 +5,13 @@ as the node's support and the clade's distance statistic both pass; tips
 never reached that way become singletons.  The three statistics cover the
 usual desiderata: maximum pairwise p-distance, and median or maximum
 within-clade patristic distance.
+
+Every clade's diameter (its largest within-clade distance) comes from one
+postorder pass, which reads each pair once, at its tips' lowest common
+ancestor.  The maximum statistics compare the diameter with the cutoff.
+A median passes at once when the diameter does; otherwise a 2-D prefix
+count of the cells under the cutoff settles it, and the median itself is
+computed only when the two middle values straddle the cutoff.
 """
 
 from __future__ import annotations
@@ -82,20 +89,19 @@ def threshold_cluster(
                     "support_min > 0 but an internal node has no support"
                 )
 
-    dm = _resolve_matrix(tree, source, criteria.statistic, labels)
-    sq = dm.square()
-    if dm.ids != labels:
-        perm = [dm.index_of(lab) for lab in labels]
-        sq = sq[np.ix_(perm, perm)]
-    # 2-D prefix counts of the cells under the cutoff and of the NaN cells
-    count = np.zeros((2, len(labels) + 1, len(labels) + 1), dtype=np.int32)
-    count[0, 1:, 1:] = sq <= criteria.distance_max
-    count[1, 1:, 1:] = np.isnan(sq)
-    np.cumsum(count, axis=1, out=count)
-    np.cumsum(count, axis=2, out=count)
+    sq = _tip_square(_resolve_matrix(tree, source, criteria.statistic, labels), labels)
+    spans = tree.tip_spans()
+    diameter = _diameters(tree, spans, sq)
+    cutoff = criteria.distance_max
+    count = None
+    if criteria.statistic is Statistic.MEDIAN_PATRISTIC:
+        # 2-D prefix counts of the cells under the cutoff
+        count = np.zeros((len(labels) + 1, len(labels) + 1), dtype=np.int32)
+        count[1:, 1:] = sq <= cutoff
+        np.cumsum(count, axis=0, out=count)
+        np.cumsum(count, axis=1, out=count)
 
     clusters: list[list[str]] = []
-    spans = tree.tip_spans()
     stack: list[Node] = [tree.root]
     while stack:
         node = stack.pop()
@@ -103,7 +109,7 @@ def threshold_cluster(
         support = 1.0 if node is tree.root else (node.support or 0.0)
         if hi - lo < 2 or (
             support >= criteria.support_min
-            and _clade_passes(sq, count, lo, hi, criteria)
+            and _clade_passes(sq, count, lo, hi, diameter[id(node)], cutoff)
         ):
             clusters.append(labels[lo:hi])
         else:
@@ -111,29 +117,74 @@ def threshold_cluster(
     return Partition.from_clusters(clusters)
 
 
+def _tip_square(dm: DistanceMatrix, labels: list[str]) -> np.ndarray:
+    """dm as a square whose rows and columns follow labels.
+
+    Callers pass dm as a temporary, so a matrix built for this call is
+    freed before the prefix counts are.
+    """
+    sq = dm.square()
+    if dm.ids != labels:
+        perm = [dm.index_of(lab) for lab in labels]
+        sq = sq[np.ix_(perm, perm)]
+    return sq
+
+
+def _diameters(
+    tree: PhyloTree, spans: dict[int, tuple[int, int]], sq: np.ndarray
+) -> dict[int, float]:
+    """Largest distance among each node's tips, by id(node); -inf for a
+    tip and NaN for a clade holding an undefined pair.
+
+    A node's diameter is the largest of its children's diameters and of
+    the blocks between each child and the children before it, so each
+    pair is read once.  NaN is kept explicitly: `max` is order-dependent
+    on it.
+    """
+    diameter: dict[int, float] = {}
+    for node in tree.postorder():
+        if node.is_tip:
+            diameter[id(node)] = -math.inf
+            continue
+        lo = spans[id(node)][0]
+        d = diameter[id(node.children[0])]
+        for child in node.children[1:]:
+            clo, chi = spans[id(child)]
+            for m in (diameter[id(child)], float(sq[clo:chi, lo:clo].max())):
+                if d == d and not (m <= d):  # a NaN d stays; a NaN m wins
+                    d = m
+        diameter[id(node)] = d
+    return diameter
+
+
 def _clade_passes(
-    sq: np.ndarray, count: np.ndarray, lo: int, hi: int, criteria: ClusterCriteria
+    sq: np.ndarray,
+    count: np.ndarray | None,
+    lo: int,
+    hi: int,
+    diameter: float,
+    cutoff: float,
 ) -> bool:
     """Whether the pairs among tips [lo, hi) pass the statistic's cutoff.
 
-    The pairs are the block sq[lo:hi, lo:hi], and count's prefix sums
-    count its cells in O(1).  A NaN fails the clade.  A median is computed
-    only when its two middle values straddle the cutoff.
+    A clade passes whose diameter is at most the cutoff; a NaN diameter
+    fails it.  count is None for the maximum statistics.  For the median,
+    count's prefix sums count the cells of the block sq[lo:hi, lo:hi]
+    under the cutoff in O(1), and the median is computed only when its
+    two middle values straddle the cutoff.
     """
-    under, undefined = (
-        count[:, hi, hi] - count[:, lo, hi] - count[:, hi, lo] + count[:, lo, lo]
-    ).tolist()
-    if undefined:
+    if diameter <= cutoff:
+        return True
+    if count is None or diameter != diameter:
         return False
+    under = int(count[hi, hi] - count[lo, hi] - count[hi, lo] + count[lo, lo])
     m = hi - lo
     pairs = m * (m - 1) // 2
     k = (under - m) // 2  # the zero diagonal is under the cutoff
-    if criteria.statistic is not Statistic.MEDIAN_PATRISTIC:
-        return k == pairs
     if 2 * k != pairs:
         return 2 * k > pairs
     vals = sq[lo:hi, lo:hi][np.triu_indices(m, k=1)]
-    return float(np.median(vals)) <= criteria.distance_max
+    return float(np.median(vals)) <= cutoff
 
 
 def tip_p_matrix(

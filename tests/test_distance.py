@@ -369,6 +369,29 @@ def test_binary_huge_count_is_data_error(tmp_path):
         read_matrix_binary(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: b"XXXX" + d[4:], "not a distance-matrix file"),
+        (lambda d: d[:12], "header is cut short"),
+        (lambda d: d[:4] + b"\x02" + d[5:], "unsupported matrix version 2"),
+        (lambda d: d + b"\x00", "25 value bytes for n=3, expected 24"),
+        (lambda d: d[:-1], "23 value bytes for n=3, expected 24"),
+    ],
+)
+def test_binary_malformed_messages(tmp_path, edit, message):
+    path = _write_bin(tmp_path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(MalformedMatrix, match=message):
+        read_matrix_binary(path)
+
+
+def test_binary_read_is_writable_float64(tmp_path):
+    back = read_matrix_binary(_write_bin(tmp_path))
+    assert back.values.dtype == np.float64 and back.values.flags.writeable
+    back.values[0] = 0.5
+
+
 def test_binary_without_sidecar_is_data_error(tmp_path):
     path = _write_bin(tmp_path)
     (tmp_path / "m.bin.ids").unlink()

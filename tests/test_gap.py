@@ -5,20 +5,55 @@ import math
 import numpy as np
 import pytest
 
-from phyloclust import MatrixKind
+from phyloclust import MatrixKind, Partition
 from phyloclust.errors import UndefinedDistance
-from phyloclust.gap import GapConfig, _row_friends, gap_cluster
+from phyloclust.gap import GapConfig, _row_cut, gap_cluster
 
 from conftest import blob_matrix, square_dm
 
 
 def friend_set(dm, i, config=GapConfig()):
-    """Friend indices of row i, ordered and cut as gap_cluster does."""
+    """Friend indices of row i: the others at or under the row's cut."""
+    sq = dm.square()
+    others = [j for j in range(dm.n) if j != i]
+    cut = _row_cut(np.sort(sq[i, others]), config.search_quantile)
+    return {j for j in others if sq[i, j] <= cut}
+
+
+def reference_gap_cluster(dm, config=GapConfig()):
+    """The stable-argsort procedure: each row's friends are the sorted
+    prefix before the first largest window gap; components of the
+    either-direction friendship graph are the clusters."""
+    n = dm.n
     sq = dm.square()
     np.fill_diagonal(sq, -np.inf)
-    row_order = np.argsort(sq[i], kind="stable")[1:]  # drop self
-    friends = _row_friends(row_order, sq[i, row_order], config.search_quantile)
-    return set(friends.tolist())
+    order = np.argsort(sq, axis=1, kind="stable")
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        row_order = order[i, 1:]
+        row = sq[i, row_order]
+        friends = row_order[:0]
+        if n - 1 == 1:
+            friends = row_order[:1]
+        else:
+            m = math.ceil(config.search_quantile * (n - 1))
+            if m >= 2:
+                gaps = row[1:m] - row[: m - 1]
+                j = int(np.argmax(gaps))
+                if gaps[j] > 0.0:
+                    friends = row_order[: j + 1]
+        for k in friends:
+            parent[find(int(k))] = find(i)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(dm.ids[i])
+    return Partition.from_clusters(groups.values())
 
 
 def test_friend_set_dominant_gap():
@@ -68,6 +103,21 @@ def test_friend_set_matches_exhaustive_scan():
                 if gaps[best] > 0:
                     expect = {j for _, j in row[: best + 1]}
             assert friend_set(dm, i, GapConfig(q)) == expect
+
+
+@pytest.mark.parametrize("q", [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+def test_gap_matches_argsort_reference_with_ties(q):
+    """Values quantized to a few levels put ties at the friend cutoff."""
+    rng = np.random.default_rng(int(q * 1000))
+    for n in [2, 3, *rng.integers(4, 48, size=58).tolist()]:
+        k = int(rng.integers(1, 5))
+        levels = rng.choice([0.0, 0.01, 0.02, 0.05, 0.1, 0.3], size=k)
+        arr = rng.choice(levels, size=(n, n))
+        arr = np.triu(arr, 1)
+        arr = arr + arr.T
+        dm = square_dm([f"t{i}" for i in range(n)], arr)
+        expect = reference_gap_cluster(dm, GapConfig(q))
+        assert gap_cluster(dm, GapConfig(q)).assignment == expect.assignment
 
 
 def test_two_blobs_recovered():
