@@ -55,7 +55,7 @@ from .io_formats import (
     write_newick,
     write_partition,
 )
-from .mcmc import ChainConfig, linkage_estimate, load_chain_summary, run_chain, save_chain_summary
+from .mcmc import ChainConfig, linkage_estimate, run_chain, save_chain_summary
 from .phylo import annotate_support, majority_consensus, patristic_matrix
 from .simulate import SimConfig, simulate_alignment, simulate_metadata, simulate_tree
 from .threshold import ClusterCriteria, Statistic, threshold_cluster, tip_p_matrix
@@ -376,12 +376,12 @@ def _cmd_compare(args) -> None:
 
 def _cmd_linkage(args) -> None:
     started = time.monotonic()
-    summary = load_chain_summary(args.chain_dir)
-    part = linkage_estimate(summary, walk_length=args.walk_length)
+    matrix = Path(args.chain_dir) / "cocluster.bin"
+    cocluster = read_matrix_binary(matrix, MatrixKind.COCLUSTER)
+    part = linkage_estimate(cocluster, walk_length=args.walk_length)
     out = Path(args.out)
     write_partition(part, out)
-    inputs = [Path(args.chain_dir) / "cocluster.bin"]
-    _write_manifest(args, out, inputs, started)
+    _write_manifest(args, out, [matrix], started)
 
 
 def _cmd_growth(args) -> None:

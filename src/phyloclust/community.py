@@ -48,22 +48,23 @@ class WeightedGraph:
 
 def cocluster_fraction(
     partitions: Sequence[Partition], ids: Sequence[str]
-) -> np.ndarray:
-    """Fraction of partitions that put each pair of ids in one cluster.
+) -> DistanceMatrix:
+    """COCLUSTER matrix over ids: the fraction of partitions that put each
+    pair of ids in one cluster, 0 for every pair when there are none.
 
-    There must be at least one partition, and every partition must assign
-    every id.  Rows and columns follow ids, and the diagonal is 1.
+    Every partition must assign every id.  Each fraction is an exact count
+    divided once by the number of partitions.
     """
-    n = len(ids)
-    counts = np.zeros((n, n), dtype=np.float64)
-    for p in partitions:
-        codes: dict[str, int] = {}
-        vec = np.array(
-            [codes.setdefault(p.assignment[i], len(codes)) for i in ids]
-        )
-        counts += vec[:, None] == vec[None, :]
-    counts /= len(partitions)
-    return counts
+    k = len(partitions)
+    codes = np.empty((k, len(ids)), dtype=np.int32)
+    for row, p in zip(codes, partitions):
+        labels: dict[str, int] = {}
+        row[:] = [labels.setdefault(p.assignment[i], len(labels)) for i in ids]
+    rows = (
+        (codes[:, i + 1 :] == codes[:, i, None]).sum(axis=0) / max(k, 1)
+        for i in range(len(ids))
+    )
+    return DistanceMatrix.from_upper_rows(list(ids), rows, MatrixKind.COCLUSTER)
 
 
 def partition_adjacency(p: Partition) -> WeightedGraph:
@@ -71,8 +72,7 @@ def partition_adjacency(p: Partition) -> WeightedGraph:
     ids = p.ids()
     if not ids:
         raise EmptyInput("empty partition")
-    freq = cocluster_fraction([p], ids)
-    return WeightedGraph(DistanceMatrix.from_square(ids, freq, MatrixKind.COCLUSTER))
+    return WeightedGraph(cocluster_fraction([p], ids))
 
 
 def modularity(g: WeightedGraph, p: Partition) -> float:

@@ -211,8 +211,9 @@ class DistanceMatrix:
     values is the condensed upper triangle (row major, float64); NaN marks
     an undefined entry.  capped, when present, flags entries that were
     undefined before a cap policy replaced them.  The condensed layout is
-    private to this module: other modules convert with square() and
-    from_square(), or pass values to scipy, which shares the layout.
+    private to this module: other modules read it with upper_rows() or
+    square(), write it with from_upper_rows() or from_square(), or pass
+    values to scipy, which shares the layout.
     """
 
     def __init__(
@@ -263,8 +264,25 @@ class DistanceMatrix:
     ) -> "DistanceMatrix":
         """Condense the upper triangle of a square matrix whose rows follow
         ids; the diagonal and the lower triangle are not read."""
-        rows = [sq[i, i + 1 :] for i in range(len(ids) - 1)]
-        values = np.concatenate(rows, dtype=np.float64) if rows else np.empty(0)
+        rows = (row[i + 1 :] for i, row in enumerate(sq))
+        return cls.from_upper_rows(ids, rows, kind)
+
+    @classmethod
+    def from_upper_rows(
+        cls, ids: list[str], rows: Iterable[np.ndarray], kind: MatrixKind
+    ) -> "DistanceMatrix":
+        """Fill a triangle from row i's distances to sequences i+1.., for
+        i = 0 .. n-2, as upper_rows() yields them; rows past n-2 are not
+        read."""
+        n = len(ids)
+        values = np.empty(condensed_size(n), dtype=np.float64)
+        lo = 0
+        for i, row in zip(range(n - 1), rows):
+            hi = lo + n - 1 - i
+            values[lo:hi] = row
+            lo = hi
+        if lo != values.size:
+            raise ValueError(f"rows fill {lo} of {values.size} condensed values")
         return cls(ids, values, kind)
 
     def upper_rows(self) -> Iterator[np.ndarray]:
@@ -346,17 +364,11 @@ def build_distance_matrix(
 def write_matrix_phylip(dm: DistanceMatrix, path: str | Path) -> None:
     """Square whitespace-separated matrix with a leading count line."""
     sq = dm.square()
+    cells = " ".join(["%.10g"] * dm.n)  # "nan" for an undefined cell
     with open(path, "w") as fh:
         fh.write(f"{dm.n}\n")
         for ident, row in zip(dm.ids, sq):
-            cells = " ".join(_fmt(v) for v in row)
-            fh.write(f"{ident}  {cells}\n")
-
-
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.10g}"
+            fh.write(f"{ident}  {cells % tuple(row.tolist())}\n")
 
 
 def read_matrix_phylip(

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .community import cocluster_fraction
-from .distance import DistanceMatrix, MatrixKind
+from .distance import DistanceMatrix
 from .errors import EmptyList, EmptyPartition, IdSetMismatch
 from .io_formats import Partition
 from .threshold import ClusterCriteria, Statistic
@@ -166,9 +166,7 @@ def method_cocluster_matrix(
     Returns a COCLUSTER-kind DistanceMatrix whose ids are the kept ids in
     that order and whose values are the pair fractions.
     """
-    # imported here because no other command needs scipy's half-second
-    # import; imported before the n x n arrays exist, because importing
-    # after them raised the paper-scale `compare` peak RSS by 12 MB
+    # imported here because no other command needs scipy's half-second import
     from scipy.cluster.hierarchy import leaves_list, linkage
 
     if not partitions:
@@ -183,19 +181,11 @@ def method_cocluster_matrix(
     kept = sorted(keep)
     freq = cocluster_fraction(partitions, kept)
     if len(kept) < 3:
-        return DistanceMatrix.from_square(kept, freq, MatrixKind.COCLUSTER)
-    dissent = DistanceMatrix.from_square(kept, freq, MatrixKind.COCLUSTER).values
-    np.subtract(1.0, dissent, out=dissent)  # a second triangle here was the peak
+        return freq
+    dissent = np.subtract(1.0, freq.values, out=freq.values)
     order = leaves_list(linkage(dissent, method="average"))
-    del dissent  # freed before the result triangle, the peak, is built
-    # leaf order in place, rows then columns, so no second n x n array exists
-    for col in freq.T:
-        col[:] = col[order]
-    for row in freq:
-        row[:] = row[order]
-    return DistanceMatrix.from_square(
-        [kept[k] for k in order], freq, MatrixKind.COCLUSTER
-    )
+    del freq, dissent  # freed before the result triangle is built
+    return cocluster_fraction(partitions, [kept[k] for k in order])
 
 
 @dataclass(frozen=True)

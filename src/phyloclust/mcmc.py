@@ -584,21 +584,16 @@ def run_chain(
             [labels[span] for span in best_snapshot]
         ),
         map_log_posterior=best_lp,
-        cocluster=DistanceMatrix.from_square(
-            labels,
-            cocluster_fraction(retained, labels) if retained else np.zeros((n, n)),
-            MatrixKind.COCLUSTER,
-        ),
+        cocluster=cocluster_fraction(retained, labels),
         trace=trace,
         retained_samples=retained,
     )
 
 
-def linkage_estimate(summary: ChainSummary, walk_length: int = 4) -> Partition:
-    """Walktrap communities of the graph whose edge weights are the chain's
-    co-clustering fractions, one cluster each."""
-    graph = WeightedGraph(summary.cocluster)
-    return walktrap_communities(graph, walk_length=walk_length)
+def linkage_estimate(cocluster: DistanceMatrix, walk_length: int = 4) -> Partition:
+    """Walktrap communities of the graph whose edge weights are a chain's
+    co-clustering fractions (ChainSummary.cocluster), one cluster each."""
+    return walktrap_communities(WeightedGraph(cocluster), walk_length=walk_length)
 
 
 # ------------------------------------------------------------ persistence

@@ -6,12 +6,13 @@ never reached that way become singletons.  The three statistics cover the
 usual desiderata: maximum pairwise p-distance, and median or maximum
 within-clade patristic distance.
 
-Every clade's diameter (its largest within-clade distance) comes from one
+Every clade's diameter (its largest within-clade distance) and, for the
+median, its number of pairs at or under the cutoff come from one
 postorder pass, which reads each pair once, at its tips' lowest common
 ancestor.  The maximum statistics compare the diameter with the cutoff.
-A median passes at once when the diameter does; otherwise a 2-D prefix
-count of the cells under the cutoff settles it, and the median itself is
-computed only when the two middle values straddle the cutoff.
+A median passes at once when the diameter does; otherwise the count
+settles it, and the median itself is computed only when the two middle
+values straddle the cutoff.
 """
 
 from __future__ import annotations
@@ -91,15 +92,9 @@ def threshold_cluster(
 
     sq = _tip_square(_resolve_matrix(tree, source, criteria.statistic, labels), labels)
     spans = tree.tip_spans()
-    diameter = _diameters(tree, spans, sq)
     cutoff = criteria.distance_max
-    count = None
-    if criteria.statistic is Statistic.MEDIAN_PATRISTIC:
-        # 2-D prefix counts of the cells under the cutoff
-        count = np.zeros((len(labels) + 1, len(labels) + 1), dtype=np.int32)
-        count[1:, 1:] = sq <= cutoff
-        np.cumsum(count, axis=0, out=count)
-        np.cumsum(count, axis=1, out=count)
+    median = criteria.statistic is Statistic.MEDIAN_PATRISTIC
+    stats = _diameters(tree, spans, sq, cutoff if median else None)
 
     clusters: list[list[str]] = []
     stack: list[Node] = [tree.root]
@@ -109,7 +104,7 @@ def threshold_cluster(
         support = 1.0 if node is tree.root else (node.support or 0.0)
         if hi - lo < 2 or (
             support >= criteria.support_min
-            and _clade_passes(sq, count, lo, hi, diameter[id(node)], cutoff)
+            and _clade_passes(sq, lo, hi, *stats[id(node)], cutoff, median)
         ):
             clusters.append(labels[lo:hi])
         else:
@@ -121,7 +116,7 @@ def _tip_square(dm: DistanceMatrix, labels: list[str]) -> np.ndarray:
     """dm as a square whose rows and columns follow labels.
 
     Callers pass dm as a temporary, so a matrix built for this call is
-    freed before the prefix counts are.
+    freed once its square exists.
     """
     sq = dm.square()
     if dm.ids != labels:
@@ -131,58 +126,64 @@ def _tip_square(dm: DistanceMatrix, labels: list[str]) -> np.ndarray:
 
 
 def _diameters(
-    tree: PhyloTree, spans: dict[int, tuple[int, int]], sq: np.ndarray
-) -> dict[int, float]:
-    """Largest distance among each node's tips, by id(node); -inf for a
-    tip and NaN for a clade holding an undefined pair.
+    tree: PhyloTree,
+    spans: dict[int, tuple[int, int]],
+    sq: np.ndarray,
+    cutoff: float | None,
+) -> dict[int, tuple[float, int]]:
+    """Each node's diameter and number of tip pairs at or under cutoff (0
+    when cutoff is None), by id(node).  The diameter is the largest
+    distance among the node's tips: -inf for a tip and NaN for a clade
+    holding an undefined pair, which never counts as under the cutoff.
 
-    A node's diameter is the largest of its children's diameters and of
-    the blocks between each child and the children before it, so each
-    pair is read once.  NaN is kept explicitly: `max` is order-dependent
-    on it.
+    A node's statistics combine its children's with the blocks between
+    each child and the children before it, so each pair is read once.
+    NaN is kept explicitly: `max` is order-dependent on it.
     """
-    diameter: dict[int, float] = {}
+    stats: dict[int, tuple[float, int]] = {}
     for node in tree.postorder():
         if node.is_tip:
-            diameter[id(node)] = -math.inf
+            stats[id(node)] = (-math.inf, 0)
             continue
         lo = spans[id(node)][0]
-        d = diameter[id(node.children[0])]
+        d, under = stats[id(node.children[0])]
         for child in node.children[1:]:
             clo, chi = spans[id(child)]
-            for m in (diameter[id(child)], float(sq[clo:chi, lo:clo].max())):
+            block = sq[clo:chi, lo:clo]
+            child_d, child_under = stats[id(child)]
+            if cutoff is not None:
+                under += child_under + int(np.count_nonzero(block <= cutoff))
+            for m in (child_d, float(block.max())):
                 if d == d and not (m <= d):  # a NaN d stays; a NaN m wins
                     d = m
-        diameter[id(node)] = d
-    return diameter
+        stats[id(node)] = (d, under)
+    return stats
 
 
 def _clade_passes(
     sq: np.ndarray,
-    count: np.ndarray | None,
     lo: int,
     hi: int,
     diameter: float,
+    under: int,
     cutoff: float,
+    median: bool,
 ) -> bool:
     """Whether the pairs among tips [lo, hi) pass the statistic's cutoff.
 
     A clade passes whose diameter is at most the cutoff; a NaN diameter
-    fails it.  count is None for the maximum statistics.  For the median,
-    count's prefix sums count the cells of the block sq[lo:hi, lo:hi]
-    under the cutoff in O(1), and the median is computed only when its
-    two middle values straddle the cutoff.
+    fails it.  For the median, under (the pairs at or under the cutoff)
+    decides, and the median is computed only when its two middle values
+    straddle the cutoff.
     """
     if diameter <= cutoff:
         return True
-    if count is None or diameter != diameter:
+    if not median or diameter != diameter:
         return False
-    under = int(count[hi, hi] - count[lo, hi] - count[hi, lo] + count[lo, lo])
     m = hi - lo
     pairs = m * (m - 1) // 2
-    k = (under - m) // 2  # the zero diagonal is under the cutoff
-    if 2 * k != pairs:
-        return 2 * k > pairs
+    if 2 * under != pairs:
+        return 2 * under > pairs
     vals = sq[lo:hi, lo:hi][np.triu_indices(m, k=1)]
     return float(np.median(vals)) <= cutoff
 

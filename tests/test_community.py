@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from phyloclust import Partition
+from phyloclust import MatrixKind
 from phyloclust.community import (
+    cocluster_fraction,
     modularity,
     partition_adjacency,
     walktrap_communities,
@@ -90,6 +92,36 @@ def test_adjacency_matches_equality_scan():
         for a, b in itertools.combinations(ids, 2):
             expect = 1.0 if p.label_of(a) == p.label_of(b) else 0.0
             assert g.weights[pos[a], pos[b]] == expect
+
+
+def pair_loop_fraction(partitions, ids):
+    """Co-clustering fractions by a loop over pairs and partitions, as a
+    square with a unit diagonal; 0 off the diagonal when there are none."""
+    n = len(ids)
+    out = np.eye(n)
+    for a, b in itertools.combinations(range(n), 2):
+        same = sum(p.label_of(ids[a]) == p.label_of(ids[b]) for p in partitions)
+        out[a, b] = out[b, a] = same / len(partitions) if partitions else 0.0
+    return out
+
+
+def test_cocluster_fraction_matches_pair_loop():
+    rng = np.random.default_rng(41)
+    for k in range(6):
+        for n in (0, 1, 2, 3, 7, 40):
+            ids = [f"id{i}" for i in rng.permutation(n)]
+            # every partition draws from the same few label strings
+            parts = [
+                Partition.from_labels(
+                    ids, [f"L{int(v)}" for v in rng.integers(0, 1 + n // 4, n)]
+                )
+                for _ in range(k)
+            ]
+            dm = cocluster_fraction(parts, ids)
+            assert dm.ids == ids and dm.kind is MatrixKind.COCLUSTER
+            ref = pair_loop_fraction(parts, ids)
+            np.fill_diagonal(ref, 0.0)
+            assert dm.square().tobytes() == ref.tobytes(), (k, n)
 
 
 def test_modularity_matches_naive():

@@ -301,6 +301,25 @@ def test_square_conversions_match_triu_reference(n):
     assert back.values.tobytes() == ref[iu].tobytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_from_upper_rows_inverts_upper_rows(n):
+    rng = np.random.default_rng(53 + n)
+    ids = [f"t{k}" for k in range(n)]
+    vals = rng.random(n * (n - 1) // 2)
+    vals[rng.random(vals.shape) < 0.25] = np.nan
+    dm = DistanceMatrix(ids, vals, MatrixKind.PATRISTIC)
+    back = DistanceMatrix.from_upper_rows(ids, dm.upper_rows(), MatrixKind.PATRISTIC)
+    assert back.ids == ids and back.kind is MatrixKind.PATRISTIC
+    assert back.values.tobytes() == vals.tobytes()
+    # a trailing empty row is not read; a missing row is an error
+    rows = [*dm.upper_rows(), np.empty(0)]
+    again = DistanceMatrix.from_upper_rows(ids, rows, MatrixKind.PATRISTIC)
+    assert again.values.tobytes() == vals.tobytes()
+    if n > 1:
+        with pytest.raises(ValueError):
+            DistanceMatrix.from_upper_rows(ids, rows[:-2], MatrixKind.PATRISTIC)
+
+
 def test_from_square_inverts_square_bit_for_bit():
     rng = np.random.default_rng(37)
     rows = [f">r{i}\n{_random_seq(rng, 60, 'ACGTN-')}\n" for i in range(25)]

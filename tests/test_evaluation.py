@@ -268,6 +268,45 @@ def test_cocluster_matches_manual_counts():
         assert sq[pos[a], pos[b]] in (0.0, 1 / 3, 2 / 3, 1.0)
 
 
+def square_and_permute_cocluster(partitions, ids):
+    """The square-then-permute construction: an n x n equality sum over
+    the ids that are non-singleton somewhere, permuted in place into the
+    average-linkage leaf order of 1 - fraction."""
+    from scipy.cluster.hierarchy import leaves_list, linkage
+
+    keep = set()
+    for p in partitions:
+        keep |= p.restrict(ids).multi_member_ids()
+    kept = sorted(keep)
+    n = len(kept)
+    freq = np.zeros((n, n))
+    for p in partitions:
+        codes = {}
+        vec = np.array([codes.setdefault(p.assignment[i], len(codes)) for i in kept])
+        freq += vec[:, None] == vec[None, :]
+    freq /= len(partitions)
+    if n < 3:
+        return kept, freq[np.triu_indices(n, k=1)]
+    order = leaves_list(linkage(1.0 - freq[np.triu_indices(n, k=1)], method="average"))
+    for col in freq.T:
+        col[:] = col[order]
+    for row in freq:
+        row[:] = row[order]
+    return [kept[k] for k in order], freq[np.triu_indices(n, k=1)]
+
+
+def test_cocluster_matches_square_and_permute_reference():
+    rng = np.random.default_rng(61)
+    for trial in range(30):
+        n = int(rng.integers(1, 30))
+        ids = [f"s{i}" for i in range(n)]
+        parts = [random_partition(rng, ids) for _ in range(int(rng.integers(1, 6)))]
+        dm = method_cocluster_matrix(parts, ids)
+        ref_ids, ref_vals = square_and_permute_cocluster(parts, ids)
+        assert dm.ids == ref_ids, trial
+        assert dm.values.tobytes() == ref_vals.tobytes(), trial
+
+
 def test_summary_hand_example():
     p = Partition.from_labels(["a", "b", "c"], ["1", "2", "2"])
     s = partition_summary(p)

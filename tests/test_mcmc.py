@@ -12,7 +12,6 @@ from phyloclust.community import modularity, walktrap_communities
 from phyloclust.errors import DegenerateTree
 from phyloclust.mcmc import (
     ChainConfig,
-    ChainSummary,
     _clade_nodes_for,
     initialize_chain,
     linkage_estimate,
@@ -405,7 +404,7 @@ def test_summary_roundtrip(tmp_path):
     )
 
 
-def constant_summary(ids, labels):
+def constant_cocluster(ids, labels):
     p = Partition(dict(zip(ids, labels)))
     n = len(ids)
     c = np.zeros((n, n))
@@ -413,20 +412,13 @@ def constant_summary(ids, labels):
         for j, b in enumerate(ids):
             if p.label_of(a) == p.label_of(b):
                 c[i, j] = 1.0
-    return ChainSummary(
-        map_partition=p,
-        map_log_posterior=0.0,
-        cocluster=square_dm(ids, c, MatrixKind.COCLUSTER),
-        trace=[(1, 0.0)],
-        retained_samples=[p],
-    )
+    return square_dm(ids, c, MatrixKind.COCLUSTER)
 
 
 def test_linkage_constant_chain():
     ids = [f"s{i}" for i in range(6)]
     labels = ["1", "1", "2", "2", "2", "3"]
-    summary = constant_summary(ids, labels)
-    estimate = linkage_estimate(summary)
+    estimate = linkage_estimate(constant_cocluster(ids, labels))
     assert estimate.same_grouping(Partition(dict(zip(ids, labels))))
 
 
@@ -436,14 +428,7 @@ def test_linkage_two_blobs():
     c[:10, :10] = 1.0
     c[10:, 10:] = 1.0
     np.fill_diagonal(c, 1.0)
-    summary = ChainSummary(
-        map_partition=Partition(dict.fromkeys(ids, "1")),
-        map_log_posterior=0.0,
-        cocluster=square_dm(ids, c, MatrixKind.COCLUSTER),
-        trace=[(1, 0.0)],
-        retained_samples=[],
-    )
-    estimate = linkage_estimate(summary)
+    estimate = linkage_estimate(square_dm(ids, c, MatrixKind.COCLUSTER))
     groups = sorted(sorted(g) for g in estimate.clusters().values())
     assert groups == [sorted(ids[:10]), sorted(ids[10:])]
     # the returned split's modularity matches a direct evaluation on the
