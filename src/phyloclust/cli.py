@@ -210,10 +210,8 @@ def _cmd_cluster(args) -> None:
         if not args.tree or not args.align:
             raise _UsageError("--method mcmc needs --tree and --align")
         tree = load_newick(args.tree)
-        # every chain starts from the same p-distances: build them once
-        p_matrix = tip_p_matrix(
-            load_fasta(args.align), tree.tip_labels(), _resolve_threads(args)
-        )
+        # each chain's start reads only the p-distances its clades need
+        alignment = load_fasta(args.align)
         inputs += [args.tree, args.align]
         seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
         summaries = []
@@ -224,7 +222,7 @@ def _cmd_cluster(args) -> None:
                 thin=args.thin,
                 rng_seed=seed,
             )
-            summaries.append(run_chain(tree, p_matrix, cfg))
+            summaries.append(run_chain(tree, alignment, cfg))
         best = max(summaries, key=lambda s: s.map_log_posterior)
         for seed, summary in zip(seeds, summaries):
             log.info(
@@ -261,9 +259,7 @@ def _cmd_cluster(args) -> None:
                 source = _load_matrix(args.matrix, MatrixKind.P_DISTANCE)
                 inputs.append(args.matrix)
             elif args.align:
-                source = tip_p_matrix(
-                    load_fasta(args.align), tree.tip_labels(), _resolve_threads(args)
-                )
+                source = load_fasta(args.align)
                 inputs.append(args.align)
             else:
                 raise _UsageError("--method maxp needs --align or --matrix")
@@ -453,8 +449,9 @@ def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
         "--threads",
         type=int,
         default=None,
-        help="worker threads for the p/K80 pair counts, clamped to the "
-        "cores and the rows (default: PHYLOCLUST_THREADS or all cores)",
+        help="worker threads for a whole p/K80 matrix build (dist, and gap "
+        "or sweep from --align), clamped to the cores and the rows "
+        "(default: PHYLOCLUST_THREADS or all cores)",
     )
     parser.add_argument(
         "--config",

@@ -24,7 +24,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -101,27 +101,49 @@ def _pack_planes(codes: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(padded.view(np.uint64).transpose(0, 2, 1))
 
 
+def _count_against(
+    planes: np.ndarray,
+    i: int,
+    cols: slice,
+    work: np.ndarray,
+    pop: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    # Counts sequence i against the sequences in cols into out, shape
+    # (k, m): the first k of compared, mismatches and popcount(v & x0), so
+    # p-distances (k = 2) skip the transition count.  work and pop are
+    # scratch of at least m sequences.
+    valid, bit0, bit1 = planes
+    k, m = out.shape
+    v, mism, x0 = work[:, :, :m]
+    np.bitwise_and(valid[:, cols], valid[:, i, None], out=v)
+    np.bitwise_xor(bit0[:, cols], bit0[:, i, None], out=x0)
+    np.bitwise_xor(bit1[:, cols], bit1[:, i, None], out=mism)
+    np.bitwise_or(mism, x0, out=mism)
+    np.bitwise_and(mism, v, out=mism)
+    if k == 3:
+        np.bitwise_and(x0, v, out=x0)
+    np.bitwise_count(work[:k, :, :m], out=pop[:k, :, :m])
+    np.add.reduce(pop[:k, :, :m], axis=1, dtype=out.dtype, out=out)
+
+
+def _scratch(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.empty(planes.shape, dtype=np.uint64),
+        np.empty(planes.shape, dtype=np.uint8),
+    )
+
+
 def _count_rows(planes: np.ndarray, rows: Iterable[int], counts: np.ndarray) -> None:
     # Counts each row i against rows i+1.. into its condensed slice of
     # counts; the slices are disjoint, so stripes may run concurrently.
     # Row 2 of counts holds popcount(v & x0) until pair_counts fixes it up.
-    valid, bit0, bit1 = planes
-    _, words, n = planes.shape
-    work = np.empty((3, words, n), dtype=np.uint64)
-    pop = np.empty((3, words, n), dtype=np.uint8)
+    n = planes.shape[2]
+    work, pop = _scratch(planes)
     for i in rows:
-        m = n - 1 - i
         lo = condensed_index(n, i, i + 1)
-        v, mism, x0 = work[:, :, :m]
-        np.bitwise_and(valid[:, i + 1 :], valid[:, i, None], out=v)
-        np.bitwise_xor(bit0[:, i + 1 :], bit0[:, i, None], out=x0)
-        np.bitwise_xor(bit1[:, i + 1 :], bit1[:, i, None], out=mism)
-        np.bitwise_or(mism, x0, out=mism)
-        np.bitwise_and(mism, v, out=mism)
-        np.bitwise_and(x0, v, out=x0)
-        np.bitwise_count(work[:, :, :m], out=pop[:, :, :m])
-        np.add.reduce(
-            pop[:, :, :m], axis=1, dtype=counts.dtype, out=counts[:, lo : lo + m]
+        _count_against(
+            planes, i, slice(i + 1, n), work, pop, counts[:, lo : lo + n - 1 - i]
         )
 
 
@@ -150,6 +172,33 @@ def pair_counts(codes: np.ndarray, threads: int = 1) -> np.ndarray:
                 f.result()
     np.subtract(counts[1], counts[2], out=counts[2])
     return counts
+
+
+def p_block_reader(codes: np.ndarray) -> Callable[[int, int, int, int], np.ndarray]:
+    """p-distances between two runs of an alignment's sequences, on demand.
+
+    codes is an (n, sites) matrix from encode_alignment.  The returned
+    read(r0, r1, c0, c1) gives the (r1 - r0, c1 - c0) block of sequences
+    r0..r1-1 against c0..c1-1, with NaN where a pair compares no site;
+    each value is bit-identical to build_distance_matrix's.  It calls the
+    pair-count kernel once per sequence of the block's smaller side.
+    """
+    planes = _pack_planes(codes)
+    work, pop = _scratch(planes)
+
+    def read(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        if r1 - r0 > c1 - c0:
+            return read(c0, c1, r0, r1).T
+        counts = np.empty((2, r1 - r0, c1 - c0), dtype=np.int32)
+        for i in range(r0, r1):
+            _count_against(planes, i, slice(c0, c1), work, pop, counts[:, i - r0])
+        compared, mism = counts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = mism / compared
+        vals[compared == 0] = np.nan
+        return vals
+
+    return read
 
 
 def compare_pair(x: str, y: str) -> PairComparison:

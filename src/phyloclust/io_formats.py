@@ -15,6 +15,7 @@ import datetime
 import enum
 import io
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -38,8 +39,8 @@ from .phylo import Node, PhyloTree
 
 log = logging.getLogger(__name__)
 
-# IUPAC nucleotide codes plus gap, after normalization.
-ALPHABET = frozenset("ACGTRYSWKMBDHVN-")
+# Anything but the IUPAC nucleotide codes plus gap, after normalization.
+_ILLEGAL = re.compile("[^ACGTRYSWKMBDHVN-]")
 
 _NORMALIZE = str.maketrans("acgturyswkmbdhvn.", "ACGTURYSWKMBDHVN-")
 
@@ -237,9 +238,9 @@ def parse_fasta(text: str) -> Alignment:
 
 def _normalize_residues(raw: str, ident: str) -> str:
     out = raw.translate(_NORMALIZE).replace("U", "T")
-    for k, ch in enumerate(out):
-        if ch not in ALPHABET:
-            raise IllegalCharacter(ch, ident, k + 1)
+    bad = _ILLEGAL.search(out)
+    if bad is not None:
+        raise IllegalCharacter(bad.group(), ident, bad.start() + 1)
     return out
 
 

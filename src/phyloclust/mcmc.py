@@ -249,8 +249,9 @@ def initialize_chain(
 ) -> ChainState:
     """Starting state from a conservative support-and-distance partition.
 
-    a supplies its p-distances: an alignment or a p-distance matrix over
-    the tips.  The within mean comes from edges inside the initial
+    a supplies its p-distances: an alignment, of which only the pairs the
+    start's clades need are compared, or a p-distance matrix over the
+    tips.  The within mean comes from edges inside the initial
     multi-member clusters; when there are none the smallest decile of all
     edges stands in.  The between mean covers the remaining edges, or
     every edge when nothing is left over.
@@ -455,7 +456,7 @@ def run_chain(
     trace: list[tuple[int, float]] = []
     retained: list[Partition] = []
     best_lp = -math.inf
-    best_snapshot: list[slice] | None = None
+    best_snapshot: set[int] | None = None
 
     num_moves = 2 if cfg.topology_only else 4
 
@@ -569,7 +570,7 @@ def run_chain(
         trace.append((it, lp))
         if lp > best_lp:
             best_lp = lp
-            best_snapshot = [spans[cid] for cid in clusters]
+            best_snapshot = clusters.copy()
         if (it - cfg.burn_in) % cfg.thin == 0:
             lp = current_logpost()  # resync accumulated rounding
             retained.append(
@@ -581,7 +582,7 @@ def run_chain(
     assert best_snapshot is not None
     return ChainSummary(
         map_partition=Partition.from_clusters(
-            [labels[span] for span in best_snapshot]
+            [labels[spans[cid]] for cid in best_snapshot]
         ),
         map_log_posterior=best_lp,
         cocluster=cocluster_fraction(retained, labels),

@@ -9,10 +9,14 @@ within-clade patristic distance.
 Every clade's diameter (its largest within-clade distance) and, for the
 median, its number of pairs at or under the cutoff come from one
 postorder pass, which reads each pair once, at its tips' lowest common
-ancestor.  The maximum statistics compare the diameter with the cutoff.
-A median passes at once when the diameter does; otherwise the count
-settles it, and the median itself is computed only when the two middle
-values straddle the cutoff.
+ancestor, as a block between one child's tips and its earlier siblings'.
+The blocks come from a precomputed matrix or, for max-p from an
+alignment, from the pair-count kernel on demand.  The maximum statistics
+compare the diameter with the cutoff, so the pass reads a clade's blocks
+only when all its children pass and stops at the first block that fails:
+from an alignment it computes only those pairs.  A median passes at once
+when the diameter does; otherwise the count settles it, and the median
+itself is computed only when the two middle values straddle the cutoff.
 """
 
 from __future__ import annotations
@@ -20,10 +24,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .distance import DistanceMatrix, MatrixKind, build_distance_matrix
+from .distance import (
+    DistanceMatrix,
+    MatrixKind,
+    build_distance_matrix,
+    encode_alignment,
+    p_block_reader,
+)
 from .errors import (
     DegenerateTree,
     MissingSequence,
@@ -74,11 +85,12 @@ def threshold_cluster(
 ) -> Partition:
     """Cluster tree tips by thresholding clade support and spread.
 
-    source supplies the distances: an Alignment (mandatory for
-    MAX_PAIRWISE_P, from which p-distances are computed), a precomputed
-    DistanceMatrix of the matching kind, or None to derive patristic
-    distances from the tree.  The root counts as support 1.0; an
-    undefined (NaN) distance inside a clade disqualifies that clade.
+    source supplies the distances: an Alignment (MAX_PAIRWISE_P only,
+    whose p-distances are computed just for the clades the search
+    reads), a precomputed DistanceMatrix of the matching kind, or None to
+    derive patristic distances from the tree.  The root counts as support
+    1.0; an undefined (NaN) distance inside a clade disqualifies that
+    clade.
     """
     labels = tree.tip_labels()
     if len(labels) != len(set(labels)):
@@ -90,11 +102,27 @@ def threshold_cluster(
                     "support_min > 0 but an internal node has no support"
                 )
 
-    sq = _tip_square(_resolve_matrix(tree, source, criteria.statistic, labels), labels)
-    spans = tree.tip_spans()
     cutoff = criteria.distance_max
     median = criteria.statistic is Statistic.MEDIAN_PATRISTIC
-    stats = _diameters(tree, spans, sq, cutoff if median else None)
+    if criteria.statistic is Statistic.MAX_PAIRWISE_P and isinstance(
+        source, Alignment
+    ):
+        sq = None  # only the median reads a clade's values
+        read = p_block_reader(encode_alignment(_tip_alignment(source, labels)))
+
+        def block(lo: int, clo: int, chi: int) -> np.ndarray:
+            return read(clo, chi, lo, clo)
+
+    else:
+        sq = _tip_square(
+            _resolve_matrix(tree, source, criteria.statistic, labels), labels
+        )
+
+        def block(lo: int, clo: int, chi: int) -> np.ndarray:
+            return sq[clo:chi, lo:clo]
+
+    spans = tree.tip_spans()
+    stats = _diameters(tree, spans, block, cutoff, median)
 
     clusters: list[list[str]] = []
     stack: list[Node] = [tree.root]
@@ -128,34 +156,47 @@ def _tip_square(dm: DistanceMatrix, labels: list[str]) -> np.ndarray:
 def _diameters(
     tree: PhyloTree,
     spans: dict[int, tuple[int, int]],
-    sq: np.ndarray,
-    cutoff: float | None,
+    block: Callable[[int, int, int], np.ndarray],
+    cutoff: float,
+    median: bool,
 ) -> dict[int, tuple[float, int]]:
-    """Each node's diameter and number of tip pairs at or under cutoff (0
-    when cutoff is None), by id(node).  The diameter is the largest
-    distance among the node's tips: -inf for a tip and NaN for a clade
-    holding an undefined pair, which never counts as under the cutoff.
+    """Each node's diameter and, for the median, its number of tip pairs at
+    or under cutoff (0 otherwise), by id(node).  The diameter is the
+    largest distance among the node's tips: -inf for a tip and NaN for a
+    clade holding an undefined pair, which never counts as under the
+    cutoff.
 
     A node's statistics combine its children's with the blocks between
-    each child and the children before it, so each pair is read once.
-    NaN is kept explicitly: `max` is order-dependent on it.
+    each child and the children before it, so each pair is read once:
+    block(lo, clo, chi) returns the distances of tips [clo, chi) to tips
+    [lo, clo).  NaN is kept explicitly: `max` is order-dependent on it.
+    For the max statistics a clade fails as soon as one child or block
+    does, and its blocks are read only when every child passes; a failed
+    clade records a failing lower bound of its diameter, or NaN.
     """
     stats: dict[int, tuple[float, int]] = {}
     for node in tree.postorder():
         if node.is_tip:
             stats[id(node)] = (-math.inf, 0)
             continue
+        kids = [stats[id(child)] for child in node.children]
+        if not median:
+            failed = next((s for s in kids if not s[0] <= cutoff), None)
+            if failed is not None:
+                stats[id(node)] = failed
+                continue
         lo = spans[id(node)][0]
-        d, under = stats[id(node.children[0])]
-        for child in node.children[1:]:
+        d, under = kids[0]
+        for child, (child_d, child_under) in zip(node.children[1:], kids[1:]):
             clo, chi = spans[id(child)]
-            block = sq[clo:chi, lo:clo]
-            child_d, child_under = stats[id(child)]
-            if cutoff is not None:
-                under += child_under + int(np.count_nonzero(block <= cutoff))
-            for m in (child_d, float(block.max())):
+            b = block(lo, clo, chi)
+            if median:
+                under += child_under + int(np.count_nonzero(b <= cutoff))
+            for m in (child_d, float(b.max())):
                 if d == d and not (m <= d):  # a NaN d stays; a NaN m wins
                     d = m
+            if not median and not d <= cutoff:
+                break
         stats[id(node)] = (d, under)
     return stats
 
@@ -195,12 +236,18 @@ def tip_p_matrix(
 
     Raises MissingSequence for a tip the alignment lacks.
     """
+    return build_distance_matrix(
+        _tip_alignment(alignment, labels), MatrixKind.P_DISTANCE, threads=threads
+    )
+
+
+def _tip_alignment(alignment: Alignment, labels: list[str]) -> Alignment:
+    """The tips' sequences in label order; MissingSequence for a tip the
+    alignment lacks."""
     for lab in labels:
         if lab not in alignment:
             raise MissingSequence(lab)
-    return build_distance_matrix(
-        alignment.subset(labels), MatrixKind.P_DISTANCE, threads=threads
-    )
+    return alignment.subset(labels)
 
 
 def _resolve_matrix(
@@ -210,8 +257,6 @@ def _resolve_matrix(
     labels: list[str],
 ) -> DistanceMatrix:
     if statistic is Statistic.MAX_PAIRWISE_P:
-        if isinstance(source, Alignment):
-            return tip_p_matrix(source, labels)
         if isinstance(source, DistanceMatrix):
             if source.kind is not MatrixKind.P_DISTANCE:
                 raise ValueError(

@@ -470,8 +470,8 @@ def test_malformed_phylip_count_exits_one(cohort, tmp_path, capsys):
 
 @pytest.fixture
 def build_threads(monkeypatch):
-    """The threads argument of every p-matrix build from an alignment."""
-    from phyloclust import threshold
+    """The threads argument of every whole-matrix build from an alignment."""
+    from phyloclust import cli, threshold
 
     calls = []
     real = threshold.build_distance_matrix
@@ -480,7 +480,8 @@ def build_threads(monkeypatch):
         calls.append(kwargs.get("threads"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(threshold, "build_distance_matrix", counted)
+    for module in (cli, threshold):
+        monkeypatch.setattr(module, "build_distance_matrix", counted)
     return calls
 
 
@@ -497,7 +498,8 @@ def test_sweep_maxp_builds_one_matrix(cohort, tmp_path, build_threads):
     assert build_threads == [2]
 
 
-def test_mcmc_seeds_build_one_matrix(cohort, tmp_path, build_threads):
+def test_mcmc_seeds_build_no_matrix(cohort, tmp_path, build_threads):
+    """Each chain's start computes only the p-distances its clades need."""
     rc = main(
         ["--threads", "2", "cluster", "--method", "mcmc",
          "--tree", str(cohort / "tree.nwk"),
@@ -506,10 +508,10 @@ def test_mcmc_seeds_build_one_matrix(cohort, tmp_path, build_threads):
          "--seeds", "1,2", "--out", str(tmp_path / "mcmc.csv")]
     )
     assert rc == 0
-    assert build_threads == [2]
+    assert build_threads == []
 
 
-def test_cluster_maxp_align_builds_on_threads(cohort, tmp_path, build_threads):
+def test_cluster_maxp_align_builds_no_matrix(cohort, tmp_path, build_threads):
     rc = main(
         ["--threads", "2", "cluster", "--method", "maxp",
          "--tree", str(cohort / "tree.nwk"),
@@ -517,7 +519,7 @@ def test_cluster_maxp_align_builds_on_threads(cohort, tmp_path, build_threads):
          "--out", str(tmp_path / "maxp.csv")]
     )
     assert rc == 0
-    assert build_threads == [2]
+    assert build_threads == []
 
 
 def test_sweep_maxp_missing_sequence_exits_one(cohort, tmp_path, capsys):

@@ -341,6 +341,26 @@ def test_threads_do_not_change_values():
     assert np.array_equal(one.values, four.values, equal_nan=True)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "r0, r1, c0, c1",
+    [(0, 3, 3, 37), (5, 37, 0, 5), (9, 10, 10, 37), (0, 30, 30, 31), (0, 37, 0, 37)],
+)
+def test_p_blocks_bit_equal_matrix(r0, r1, c0, c1):
+    """Wide, tall and one-sided blocks read the matrix's values bit for bit,
+    NaN included, whichever side the kernel loops over."""
+    rng = np.random.default_rng(41)
+    seqs = [_random_seq(rng, 130) for _ in range(37)]
+    seqs[4], seqs[30] = "N" * 130, "-" * 130  # nothing compared: NaN
+    aln = parse_fasta("".join(f">r{i}\n{s}\n" for i, s in enumerate(seqs)))
+    sq = build_distance_matrix(aln, MatrixKind.P_DISTANCE).square()
+    block = distance.p_block_reader(encode_alignment(aln))(r0, r1, c0, c1)
+    want = sq[r0:r1, c0:c1]
+    off = np.arange(r0, r1)[:, None] != np.arange(c0, c1)[None, :]  # not i, i
+    assert np.isnan(want[off]).any()
+    assert want[off].tobytes() == block[off].tobytes()
+
+
 def test_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(31)
     vals = rng.random(10 * 9 // 2)

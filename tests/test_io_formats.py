@@ -61,6 +61,10 @@ def test_parse_fasta_duplicate_id():
 def test_parse_fasta_illegal_character():
     with pytest.raises(IllegalCharacter):
         parse_fasta(">a\nAC!T\n")
+    # the first illegal residue after normalization, 1-based across lines
+    with pytest.raises(IllegalCharacter) as err:
+        parse_fasta(">a\nACGT\n>b\nacgu.\nnnXZ\n")
+    assert (err.value.char, err.value.ident, err.value.site) == ("X", "b", 8)
 
 
 def test_fasta_roundtrip_cohort_scale():

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from phyloclust import (
+    Alignment,
     DistanceMatrix,
     MatrixKind,
+    SequenceRecord,
     build_distance_matrix,
     parse_fasta,
     parse_newick,
 )
+from phyloclust import distance
 from phyloclust.distance import condensed_index
 from phyloclust.errors import MissingSequence, UnannotatedSupport
 from phyloclust.phylo import patristic_matrix
@@ -276,7 +279,8 @@ def _with_nans(dm, rng, rate):
 @pytest.mark.parametrize("seed", range(16))
 def test_threshold_matches_pair_list_oracle(seed):
     """Random trees with random supports and unary nodes; p-distances in a
-    shuffled id order, and patristic distances with and without NaN cells."""
+    shuffled id order and from an alignment holding all-N and all-gap
+    sequences, and patristic distances with and without NaN cells."""
     rng = np.random.default_rng(seed)
     cfg = SimConfig(
         cluster_sizes=(7, 5, 4, 3, 2),
@@ -293,15 +297,29 @@ def test_threshold_matches_pair_list_oracle(seed):
     order = rng.permutation(p.n)
     shuffled = square_dm([p.ids[k] for k in order], p.square()[np.ix_(order, order)])
     pat = patristic_matrix(tree)
-    cases = [
-        (Statistic.MAX_PAIRWISE_P, shuffled),
-        (Statistic.MAX_PAIRWISE_P, _with_nans(shuffled, rng, 0.01)),
-        (Statistic.MEDIAN_PATRISTIC, pat),
-        (Statistic.MEDIAN_PATRISTIC, _with_nans(pat, rng, 0.01)),
-        (Statistic.MAX_PATRISTIC, pat),
-        (Statistic.MAX_PATRISTIC, _with_nans(pat, rng, 0.01)),
+    blank = dict(zip(rng.choice(p.ids, 2, replace=False).tolist(), "N-"))
+    holed = Alignment(
+        [
+            SequenceRecord(r.id, blank[r.id] * len(r.residues))
+            if r.id in blank
+            else r
+            for r in aln.records
+        ]
+    )
+    # (statistic, what threshold_cluster reads, the oracle's matrix)
+    holed_p = build_distance_matrix(holed, MatrixKind.P_DISTANCE)
+    cases = [(Statistic.MAX_PAIRWISE_P, holed, holed_p)] + [
+        (stat, dm, dm)
+        for stat, dm in [
+            (Statistic.MAX_PAIRWISE_P, shuffled),
+            (Statistic.MAX_PAIRWISE_P, _with_nans(shuffled, rng, 0.01)),
+            (Statistic.MEDIAN_PATRISTIC, pat),
+            (Statistic.MEDIAN_PATRISTIC, _with_nans(pat, rng, 0.01)),
+            (Statistic.MAX_PATRISTIC, pat),
+            (Statistic.MAX_PATRISTIC, _with_nans(pat, rng, 0.01)),
+        ]
     ]
-    for stat, dm in cases:
+    for stat, source, dm in cases:
         pair_values = _pair_values(tree, dm)
         finite = dm.values[~np.isnan(dm.values)]
         cutoffs = list(np.quantile(finite, [0.05, 0.3, 0.7]))
@@ -315,8 +333,42 @@ def test_threshold_matches_pair_list_oracle(seed):
         for cut in [c for c in cutoffs if c > 0]:
             for support in (0.0, 0.7, 0.95):
                 crit = ClusterCriteria(support, float(cut), stat)
-                got = _clusters(threshold_cluster(tree, dm, crit))
+                got = _clusters(threshold_cluster(tree, source, crit))
                 assert got == _oracle(tree, pair_values, crit), (stat, cut, support)
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_ladder_reads_each_block_from_its_smaller_side(monkeypatch, left):
+    """On a ladder every clade joins one tip to the rest, so max-p from an
+    alignment makes one kernel call per internal node, whichever side the
+    tip is on, and agrees with the pair-list oracle."""
+    n = 40
+    newick = "t0:0.01"
+    for k in range(1, n):
+        pair = (newick, f"t{k}:0.01") if left else (f"t{k}:0.01", newick)
+        newick = f"({pair[0]},{pair[1]})0.9:0.01"
+    tree = parse_newick(newick + ";")
+    # t_k differs from t_j at |k - j| of 200 sites, so the clade of t0..t_k
+    # has diameter k / 200
+    aln = parse_fasta(
+        "".join(f">t{k}\n{'C' * k}{'A' * (200 - k)}\n" for k in range(n))
+    )
+    p = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
+    pair_values = _pair_values(tree, p)
+
+    calls = []
+    real = distance._count_against
+    monkeypatch.setattr(
+        distance, "_count_against", lambda *a: calls.append(a[1]) or real(*a)
+    )
+    for cut, largest in ((0.02, 5), (0.05, 11), (1.0, n)):
+        calls.clear()
+        crit = ClusterCriteria(0.0, cut, Statistic.MAX_PAIRWISE_P)
+        got = _clusters(threshold_cluster(tree, aln, crit))
+        assert got == _oracle(tree, pair_values, crit)
+        assert max(len(c) for c in got) == largest
+        # the failing clade just above the largest cluster is read too
+        assert len(calls) == min(largest, n - 1)
 
 
 def test_nan_fails_a_clade_whose_median_passes():
