@@ -9,6 +9,7 @@ The merge tree is then cut at the level of maximum modularity.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 from typing import Sequence
 
@@ -22,28 +23,50 @@ log = logging.getLogger(__name__)
 
 
 class WeightedGraph:
-    """Undirected weighted graph over a COCLUSTER-kind DistanceMatrix.
+    """Undirected weighted graph held as an edge list.
 
-    weights is the matrix's square: symmetric, zero on the diagonal (no
-    self-loops) and non-negative.  The graph owns that square; the matrix
-    is not kept.
+    Edge k joins vertices i[k] < j[k] with weight w[k] > 0; the edges run
+    in condensed (row-major) pair order, and each pair appears at most
+    once.  There are no self-loops.
     """
 
     def __init__(self, dm: DistanceMatrix):
+        """The graph whose edge weights are a COCLUSTER-kind matrix's
+        nonzero values, which must be non-negative numbers.  The matrix is
+        not kept."""
         if dm.values.size and not dm.values.min() >= 0.0:
             raise ValueError("edge weights must be non-negative numbers")
         self.ids = dm.ids
-        self.weights = dm.square()
+        self.i, self.j, self.w = dm.nonzero_pairs()
+
+    @classmethod
+    def from_edges(
+        cls, ids: list[str], i: np.ndarray, j: np.ndarray, w: np.ndarray
+    ) -> "WeightedGraph":
+        """The graph on ids with the given edges, which must already follow
+        the edge-list rules above."""
+        g = cls.__new__(cls)
+        g.ids, g.i, g.j, g.w = ids, i, j, w
+        return g
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The symmetric n×n weight matrix, built on each access."""
+        out = np.zeros((self.n, self.n))
+        out[self.i, self.j] = out[self.j, self.i] = self.w
+        return out
+
     def degrees(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
+        # each vertex adds its lower neighbours' weights, then its upper ones'
+        ends = np.concatenate([self.j, self.i])
+        return np.bincount(ends, np.concatenate([self.w, self.w]), self.n)
 
     def total_weight(self) -> float:
-        return float(self.weights.sum()) / 2.0
+        return float(self.w.sum())
 
 
 def cocluster_fraction(
@@ -72,7 +95,14 @@ def partition_adjacency(p: Partition) -> WeightedGraph:
     ids = p.ids()
     if not ids:
         raise EmptyInput("empty partition")
-    return WeightedGraph(cocluster_fraction([p], ids))
+    members: dict[str, list[int]] = {}
+    for k, ident in enumerate(ids):
+        members.setdefault(p.assignment[ident], []).append(k)
+    pairs = sorted(
+        pair for grp in members.values() for pair in itertools.combinations(grp, 2)
+    )
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return WeightedGraph.from_edges(ids, i, j, np.ones(len(pairs)))
 
 
 def modularity(g: WeightedGraph, p: Partition) -> float:
@@ -87,16 +117,17 @@ def modularity(g: WeightedGraph, p: Partition) -> float:
         return 0.0
     idx = {ident: k for k, ident in enumerate(g.ids)}
     codes: dict[str, int] = {}
-    rows, cols = [], []
+    # clusters are codes 0..; a vertex p does not assign has a code of its
+    # own past n, so it shares no edge or degree sum with anyone
+    code = list(range(g.n, 2 * g.n))
     for ident, label in p.assignment.items():
-        rows.append(idx[ident])
-        cols.append(codes.setdefault(label, len(codes)))
-    # one-hot membership S: sum_c e_c = tr(S^T W S)/2, d_c = (S^T deg)_c,
-    # so Q = (tr(S^T W S) - |d|^2/2m) / 2m
-    s = np.zeros((g.n, len(codes)))
-    s[rows, cols] = 1.0
-    d = deg @ s
-    return float((np.vdot(s, g.weights @ s) - d @ d / two_m) / two_m)
+        code[idx[ident]] = codes.setdefault(label, len(codes))
+    code = np.array(code)
+    # sum_c e_c is the weight of the edges inside a cluster and d_c sums
+    # its members' degrees: Q = (2 sum_c e_c - |d|^2/2m) / 2m
+    inside = float(g.w[code[g.i] == code[g.j]].sum())
+    d = np.bincount(code, deg)[: len(codes)]
+    return float((2.0 * inside - d @ d / two_m) / two_m)
 
 
 def walktrap_communities(g: WeightedGraph, walk_length: int = 4) -> Partition:
@@ -112,20 +143,22 @@ def walktrap_communities(g: WeightedGraph, walk_length: int = 4) -> Partition:
         raise EmptyInput("empty graph")
     if walk_length < 1:
         raise ValueError("walk_length must be at least 1")
-    deg = g.degrees()
-    active = np.flatnonzero(deg > 0)
-    isolated = [g.ids[k] for k in np.flatnonzero(deg == 0)]
+    active = np.unique(np.concatenate([g.i, g.j]))
     if active.size == 0:
         return Partition.from_clusters([[i] for i in g.ids])
+    isolated = [g.ids[k] for k in np.setdiff1d(np.arange(n), active)]
 
-    sub = g.weights[np.ix_(active, active)]
-    sdeg = deg[active]
+    # the edges renumbered over the active vertices keep i < j and their order
+    na = int(active.size)
+    ea, eb = np.searchsorted(active, g.i), np.searchsorted(active, g.j)
+    sub = np.zeros((na, na))
+    sub[ea, eb] = sub[eb, ea] = g.w
+    sdeg = g.degrees()[active]
     p_t = np.linalg.matrix_power(sub / sdeg[:, None], walk_length)
     # pre-scale columns by 1/sqrt(deg) so the walk distance between two
     # communities is a plain Euclidean norm of profile rows
     profiles = p_t / np.sqrt(sdeg)[None, :]
 
-    na = int(active.size)
     total_m = g.total_weight()
     size: dict[int, int] = {k: 1 for k in range(na)}
     profile: dict[int, np.ndarray] = {k: profiles[k] for k in range(na)}
@@ -133,13 +166,10 @@ def walktrap_communities(g: WeightedGraph, walk_length: int = 4) -> Partition:
     degsum: dict[int, float] = {k: float(sdeg[k]) for k in range(na)}
     neighbors: dict[int, set[int]] = {k: set() for k in range(na)}
     cross: dict[tuple[int, int], float] = {}
-    for a in range(na):
-        for b in range(a + 1, na):
-            w = float(sub[a, b])
-            if w > 0.0:
-                neighbors[a].add(b)
-                neighbors[b].add(a)
-                cross[(a, b)] = w
+    for a, b, w in zip(ea.tolist(), eb.tolist(), g.w.tolist()):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+        cross[(a, b)] = w
 
     def _ord(a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)

@@ -137,7 +137,8 @@ def _scratch(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _count_rows(planes: np.ndarray, rows: Iterable[int], counts: np.ndarray) -> None:
     # Counts each row i against rows i+1.. into its condensed slice of
     # counts; the slices are disjoint, so stripes may run concurrently.
-    # Row 2 of counts holds popcount(v & x0) until pair_counts fixes it up.
+    # Row 2 of counts, when there is one, holds popcount(v & x0) until
+    # pair_counts fixes it up.
     n = planes.shape[2]
     work, pop = _scratch(planes)
     for i in rows:
@@ -147,18 +148,21 @@ def _count_rows(planes: np.ndarray, rows: Iterable[int], counts: np.ndarray) -> 
         )
 
 
-def pair_counts(codes: np.ndarray, threads: int = 1) -> np.ndarray:
+def pair_counts(
+    codes: np.ndarray, threads: int = 1, transitions: bool = True
+) -> np.ndarray:
     """Compared, mismatched and transition site counts of every pair.
 
     codes is an (n, sites) matrix from encode_alignment.  Returns a
     (3, n*(n-1)/2) int32 array whose rows hold compared sites,
-    mismatches and transitions in condensed pair order.  threads splits
-    the rows across a thread pool of at most min(threads, cores, n - 1)
-    workers; the counts do not depend on it.
+    mismatches and transitions in condensed pair order; with
+    transitions=False only the first two rows are counted and returned.
+    threads splits the rows across a thread pool of at most
+    min(threads, cores, n - 1) workers; the counts do not depend on it.
     """
     n = codes.shape[0]
     planes = _pack_planes(codes)
-    counts = np.empty((3, condensed_size(n)), dtype=np.int32)
+    counts = np.empty((3 if transitions else 2, condensed_size(n)), dtype=np.int32)
     workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))
     if workers == 1:
         _count_rows(planes, range(n - 1), counts)
@@ -170,7 +174,8 @@ def pair_counts(codes: np.ndarray, threads: int = 1) -> np.ndarray:
             ]
             for f in futs:
                 f.result()
-    np.subtract(counts[1], counts[2], out=counts[2])
+    if transitions:
+        np.subtract(counts[1], counts[2], out=counts[2])
     return counts
 
 
@@ -260,9 +265,9 @@ class DistanceMatrix:
     values is the condensed upper triangle (row major, float64); NaN marks
     an undefined entry.  capped, when present, flags entries that were
     undefined before a cap policy replaced them.  The condensed layout is
-    private to this module: other modules read it with upper_rows() or
-    square(), write it with from_upper_rows() or from_square(), or pass
-    values to scipy, which shares the layout.
+    private to this module: other modules read it with upper_rows(),
+    nonzero_pairs() or square(), write it with from_upper_rows() or
+    from_square(), or pass values to scipy, which shares the layout.
     """
 
     def __init__(
@@ -349,6 +354,15 @@ class DistanceMatrix:
             out[i, i + 1 :] = out[i + 1 :, i] = row
         return out
 
+    def nonzero_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs whose value is not zero (NaN included) as arrays i, j
+        and value, with i < j, in condensed (row-major) order."""
+        pos = np.flatnonzero(self.values)
+        rows = np.arange(self.n - 1)
+        starts = rows * (2 * self.n - rows - 1) // 2
+        i = np.searchsorted(starts, pos, side="right") - 1
+        return i, pos - starts[i] + i + 1, self.values[pos]
+
     def values_within(self, idx: Iterable[int]) -> np.ndarray:
         """Condensed values for all pairs among the given indices."""
         idx = np.sort(np.fromiter(idx, dtype=np.int64))
@@ -373,13 +387,16 @@ def build_distance_matrix(
         raise ValueError("patristic matrices are built from a tree")
     if len(alignment.records) < 2:
         raise EmptyInput("need at least two sequences")
-    compared, mism, tsc = pair_counts(encode_alignment(alignment), threads)
+    p_only = kind is MatrixKind.P_DISTANCE
+    counts = pair_counts(encode_alignment(alignment), threads, not p_only)
+    compared, mism = counts[0], counts[1]
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is MatrixKind.P_DISTANCE:
+        if p_only:
             vals = mism / compared
             vals[compared == 0] = np.nan
         else:
+            tsc = counts[2]
             p = tsc / compared
             q = (mism - tsc) / compared
             w1 = 1.0 - 2.0 * p - q

@@ -13,6 +13,7 @@ import pytest
 from phyloclust import parse_newick
 from phyloclust.cli import main
 from phyloclust.distance import (
+    DistanceMatrix,
     MatrixKind,
     build_distance_matrix,
     read_matrix_binary,
@@ -21,7 +22,7 @@ from phyloclust.distance import (
 from phyloclust.evaluation import adjusted_rand_index
 from phyloclust.gap import GapConfig, gap_cluster
 from phyloclust.io_formats import load_fasta, load_partition
-from phyloclust.mcmc import load_chain_summary
+from phyloclust.mcmc import linkage_estimate, load_chain_summary
 
 
 def sha(path):
@@ -328,19 +329,41 @@ def test_mcmc_single_seed_layout_unchanged(cohort, tmp_path):
     assert load_partition(out).same_grouping(summary.map_partition)
 
 
-def test_linkage_command(cohort, tmp_path):
-    chains = tmp_path / "chain"
-    main(
+@pytest.fixture(scope="module")
+def chain(cohort, tmp_path_factory):
+    """A chain directory of the shared cohort."""
+    d = tmp_path_factory.mktemp("chain")
+    rc = main(
         ["cluster", "--method", "mcmc", "--tree", str(cohort / "tree.nwk"),
          "--align", str(cohort / "alignment.fasta"),
          "--iterations", "3000", "--burn-in", "500", "--thin", "10",
-         "--chain-dir", str(chains), "--out", str(tmp_path / "m.csv")]
+         "--chain-dir", str(d / "chain"), "--out", str(d / "m.csv")]
     )
+    assert rc == 0
+    return d / "chain"
+
+
+def test_linkage_command(cohort, chain, tmp_path):
     out = tmp_path / "linkage.csv"
-    assert main(["linkage", "--chain-dir", str(chains), "--out", str(out)]) == 0
+    assert main(["linkage", "--chain-dir", str(chain), "--out", str(out)]) == 0
     part = load_partition(out)
     tree = parse_newick((cohort / "tree.nwk").read_text())
     assert sorted(part.ids()) == sorted(tree.tip_labels())
+
+
+def test_linkage_builds_no_square(chain, tmp_path, monkeypatch):
+    """linkage walks the co-clustering graph's edges: neither the command
+    nor linkage_estimate materializes the n×n matrix."""
+    cocluster = read_matrix_binary(chain / "cocluster.bin", MatrixKind.COCLUSTER)
+    assert np.count_nonzero(cocluster.values) > 0  # the graph has edges
+
+    def no_square(self):
+        raise AssertionError("DistanceMatrix.square called")
+
+    monkeypatch.setattr(DistanceMatrix, "square", no_square)
+    out = tmp_path / "linkage.csv"
+    assert main(["linkage", "--chain-dir", str(chain), "--out", str(out)]) == 0
+    assert load_partition(out).same_grouping(linkage_estimate(cocluster))
 
 
 def test_sweep_command(cohort, tmp_path, capsys):

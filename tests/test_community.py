@@ -1,5 +1,6 @@
 """Weighted graphs, modularity, and walktrap communities."""
 
+import heapq
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from phyloclust import Partition
 from phyloclust import MatrixKind
 from phyloclust.community import (
+    WeightedGraph,
     cocluster_fraction,
     modularity,
     partition_adjacency,
@@ -151,9 +153,9 @@ def test_walktrap_matches_exhaustive_max_on_two_cliques():
     """10 vertices is small enough to scan every partition."""
     g = two_cliques(bridge=0.1)
     part = walktrap_communities(g)
+    w = g.weights
     best = max(
-        naive_modularity(g.weights, groups)
-        for groups in set_partitions(list(range(10)))
+        naive_modularity(w, groups) for groups in set_partitions(list(range(10)))
     )
     assert modularity(g, part) == pytest.approx(best, abs=1e-12)
 
@@ -192,3 +194,144 @@ def test_walktrap_beats_trivial_partitions():
     lump = Partition.from_labels(g.ids, ["1"] * 10)
     assert q >= modularity(g, singletons)
     assert q >= modularity(g, lump)
+
+
+def dense_walktrap(weights, ids, walk_length=4):
+    """The walktrap of a dense n×n weight matrix, as the library ran it
+    before the graph became an edge list: degrees are row sums of the
+    square, and the cross weights come from a scan of every active pair."""
+    deg = weights.sum(axis=1)
+    active = np.flatnonzero(deg > 0)
+    isolated = [ids[k] for k in np.flatnonzero(deg == 0)]
+    if active.size == 0:
+        return Partition.from_clusters([[i] for i in ids])
+
+    sub = weights[np.ix_(active, active)]
+    sdeg = deg[active]
+    p_t = np.linalg.matrix_power(sub / sdeg[:, None], walk_length)
+    # pre-scale columns by 1/sqrt(deg) so the walk distance between two
+    # communities is a plain Euclidean norm of profile rows
+    profiles = p_t / np.sqrt(sdeg)[None, :]
+
+    na = int(active.size)
+    total_m = float(weights.sum()) / 2.0
+    size: dict[int, int] = {k: 1 for k in range(na)}
+    profile: dict[int, np.ndarray] = {k: profiles[k] for k in range(na)}
+    internal: dict[int, float] = {k: 0.0 for k in range(na)}
+    degsum: dict[int, float] = {k: float(sdeg[k]) for k in range(na)}
+    neighbors: dict[int, set[int]] = {k: set() for k in range(na)}
+    cross: dict[tuple[int, int], float] = {}
+    for a in range(na):
+        for b in range(a + 1, na):
+            w = float(sub[a, b])
+            if w > 0.0:
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+                cross[(a, b)] = w
+
+    def _ord(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
+    def ward(a: int, b: int) -> float:
+        diff = profile[a] - profile[b]
+        return size[a] * size[b] / (size[a] + size[b]) / na * float(diff @ diff)
+
+    def contrib(k: int) -> float:
+        return internal[k] / total_m - (degsum[k] / (2.0 * total_m)) ** 2
+
+    heap: list[tuple[float, int, int]] = [
+        (ward(a, b), a, b) for (a, b) in cross
+    ]
+    heapq.heapify(heap)
+
+    alive = set(range(na))
+    q_now = sum(contrib(k) for k in alive)
+    q_levels = [q_now]
+    merges: list[tuple[int, int]] = []
+    nxt = na
+    while len(alive) > 1 and heap:
+        _, a, b = heapq.heappop(heap)
+        if a not in alive or b not in alive:
+            continue
+        key = _ord(a, b)
+        c = nxt
+        nxt += 1
+        q_now -= contrib(a) + contrib(b)
+        profile[c] = (size[a] * profile[a] + size[b] * profile[b]) / (
+            size[a] + size[b]
+        )
+        size[c] = size[a] + size[b]
+        internal[c] = internal.pop(a) + internal.pop(b) + cross.pop(key)
+        degsum[c] = degsum.pop(a) + degsum.pop(b)
+        nb = (neighbors.pop(a) | neighbors.pop(b)) - {a, b}
+        neighbors[c] = nb
+        for x in nb:
+            w = cross.pop(_ord(a, x), 0.0) + cross.pop(_ord(b, x), 0.0)
+            cross[_ord(c, x)] = w
+            neighbors[x].discard(a)
+            neighbors[x].discard(b)
+            neighbors[x].add(c)
+        for k in (a, b):
+            del profile[k], size[k]
+        alive.discard(a)
+        alive.discard(b)
+        alive.add(c)
+        q_now += contrib(c)
+        q_levels.append(q_now)
+        merges.append((a, b))
+        for x in neighbors[c]:
+            heapq.heappush(heap, (ward(c, x), *_ord(c, x)))
+
+    best_level = int(np.argmax(q_levels))
+
+    # replay merges up to the best level to recover the membership
+    groups: dict[int, list[int]] = {k: [k] for k in range(na)}
+    nxt = na
+    for a, b in merges[:best_level]:
+        groups[nxt] = groups.pop(a) + groups.pop(b)
+        nxt += 1
+    clusters = [
+        [ids[active[v]] for v in vs] for vs in groups.values()
+    ]
+    clusters.extend([i] for i in isolated)
+    return Partition.from_clusters(clusters)
+
+
+def random_cocluster(rng):
+    """Co-clustering fractions of k in 1..5 random partitions; about a
+    quarter of the ids are alone in every partition, so they are isolated."""
+    n = int(rng.integers(2, 41))
+    ids = [f"id{i}" for i in rng.permutation(n)]
+    alone = rng.random(n) < 0.25
+    parts = []
+    for _ in range(int(rng.integers(1, 6))):
+        labels = rng.integers(0, 1 + n // 3, n)
+        names = [f"solo{i}" if a else f"L{v}"
+                 for i, (a, v) in enumerate(zip(alone, labels))]
+        parts.append(Partition.from_labels(ids, names))
+    return cocluster_fraction(parts, ids)
+
+
+def test_walktrap_matches_dense_oracle():
+    rng = np.random.default_rng(2006)
+    graphs = [random_cocluster(rng) for _ in range(200)]
+    cliques = two_cliques()
+    for dm in graphs:
+        got = walktrap_communities(WeightedGraph(dm))
+        assert got.same_grouping(dense_walktrap(dm.square(), dm.ids)), dm.ids
+    for walk_length in (1, 2, 4, 7):
+        got = walktrap_communities(cliques, walk_length)
+        want = dense_walktrap(cliques.weights, cliques.ids, walk_length)
+        assert got.same_grouping(want)
+
+
+def test_graph_is_the_triangles_nonzero_pairs():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        dm = random_cocluster(rng)
+        g = WeightedGraph(dm)
+        sq = dm.square()
+        assert g.weights.tobytes() == sq.tobytes()
+        assert np.all(g.w > 0) and np.all(g.i < g.j)
+        assert np.allclose(g.degrees(), sq.sum(axis=1), rtol=1e-15, atol=0)
+        assert g.total_weight() == pytest.approx(sq.sum() / 2.0, rel=1e-15)

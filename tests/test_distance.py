@@ -120,6 +120,9 @@ def test_pair_counts_match_site_oracle(sites, n, threads):
     ).T
     counts = pair_counts(encode_alignment(aln), threads)
     assert np.array_equal(counts, oracle)
+    counts = pair_counts(encode_alignment(aln), threads, transitions=False)
+    assert counts.shape == (2, oracle.shape[1])
+    assert np.array_equal(counts, oracle[:2])
     for (x, y), (c, m, t) in zip(itertools.combinations(seqs, 2), oracle.T):
         assert compare_pair(x, y) == distance.PairComparison(c, m, t, m - t)
 
@@ -330,6 +333,50 @@ def test_from_square_inverts_square_bit_for_bit():
         assert dm.num_undefined() > 0
         back = DistanceMatrix.from_square(dm.ids, dm.square(), kind)
         assert back.values.tobytes() == dm.values.tobytes()
+
+
+def _cocluster(n, vals):
+    return DistanceMatrix([f"t{k}" for k in range(n)], np.asarray(vals, float),
+                          MatrixKind.COCLUSTER)
+
+
+def test_nonzero_pairs_two_ids():
+    i, j, w = _cocluster(2, [0.25]).nonzero_pairs()
+    assert i.tolist() == [0] and j.tolist() == [1] and w.tolist() == [0.25]
+    i, j, w = _cocluster(2, [0.0]).nonzero_pairs()
+    assert i.size == j.size == w.size == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 40])
+def test_nonzero_pairs_all_zero(n):
+    i, j, w = _cocluster(n, np.zeros(n * (n - 1) // 2)).nonzero_pairs()
+    assert i.size == j.size == w.size == 0
+    assert np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_nonzero_pairs_first_and_last(n):
+    vals = np.zeros(n * (n - 1) // 2)
+    vals[0], vals[-1] = 0.5, 0.75
+    i, j, w = _cocluster(n, vals).nonzero_pairs()
+    assert list(zip(i.tolist(), j.tolist(), w.tolist())) == [
+        (0, 1, 0.5), (n - 2, n - 1, 0.75)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 5, 23, 64])
+def test_nonzero_pairs_match_square(n):
+    """Every pair of a random triangle, NaN included, in condensed order."""
+    rng = np.random.default_rng(71 + n)
+    vals = rng.random(n * (n - 1) // 2)
+    vals[rng.random(vals.shape) < 0.6] = 0.0
+    vals[rng.random(vals.shape) < 0.05] = np.nan
+    dm = _cocluster(n, vals)
+    i, j, w = dm.nonzero_pairs()
+    sq = dm.square()
+    want = [(a, b) for a, b in itertools.combinations(range(n), 2) if sq[a, b] != 0]
+    assert list(zip(i.tolist(), j.tolist())) == want
+    assert w.tobytes() == sq[i, j].tobytes()
 
 
 def test_threads_do_not_change_values():
