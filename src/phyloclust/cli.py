@@ -4,6 +4,9 @@ Every run writes a manifest JSON beside its primary output recording the
 resolved flags, input digests, seeds, and duration, so a run can be
 reproduced from the manifest alone.  Exit codes: 0 success, 1 data
 error, 2 usage error.
+
+Each handler imports the modules it runs, so a command loads only what
+it uses: `ari`, `growth`, `support` and `consensus` never import numpy.
 """
 
 from __future__ import annotations
@@ -17,48 +20,14 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .distance import (
-    DistanceMatrix,
-    MatrixKind,
-    build_distance_matrix,
-    read_matrix_binary,
-    read_matrix_phylip,
-    write_matrix_binary,
-    write_matrix_phylip,
-)
 from .errors import DataError
-from .evaluation import (
-    ReferenceSet,
-    adjusted_rand_index,
-    cutpoint_sweep,
-    method_cocluster_matrix,
-    reference_ari,
-)
-from .gap import GapConfig, gap_cluster
-from .growth import (
-    GrowthWindow,
-    emit_growth_svg,
-    growth_report,
-    growth_report_tsv,
-    phi_breakdown,
-)
-from .io_formats import (
-    load_fasta,
-    load_metadata,
-    load_newick,
-    load_newick_list,
-    load_partition,
-    write_fasta,
-    write_metadata,
-    write_newick,
-    write_partition,
-)
-from .mcmc import ChainConfig, linkage_estimate, run_chain, save_chain_summary
-from .phylo import annotate_support, majority_consensus, patristic_matrix
-from .simulate import SimConfig, simulate_alignment, simulate_metadata, simulate_tree
-from .threshold import ClusterCriteria, Statistic, threshold_cluster, tip_p_matrix
+from .evaluation import Statistic
+
+if TYPE_CHECKING:
+    from .distance import DistanceMatrix, MatrixKind
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +39,7 @@ _STATISTIC_BY_METHOD = {
 
 
 class _UsageError(Exception):
-    """Bad flag combination; maps to exit code 2."""
+    """Bad flag value or combination; maps to exit code 2."""
 
 _PRESETS: dict[str, dict] = {
     "demo": {"cluster_sizes": (8, 6, 5, 3, 2, 2, 1, 1)},
@@ -144,7 +113,11 @@ def _write_manifest(
 
 def _resolve_threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        if args.threads < 1:
+            raise _UsageError(
+                f"--threads must be a positive integer, got {args.threads}"
+            )
+        return args.threads
     env = os.environ.get("PHYLOCLUST_THREADS")
     if env:
         try:
@@ -160,6 +133,8 @@ def _resolve_threads(args: argparse.Namespace) -> int:
 
 
 def _load_matrix(path: str, kind: MatrixKind) -> DistanceMatrix:
+    from .distance import read_matrix_binary, read_matrix_phylip
+
     if path.endswith(".bin"):
         return read_matrix_binary(path, kind)
     return read_matrix_phylip(path, kind)
@@ -169,6 +144,14 @@ def _load_matrix(path: str, kind: MatrixKind) -> DistanceMatrix:
 
 
 def _cmd_dist(args) -> None:
+    from .distance import (
+        MatrixKind,
+        build_distance_matrix,
+        write_matrix_binary,
+        write_matrix_phylip,
+    )
+    from .io_formats import load_fasta
+
     started = time.monotonic()
     alignment = load_fasta(args.align)
     kind = MatrixKind.P_DISTANCE if args.kind == "p" else MatrixKind.K80
@@ -196,6 +179,13 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_cluster(args) -> None:
+    from .distance import MatrixKind
+    from .evaluation import ClusterCriteria
+    from .gap import GapConfig, gap_cluster
+    from .io_formats import load_fasta, load_newick, write_partition
+    from .mcmc import ChainConfig, run_chain, save_chain_summary
+    from .threshold import threshold_cluster
+
     started = time.monotonic()
     inputs: list[str | Path] = []
     out = Path(args.out)
@@ -276,6 +266,9 @@ def _cmd_cluster(args) -> None:
 
 
 def _cluster_distance_source(args, inputs) -> DistanceMatrix:
+    from .distance import MatrixKind, build_distance_matrix
+    from .io_formats import load_fasta
+
     if args.matrix:
         inputs.append(args.matrix)
         return _load_matrix(args.matrix, MatrixKind.P_DISTANCE)
@@ -289,6 +282,9 @@ def _cluster_distance_source(args, inputs) -> DistanceMatrix:
 
 
 def _cmd_support(args) -> None:
+    from .io_formats import load_newick, load_newick_list, write_newick
+    from .phylo import annotate_support
+
     started = time.monotonic()
     tree = load_newick(args.tree)
     sample = load_newick_list(args.samples)
@@ -298,6 +294,9 @@ def _cmd_support(args) -> None:
 
 
 def _cmd_consensus(args) -> None:
+    from .io_formats import load_newick_list, write_newick
+    from .phylo import majority_consensus
+
     started = time.monotonic()
     sample = load_newick_list(args.samples)
     out = Path(args.out)
@@ -306,6 +305,11 @@ def _cmd_consensus(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
+    from .evaluation import ClusterCriteria, ReferenceSet, cutpoint_sweep
+    from .io_formats import load_fasta, load_newick, load_partition
+    from .phylo import patristic_matrix
+    from .threshold import threshold_cluster, tip_p_matrix
+
     started = time.monotonic()
     tree = load_newick(args.tree)
     alignment = load_fasta(args.align) if args.align else None
@@ -343,6 +347,9 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_ari(args) -> None:
+    from .evaluation import ReferenceSet, adjusted_rand_index, reference_ari
+    from .io_formats import load_partition
+
     started = time.monotonic()
     a = load_partition(args.a)
     b = load_partition(args.b)
@@ -362,6 +369,10 @@ def _cmd_ari(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    from .distance import write_matrix_binary
+    from .evaluation import method_cocluster_matrix
+    from .io_formats import load_partition
+
     started = time.monotonic()
     partitions = [load_partition(p) for p in args.partitions]
     universe = partitions[0].ids()
@@ -371,6 +382,10 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_linkage(args) -> None:
+    from .distance import MatrixKind, read_matrix_binary
+    from .io_formats import write_partition
+    from .mcmc import linkage_estimate
+
     started = time.monotonic()
     matrix = Path(args.chain_dir) / "cocluster.bin"
     cocluster = read_matrix_binary(matrix, MatrixKind.COCLUSTER)
@@ -381,6 +396,15 @@ def _cmd_linkage(args) -> None:
 
 
 def _cmd_growth(args) -> None:
+    from .growth import (
+        GrowthWindow,
+        emit_growth_svg,
+        growth_report,
+        growth_report_tsv,
+        phi_breakdown,
+    )
+    from .io_formats import load_metadata, load_partition
+
     started = time.monotonic()
     part = load_partition(args.partition)
     meta = load_metadata(args.metadata)
@@ -401,6 +425,14 @@ def _cmd_growth(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    from .io_formats import write_fasta, write_metadata, write_newick, write_partition
+    from .simulate import (
+        SimConfig,
+        simulate_alignment,
+        simulate_metadata,
+        simulate_tree,
+    )
+
     started = time.monotonic()
     base = dict(_PRESETS[args.preset]) if args.preset else {}
     if args.cluster_sizes:

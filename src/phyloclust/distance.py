@@ -267,7 +267,8 @@ class DistanceMatrix:
     undefined before a cap policy replaced them.  The condensed layout is
     private to this module: other modules read it with upper_rows(),
     nonzero_pairs() or square(), write it with from_upper_rows() or
-    from_square(), or pass values to scipy, which shares the layout.
+    from_square(), or pass values to evaluation's average-linkage leaf
+    order, which reads them as scipy's condensed form, the same layout.
     """
 
     def __init__(

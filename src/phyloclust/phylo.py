@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
-
-from .distance import DistanceMatrix, MatrixKind
 from .errors import (
     DegenerateTree,
     EmptyInput,
@@ -28,6 +25,9 @@ from .errors import (
     OutgroupNotMonophyletic,
     TipSetMismatch,
 )
+
+if TYPE_CHECKING:
+    from .distance import DistanceMatrix
 
 log = logging.getLogger(__name__)
 
@@ -298,6 +298,10 @@ def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
     node's cross-child blocks: every pair is written once, at its lowest
     common ancestor.
     """
+    import numpy as np
+
+    from .distance import DistanceMatrix, MatrixKind
+
     labels = tree.tip_labels()
     n = len(labels)
     if n < 2:
@@ -380,7 +384,7 @@ def majority_consensus(sample: list[PhyloTree]) -> PhyloTree:
 
     counts: dict[int, int] = {}
     length_sums: dict[int, float] = {}
-    tip_length_sums = np.zeros(n, dtype=np.float64)
+    tip_length_sums = [0.0] * n
     for t in sample:
         if frozenset(t.tip_labels()) != expected:
             raise TipSetMismatch("sample tree tips differ")
@@ -417,7 +421,7 @@ def majority_consensus(sample: list[PhyloTree]) -> PhyloTree:
             parent_mask = _smallest_superset(m, majority)
             nodes[parent_mask].add(node)
     for k, lab in enumerate(labels):
-        tip = Node(lab, float(tip_length_sums[k]) / total)
+        tip = Node(lab, tip_length_sums[k] / total)
         parent_mask = _smallest_superset(1 << k, majority)
         nodes[parent_mask].add(tip)
     return PhyloTree(nodes[full])

@@ -21,9 +21,7 @@ itself is computed only when the two middle values straddle the cutoff.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,30 +39,9 @@ from .errors import (
     TipSetMismatch,
     UnannotatedSupport,
 )
+from .evaluation import ClusterCriteria, Statistic
 from .io_formats import Alignment, Partition
 from .phylo import Node, PhyloTree, patristic_matrix
-
-
-class Statistic(enum.Enum):
-    MAX_PAIRWISE_P = "max-p"
-    MEDIAN_PATRISTIC = "median-patristic"
-    MAX_PATRISTIC = "max-patristic"
-
-
-@dataclass(frozen=True)
-class ClusterCriteria:
-    """Support floor, distance ceiling, and which statistic the ceiling
-    applies to."""
-
-    support_min: float
-    distance_max: float
-    statistic: Statistic
-
-    def __post_init__(self):
-        if not 0.0 <= self.support_min <= 1.0:
-            raise ValueError(f"support_min {self.support_min} outside [0, 1]")
-        if self.distance_max <= 0.0:
-            raise ValueError(f"distance_max {self.distance_max} must be > 0")
 
 
 def percentile_cutoff(tree: PhyloTree, percentile: float) -> float:

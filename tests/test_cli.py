@@ -259,20 +259,97 @@ def test_config_not_flag_defaults_exits_one(tmp_path, capsys, payload):
     assert not (tmp_path / "d").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    probe = (
-        "import sys, phyloclust.cli; "
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    )
+def fresh_python(code, *args):
+    """Standard output of `code` run in a new interpreter on these sources."""
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    probe = (
+        "import sys, phyloclust.cli; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    assert fresh_python(probe) == "False"
+
+
+def test_package_import_loads_no_submodule():
+    probe = (
+        "import sys, phyloclust; "
+        "print([m for m in sys.modules if m.startswith('phyloclust.')])"
+    )
+    assert fresh_python(probe) == "[]"
+
+
+def test_public_names_are_their_modules_own():
+    import importlib
+
+    import phyloclust
+
+    for name in phyloclust.__all__:
+        obj = getattr(phyloclust, name)
+        assert obj.__module__.startswith("phyloclust."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+_COMMAND_PROBE = """
+import json, sys
+from phyloclust.cli import main
+
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    roots = {m.split(".")[0] for m in sys.modules}
+    loaded.append([argv[0], sorted(roots & {"numpy", "scipy"})])
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_import_only_what_they_run(cohort, tmp_path):
+    """ari, growth, support and consensus load no numpy; no command loads
+    scipy.  Commands run in this order in one new interpreter, so what is
+    loaded after a command was loaded by it or by one before it."""
+    tree, align = str(cohort / "tree.nwk"), str(cohort / "alignment.fasta")
+    planted = str(cohort / "planted.csv")
+    samples = tmp_path / "samples.nwk"
+    samples.write_text((cohort / "tree.nwk").read_text() * 2)
+    out = lambda name: str(tmp_path / name)  # noqa: E731
+    text_only = [
+        ["ari", "--a", planted, "--b", planted],
+        ["growth", "--partition", planted, "--metadata", str(cohort / "metadata.csv"),
+         "--out", out("growth.tsv")],
+        ["support", "--tree", tree, "--samples", str(samples), "--out", out("s.nwk")],
+        ["consensus", "--samples", str(samples), "--out", out("c.nwk")],
+    ]
+    rest = [
+        ["dist", "--align", align, "--binary", "--out", out("p.bin")],
+        ["cluster", "--method", "maxp", "--tree", tree, "--matrix", out("p.bin"),
+         "--out", out("maxp.csv")],
+        ["cluster", "--method", "gap", "--matrix", out("p.bin"),
+         "--out", out("gap.csv")],
+        ["cluster", "--method", "mcmc", "--tree", tree, "--align", align,
+         "--iterations", "300", "--burn-in", "100", "--thin", "100",
+         "--chain-dir", out("chain"), "--out", out("mcmc.csv")],
+        ["linkage", "--chain-dir", out("chain"), "--out", out("linkage.csv")],
+        ["sweep", "--tree", tree, "--ref", planted, "--method", "maxpatristic",
+         "--out", out("sweep.tsv")],
+        ["compare", "--partitions", out("maxp.csv"), out("gap.csv"), planted,
+         "--out", out("cocluster.bin")],
+        ["simulate", "--cluster-sizes", "3,2", "--seed", "1", "--out-dir", out("sim")],
+    ]
+    printed = fresh_python(_COMMAND_PROBE, json.dumps(text_only + rest))
+    loaded = json.loads(printed.splitlines()[-1])
+    assert [name for name, _ in loaded] == [argv[0] for argv in text_only + rest]
+    expect = [[]] * len(text_only) + [["numpy"]] * len(rest)
+    assert [modules for _, modules in loaded] == expect
 
 
 def test_reruns_byte_identical_and_inputs_untouched(cohort, tmp_path):
@@ -462,6 +539,17 @@ def test_bad_thread_env_exits_two(cohort, tmp_path, monkeypatch, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bad_threads_flag_exits_two(cohort, tmp_path, capsys, value):
+    out = tmp_path / "dm.phy"
+    rc = main(["--threads", value, "dist", "--align", str(cohort / "alignment.fasta"),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _cut_header(path):
     path.write_bytes(path.read_bytes()[:9])
 
@@ -494,16 +582,16 @@ def test_malformed_phylip_count_exits_one(cohort, tmp_path, capsys):
 @pytest.fixture
 def build_threads(monkeypatch):
     """The threads argument of every whole-matrix build from an alignment."""
-    from phyloclust import cli, threshold
+    from phyloclust import distance, threshold
 
     calls = []
-    real = threshold.build_distance_matrix
+    real = distance.build_distance_matrix
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("threads"))
         return real(*args, **kwargs)
 
-    for module in (cli, threshold):
+    for module in (distance, threshold):
         monkeypatch.setattr(module, "build_distance_matrix", counted)
     return calls
 

@@ -9,6 +9,7 @@ from phyloclust import Partition
 from phyloclust.errors import EmptyPartition, IdSetMismatch
 from phyloclust.evaluation import (
     ReferenceSet,
+    _average_leaf_order,
     adjusted_rand_index,
     cutpoint_sweep,
     method_cocluster_matrix,
@@ -305,6 +306,35 @@ def test_cocluster_matches_square_and_permute_reference():
         ref_ids, ref_vals = square_and_permute_cocluster(parts, ids)
         assert dm.ids == ref_ids, trial
         assert dm.values.tobytes() == ref_vals.tobytes(), trial
+
+
+def cocluster_dissent(rng, n, k):
+    """1 - co-clustering fraction of k random partitions over n ids, as a
+    condensed triangle: few distinct values, so full of ties."""
+    labels = [rng.integers(0, rng.integers(1, n + 1), n) for _ in range(k)]
+    same = sum(lab[:, None] == lab[None, :] for lab in labels)
+    return 1.0 - same[np.triu_indices(n, k=1)] / k
+
+
+def test_average_leaf_order_matches_scipy():
+    """Same leaf order as scipy's average linkage, ties included."""
+    from scipy.cluster.hierarchy import leaves_list, linkage
+
+    rng = np.random.default_rng(67)
+    cases = []
+    for trial in range(240):
+        n = int(rng.integers(3, 61))
+        if trial % 3 == 0:
+            y = cocluster_dissent(rng, n, trial % 4 + 1)
+        elif trial % 3 == 1:
+            y = np.round(rng.random(n * (n - 1) // 2), trial % 2 + 1)
+        else:
+            y = np.full(n * (n - 1) // 2, 0.5)
+        cases.append((n, y))
+    cases.append((503, cocluster_dissent(rng, 503, 3)))
+    for trial, (n, y) in enumerate(cases):
+        expect = leaves_list(linkage(y, method="average")).tolist()
+        assert _average_leaf_order(y.copy(), n) == expect, (trial, n)
 
 
 def test_summary_hand_example():
