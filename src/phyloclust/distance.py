@@ -142,7 +142,7 @@ def _count_rows(planes: np.ndarray, rows: Iterable[int], counts: np.ndarray) -> 
     n = planes.shape[2]
     work, pop = _scratch(planes)
     for i in rows:
-        lo = condensed_index(n, i, i + 1)
+        lo = _row_shift(n, i) + i + 1
         _count_against(
             planes, i, slice(i + 1, n), work, pop, counts[:, lo : lo + n - 1 - i]
         )
@@ -252,11 +252,22 @@ def condensed_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def condensed_index(n: int, i: int, j: int) -> int:
-    """Position of pair (i, j), i < j, in a condensed upper triangle."""
-    if i > j:
-        i, j = j, i
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+# Pairs per block read: a read of k pairs takes a few arrays of k integers.
+BLOCK_PAIRS = 65_536
+
+
+def row_chunks(r0: int, r1: int, width: int) -> Iterator[tuple[int, int]]:
+    """Runs [a, b) that split rows r0..r1 of width columns into blocks of
+    about BLOCK_PAIRS pairs."""
+    step = max(1, BLOCK_PAIRS // width)
+    for a in range(r0, r1, step):
+        yield a, min(a + step, r1)
+
+
+def _row_shift(n, i):
+    # The pair (i, j), i < j, of n ids sits at _row_shift(n, i) + j in the
+    # condensed triangle; i is an int or an integer array.
+    return i * (2 * n - i - 3) // 2 - 1
 
 
 class DistanceMatrix:
@@ -266,9 +277,9 @@ class DistanceMatrix:
     an undefined entry.  capped, when present, flags entries that were
     undefined before a cap policy replaced them.  The condensed layout is
     private to this module: other modules read it with upper_rows(),
-    nonzero_pairs() or square(), write it with from_upper_rows() or
-    from_square(), or pass values to evaluation's average-linkage leaf
-    order, which reads them as scipy's condensed form, the same layout.
+    nonzero_pairs() or block_reader() and write it with from_upper_rows();
+    phylo's patristic fill and evaluation's average-linkage leaf order
+    (scipy's condensed form, the same layout) place pairs with _row_shift.
     """
 
     def __init__(
@@ -302,25 +313,13 @@ class DistanceMatrix:
     def get(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
-        return float(self.values[condensed_index(self.n, i, j)])
-
-    def get_by_id(self, a: str, b: str) -> float:
-        return self.get(self._index[a], self._index[b])
+        return float(self.values[_row_shift(self.n, min(i, j)) + max(i, j)])
 
     def index_of(self, ident: str) -> int:
         return self._index[ident]
 
     def num_undefined(self) -> int:
         return int(np.count_nonzero(np.isnan(self.values)))
-
-    @classmethod
-    def from_square(
-        cls, ids: list[str], sq: np.ndarray, kind: MatrixKind
-    ) -> "DistanceMatrix":
-        """Condense the upper triangle of a square matrix whose rows follow
-        ids; the diagonal and the lower triangle are not read."""
-        rows = (row[i + 1 :] for i, row in enumerate(sq))
-        return cls.from_upper_rows(ids, rows, kind)
 
     @classmethod
     def from_upper_rows(
@@ -348,27 +347,51 @@ class DistanceMatrix:
             yield self.values[lo:hi]
             lo = hi
 
-    def square(self) -> np.ndarray:
-        """Materialize the full symmetric matrix (zero diagonal)."""
-        out = np.zeros((self.n, self.n), dtype=np.float64)
-        for i, row in enumerate(self.upper_rows()):
-            out[i, i + 1 :] = out[i + 1 :, i] = row
-        return out
+    def block_reader(
+        self, ids: list[str]
+    ) -> Callable[[int, int, int, int], np.ndarray]:
+        """Blocks of the full symmetric matrix over an order of its ids.
+
+        The returned read(r0, r1, c0, c1) gives the (r1 - r0, c1 - c0)
+        block of ids[r0:r1] against ids[c0:c1], 0 where an id meets itself,
+        as p_block_reader's read does.  The block is a transposed view, and
+        its gather takes a few integer arrays of its size: read a large
+        block in row_chunks.
+        """
+        n, values = self.n, self.values
+        order = np.array([self._index[i] for i in ids], dtype=np.int64)
+        shift = _row_shift(n, order)
+        ascending = bool(np.all(order[1:] > order[:-1]))
+
+        def read(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+            a, b = order[c0:c1, None], order[r0:r1]
+            if ascending and c1 <= r0:  # every column id before every row id
+                return values[shift[c0:c1, None] + b].T
+            if ascending and r1 <= c0:
+                return values[shift[r0:r1] + a].T
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            # a cell of an id against itself reads a stand-in, then 0
+            pos = _row_shift(n, lo) + hi
+            out = values[pos] if values.size else np.zeros(pos.shape)
+            out[lo == hi] = 0.0
+            return out.T
+
+        return read
 
     def nonzero_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pairs whose value is not zero (NaN included) as arrays i, j
         and value, with i < j, in condensed (row-major) order."""
         pos = np.flatnonzero(self.values)
         rows = np.arange(self.n - 1)
-        starts = rows * (2 * self.n - rows - 1) // 2
-        i = np.searchsorted(starts, pos, side="right") - 1
-        return i, pos - starts[i] + i + 1, self.values[pos]
+        shift = _row_shift(self.n, rows)
+        i = np.searchsorted(shift + rows + 1, pos, side="right") - 1
+        return i, pos - shift[i], self.values[pos]
 
     def values_within(self, idx: Iterable[int]) -> np.ndarray:
         """Condensed values for all pairs among the given indices."""
         idx = np.sort(np.fromiter(idx, dtype=np.int64))
         a, b = (idx[k] for k in np.triu_indices(len(idx), k=1))
-        return self.values[a * (2 * self.n - a - 1) // 2 + (b - a - 1)]
+        return self.values[_row_shift(self.n, a) + b]
 
 
 def build_distance_matrix(
@@ -430,11 +453,13 @@ def build_distance_matrix(
 
 def write_matrix_phylip(dm: DistanceMatrix, path: str | Path) -> None:
     """Square whitespace-separated matrix with a leading count line."""
-    sq = dm.square()
+    read = dm.block_reader(dm.ids)
     cells = " ".join(["%.10g"] * dm.n)  # "nan" for an undefined cell
     with open(path, "w") as fh:
         fh.write(f"{dm.n}\n")
-        for ident, row in zip(dm.ids, sq):
+        # row i: its column of the triangle, gathered, 0, then its slice
+        for i, (ident, right) in enumerate(zip(dm.ids, [*dm.upper_rows(), []])):
+            row = np.concatenate([read(i, i + 1, 0, i)[0], [0.0], right])
             fh.write(f"{ident}  {cells % tuple(row.tolist())}\n")
 
 
@@ -451,8 +476,9 @@ def read_matrix_phylip(
             raise MalformedMatrix(
                 f"{path}: count line {header[0]!r} is not an integer"
             ) from None
-        ids = []
-        rows = []
+        ids: list[str] = []
+        values = np.empty(0, dtype=np.float64)
+        lo = 0
         for line in fh:
             parts = line.split()
             if not parts:
@@ -462,17 +488,21 @@ def read_matrix_phylip(
                     f"{path}: row {parts[0]!r} has {len(parts) - 1} cells, "
                     f"expected {n}"
                 )
-            ids.append(parts[0])
             try:
-                rows.append([float(v) for v in parts[1:]])
+                row = np.array(parts[1:], dtype=np.float64)
             except ValueError:
                 raise MalformedMatrix(
                     f"{path}: row {parts[0]!r} holds a non-numeric cell"
                 ) from None
+            if not ids:  # allocated once a row of n cells backs the count
+                values = np.empty(condensed_size(n), dtype=np.float64)
+            right = row[len(ids) + 1 :]  # the cells right of the diagonal
+            values[lo : lo + right.size] = right
+            lo += right.size
+            ids.append(parts[0])
     if len(ids) != n:
         raise MalformedMatrix(f"{path}: expected {n} rows, found {len(ids)}")
-    sq = np.asarray(rows, dtype=np.float64).reshape(n, n)
-    return DistanceMatrix.from_square(ids, sq, kind)
+    return DistanceMatrix(ids, values, kind)
 
 
 def write_matrix_binary(dm: DistanceMatrix, path: str | Path) -> None:

@@ -232,9 +232,11 @@ def _average_leaf_order(dissent: np.ndarray, n: int) -> list[int]:
     """
     import numpy as np
 
+    from .distance import _row_shift
+
     rows = np.arange(n)
     # the pair (i, j), i < j, sits at base[i] + j
-    base = rows * (2 * n - rows - 3) // 2 - 1
+    base = _row_shift(n, rows)
     # ids of the clusters not yet merged away, ascending; in a live row,
     # the columns of merged-away clusters hold inf
     live = rows

@@ -35,14 +35,6 @@ class GapConfig:
             )
 
 
-def _check_defined(dm: DistanceMatrix, sq: np.ndarray) -> None:
-    # sq is dm.square(): its first NaN in row-major order has i < j
-    bad = np.isnan(sq)
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), dm.n)
-        raise UndefinedDistance(dm.ids[i], dm.ids[j])
-
-
 def _row_cut(row: np.ndarray, q: float) -> float:
     """The distance at or under which one row's others are its friends.
 
@@ -71,12 +63,6 @@ def gap_cluster(dm: DistanceMatrix, config: GapConfig = GapConfig()) -> Partitio
     n = dm.n
     if n < 2:
         raise EmptyInput("gap clustering needs at least two sequences")
-    sq = dm.square()
-    _check_defined(dm, sq)
-    np.fill_diagonal(sq, -np.inf)  # self sorts first even among zero ties
-    sq.sort(axis=1)
-    cut = np.array([_row_cut(row[1:], config.search_quantile) for row in sq])
-
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -90,10 +76,19 @@ def gap_cluster(dm: DistanceMatrix, config: GapConfig = GapConfig()) -> Partitio
         if ra != rb:
             parent[rb] = ra
 
-    # pair (i, k) is linked when either end counts the other as a friend
-    for i, row in enumerate(dm.upper_rows()):
-        for k in np.flatnonzero(row <= np.maximum(cut[i], cut[i + 1 :])).tolist():
-            union(i, i + 1 + k)
+    read = dm.block_reader(dm.ids)
+    # row i's distances to the others: its column of the triangle, gathered,
+    # then its slice of the triangle
+    for i, right in enumerate([*dm.upper_rows(), []]):
+        row = np.concatenate([read(i, i + 1, 0, i)[0], right])
+        ordered = np.sort(row)
+        if ordered[-1] != ordered[-1]:  # NaN sorts last; no earlier row had one
+            j = i + 1 + int(np.argmax(np.isnan(right)))
+            raise UndefinedDistance(dm.ids[i], dm.ids[j])
+        # a pair is linked when either end counts the other as a friend
+        cut = _row_cut(ordered, config.search_quantile)
+        for k in np.flatnonzero(row <= cut).tolist():
+            union(i, k + (k >= i))
 
     groups: dict[int, list[str]] = {}
     for i in range(n):

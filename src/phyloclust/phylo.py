@@ -295,18 +295,19 @@ def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
     """Sum of branch lengths along the path between every tip pair.
 
     Missing lengths count as zero.  One postorder pass fills each internal
-    node's cross-child blocks: every pair is written once, at its lowest
-    common ancestor.
+    node's cross-child blocks, in row chunks: every pair is written once,
+    at its lowest common ancestor.
     """
     import numpy as np
 
-    from .distance import DistanceMatrix, MatrixKind
+    from .distance import DistanceMatrix, MatrixKind, _row_shift, row_chunks
 
     labels = tree.tip_labels()
     n = len(labels)
     if n < 2:
         raise DegenerateTree("patristic distances need at least two tips")
-    sq = np.zeros((n, n), dtype=np.float64)
+    values = np.empty(n * (n - 1) // 2, dtype=np.float64)
+    shift = _row_shift(n, np.arange(n))
     spans = tree.tip_spans()
 
     # path length from each tip below a node up to that node
@@ -322,11 +323,11 @@ def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
             for b in range(a + 1, len(parts)):
                 (alo, ahi), da = parts[a]
                 (blo, bhi), db = parts[b]
-                block = da[:, None] + db[None, :]
-                sq[alo:ahi, blo:bhi] = block
-                sq[blo:bhi, alo:ahi] = block.T
+                for r0, r1 in row_chunks(alo, ahi, bhi - blo):
+                    at = shift[r0:r1, None] + np.arange(blo, bhi)
+                    values[at] = da[r0 - alo : r1 - alo, None] + db
         up[id(node)] = np.concatenate([d for _, d in parts])
-    return DistanceMatrix.from_square(labels, sq, MatrixKind.PATRISTIC)
+    return DistanceMatrix(labels, values, MatrixKind.PATRISTIC)
 
 
 # ---------------------------------------------------------- support values

@@ -10,8 +10,10 @@ Every clade's diameter (its largest within-clade distance) and, for the
 median, its number of pairs at or under the cutoff come from one
 postorder pass, which reads each pair once, at its tips' lowest common
 ancestor, as a block between one child's tips and its earlier siblings'.
-The blocks come from a precomputed matrix or, for max-p from an
-alignment, from the pair-count kernel on demand.  The maximum statistics
+The blocks come from one reader, read in row chunks: a matrix's
+DistanceMatrix.block_reader gathers them from its condensed triangle,
+and for max-p from an alignment p_block_reader computes them with the
+pair-count kernel on demand.  The maximum statistics
 compare the diameter with the cutoff, so the pass reads a clade's blocks
 only when all its children pass and stops at the first block that fails:
 from an alignment it computes only those pairs.  A median passes at once
@@ -32,6 +34,7 @@ from .distance import (
     build_distance_matrix,
     encode_alignment,
     p_block_reader,
+    row_chunks,
 )
 from .errors import (
     DegenerateTree,
@@ -81,25 +84,9 @@ def threshold_cluster(
 
     cutoff = criteria.distance_max
     median = criteria.statistic is Statistic.MEDIAN_PATRISTIC
-    if criteria.statistic is Statistic.MAX_PAIRWISE_P and isinstance(
-        source, Alignment
-    ):
-        sq = None  # only the median reads a clade's values
-        read = p_block_reader(encode_alignment(_tip_alignment(source, labels)))
-
-        def block(lo: int, clo: int, chi: int) -> np.ndarray:
-            return read(clo, chi, lo, clo)
-
-    else:
-        sq = _tip_square(
-            _resolve_matrix(tree, source, criteria.statistic, labels), labels
-        )
-
-        def block(lo: int, clo: int, chi: int) -> np.ndarray:
-            return sq[clo:chi, lo:clo]
-
+    read = _block_reader(tree, source, criteria.statistic, labels)
     spans = tree.tip_spans()
-    stats = _diameters(tree, spans, block, cutoff, median)
+    stats = _diameters(tree, spans, read, cutoff, median)
 
     clusters: list[list[str]] = []
     stack: list[Node] = [tree.root]
@@ -109,7 +96,7 @@ def threshold_cluster(
         support = 1.0 if node is tree.root else (node.support or 0.0)
         if hi - lo < 2 or (
             support >= criteria.support_min
-            and _clade_passes(sq, lo, hi, *stats[id(node)], cutoff, median)
+            and _clade_passes(read, lo, hi, *stats[id(node)], cutoff, median)
         ):
             clusters.append(labels[lo:hi])
         else:
@@ -117,23 +104,10 @@ def threshold_cluster(
     return Partition.from_clusters(clusters)
 
 
-def _tip_square(dm: DistanceMatrix, labels: list[str]) -> np.ndarray:
-    """dm as a square whose rows and columns follow labels.
-
-    Callers pass dm as a temporary, so a matrix built for this call is
-    freed once its square exists.
-    """
-    sq = dm.square()
-    if dm.ids != labels:
-        perm = [dm.index_of(lab) for lab in labels]
-        sq = sq[np.ix_(perm, perm)]
-    return sq
-
-
 def _diameters(
     tree: PhyloTree,
     spans: dict[int, tuple[int, int]],
-    block: Callable[[int, int, int], np.ndarray],
+    read: Callable[[int, int, int, int], np.ndarray],
     cutoff: float,
     median: bool,
 ) -> dict[int, tuple[float, int]]:
@@ -145,11 +119,12 @@ def _diameters(
 
     A node's statistics combine its children's with the blocks between
     each child and the children before it, so each pair is read once:
-    block(lo, clo, chi) returns the distances of tips [clo, chi) to tips
-    [lo, clo).  NaN is kept explicitly: `max` is order-dependent on it.
-    For the max statistics a clade fails as soon as one child or block
-    does, and its blocks are read only when every child passes; a failed
-    clade records a failing lower bound of its diameter, or NaN.
+    read(clo, chi, lo, clo) returns the distances of tips [clo, chi) to
+    tips [lo, clo), in row chunks.  NaN is kept explicitly: `max` is
+    order-dependent on it.  For the max statistics a clade fails as soon
+    as one child or chunk does, and its blocks are read only when every
+    child passes; a failed clade records a failing lower bound of its
+    diameter, or NaN.
     """
     stats: dict[int, tuple[float, int]] = {}
     for node in tree.postorder():
@@ -166,20 +141,23 @@ def _diameters(
         d, under = kids[0]
         for child, (child_d, child_under) in zip(node.children[1:], kids[1:]):
             clo, chi = spans[id(child)]
-            b = block(lo, clo, chi)
-            if median:
-                under += child_under + int(np.count_nonzero(b <= cutoff))
-            for m in (child_d, float(b.max())):
-                if d == d and not (m <= d):  # a NaN d stays; a NaN m wins
-                    d = m
-            if not median and not d <= cutoff:
-                break
+            under += child_under
+            # a NaN d stays, and a NaN from a child or a block wins
+            d = d if d != d or child_d <= d else child_d
+            for r0, r1 in row_chunks(clo, chi, clo - lo):
+                if not (median or d <= cutoff):
+                    break
+                b = read(r0, r1, lo, clo)
+                if median:
+                    under += int(np.count_nonzero(b <= cutoff))
+                m = float(b.max())
+                d = d if d != d or m <= d else m
         stats[id(node)] = (d, under)
     return stats
 
 
 def _clade_passes(
-    sq: np.ndarray,
+    read: Callable[[int, int, int, int], np.ndarray],
     lo: int,
     hi: int,
     diameter: float,
@@ -202,7 +180,10 @@ def _clade_passes(
     pairs = m * (m - 1) // 2
     if 2 * under != pairs:
         return 2 * under > pairs
-    vals = sq[lo:hi, lo:hi][np.triu_indices(m, k=1)]
+    chunks = row_chunks(lo, hi, m)
+    vals = np.concatenate(
+        [read(a, b, a, hi)[np.triu_indices(b - a, 1, hi - a)] for a, b in chunks]
+    )
     return float(np.median(vals)) <= cutoff
 
 
@@ -227,37 +208,27 @@ def _tip_alignment(alignment: Alignment, labels: list[str]) -> Alignment:
     return alignment.subset(labels)
 
 
-def _resolve_matrix(
+def _block_reader(
     tree: PhyloTree,
     source: Alignment | DistanceMatrix | None,
     statistic: Statistic,
     labels: list[str],
-) -> DistanceMatrix:
-    if statistic is Statistic.MAX_PAIRWISE_P:
-        if isinstance(source, DistanceMatrix):
-            if source.kind is not MatrixKind.P_DISTANCE:
-                raise ValueError(
-                    f"{statistic.value} needs p-distances, got {source.kind.value}"
-                )
-            _check_ids(source, labels)
-            return source
-        raise MissingSequence("an alignment or p-distance matrix is required")
-    # patristic statistics
-    if source is None:
-        return patristic_matrix(tree)
-    if isinstance(source, DistanceMatrix):
-        if source.kind is not MatrixKind.PATRISTIC:
-            raise ValueError(
-                f"{statistic.value} needs patristic distances, "
-                f"got {source.kind.value}"
-            )
-        _check_ids(source, labels)
-        return source
-    raise ValueError("patristic statistics take a DistanceMatrix or None")
-
-
-def _check_ids(dm: DistanceMatrix, labels: list[str]) -> None:
-    have = set(dm.ids)
+) -> Callable[[int, int, int, int], np.ndarray]:
+    """The statistic's distances among the tips, in label order."""
+    p = statistic is Statistic.MAX_PAIRWISE_P
+    if p and isinstance(source, Alignment):
+        return p_block_reader(encode_alignment(_tip_alignment(source, labels)))
+    if not p and source is None:
+        source = patristic_matrix(tree)
+    if not isinstance(source, DistanceMatrix):
+        if p:
+            raise MissingSequence("an alignment or p-distance matrix is required")
+        raise ValueError("patristic statistics take a DistanceMatrix or None")
+    if source.kind is not (MatrixKind.P_DISTANCE if p else MatrixKind.PATRISTIC):
+        name = "p-distances" if p else "patristic distances"
+        raise ValueError(f"{statistic.value} needs {name}, got {source.kind.value}")
+    have = set(source.ids)
     for lab in labels:
         if lab not in have:
             raise TipSetMismatch(f"matrix is missing tip {lab!r}")
+    return source.block_reader(labels)

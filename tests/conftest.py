@@ -16,6 +16,17 @@ def square_dm(ids, arr, kind=MatrixKind.P_DISTANCE):
     return DistanceMatrix(list(ids), arr[iu].copy(), kind)
 
 
+def dense(dm):
+    """dm as its full symmetric n×n array with a zero diagonal, the
+    reference that tests hold the condensed readers to."""
+    n = dm.n
+    out = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    out[iu] = dm.values
+    out.T[iu] = dm.values
+    return out
+
+
 def weighted_graph(ids, arr):
     """WeightedGraph whose edge weights are the upper triangle of arr."""
     return WeightedGraph(square_dm(ids, arr, MatrixKind.COCLUSTER))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from phyloclust import parse_newick
 from phyloclust.cli import main
 from phyloclust.distance import (
-    DistanceMatrix,
     MatrixKind,
     build_distance_matrix,
     read_matrix_binary,
@@ -426,21 +426,68 @@ def test_linkage_command(cohort, chain, tmp_path):
     part = load_partition(out)
     tree = parse_newick((cohort / "tree.nwk").read_text())
     assert sorted(part.ids()) == sorted(tree.tip_labels())
-
-
-def test_linkage_builds_no_square(chain, tmp_path, monkeypatch):
-    """linkage walks the co-clustering graph's edges: neither the command
-    nor linkage_estimate materializes the n×n matrix."""
     cocluster = read_matrix_binary(chain / "cocluster.bin", MatrixKind.COCLUSTER)
     assert np.count_nonzero(cocluster.values) > 0  # the graph has edges
+    assert part.same_grouping(linkage_estimate(cocluster))
 
-    def no_square(self):
-        raise AssertionError("DistanceMatrix.square called")
 
-    monkeypatch.setattr(DistanceMatrix, "square", no_square)
-    out = tmp_path / "linkage.csv"
-    assert main(["linkage", "--chain-dir", str(chain), "--out", str(out)]) == 0
-    assert load_partition(out).same_grouping(linkage_estimate(cocluster))
+@pytest.fixture(scope="module")
+def big_cohort(tmp_path_factory):
+    """A 1,000-sequence cohort with its p-matrix in both formats and a
+    short chain."""
+    d = tmp_path_factory.mktemp("big")
+    sizes = ",".join(["10"] * 20 + ["3"] * 100 + ["1"] * 500)
+    assert main(["simulate", "--cluster-sizes", sizes, "--seq-length", "200",
+                 "--seed", "3", "--out-dir", str(d)]) == 0
+    aln = str(d / "alignment.fasta")
+    assert main(["dist", "--align", aln, "--binary", "--out", str(d / "p.bin")]) == 0
+    assert main(["dist", "--align", aln, "--out", str(d / "p.phy")]) == 0
+    assert main(["cluster", "--method", "mcmc", "--tree", str(d / "tree.nwk"),
+                 "--align", aln, "--iterations", "400", "--burn-in", "200",
+                 "--thin", "20", "--seed", "1", "--chain-dir", str(d / "chain"),
+                 "--out", str(d / "mcmc.csv")]) == 0
+    return d
+
+
+# each matrix command, and the bytes per n² it may hold: under the n×n
+# square's 8, of which the condensed triangle takes 4; a p-matrix built
+# from the alignment also holds its int32 pair counts, 4 more
+_MATRIX_COMMANDS = {
+    "gap-bin": ("cluster --method gap --matrix {d}/p.bin", 8),
+    "gap-phy": ("cluster --method gap --matrix {d}/p.phy", 8),
+    "maxp-bin": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.bin", 8),
+    "maxp-phy": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.phy", 8),
+    "medianpatristic": ("cluster --method medianpatristic --tree {d}/tree.nwk", 8),
+    "maxpatristic": ("cluster --method maxpatristic --tree {d}/tree.nwk", 8),
+    "sweep-medianpatristic": (
+        "sweep --method medianpatristic --tree {d}/tree.nwk --ref {d}/planted.csv",
+        8,
+    ),
+    "sweep-maxp": (
+        "sweep --tree {d}/tree.nwk --ref {d}/planted.csv --align {d}/alignment.fasta",
+        12,
+    ),
+    "dist-phylip": ("dist --align {d}/alignment.fasta", 12),
+    "linkage": ("linkage --chain-dir {d}/chain", 8),
+}
+
+
+@pytest.mark.parametrize("name", list(_MATRIX_COMMANDS))
+def test_matrix_commands_build_no_square(big_cohort, tmp_path, name):
+    """No matrix command materializes the n×n matrix: traced allocations
+    peak below the bound, which one n×n float64 square on top of what the
+    command holds would exceed.  The fixture has already loaded every
+    module the commands import."""
+    command, per_n2 = _MATRIX_COMMANDS[name]
+    argv = command.format(d=big_cohort).split() + ["--out", str(tmp_path / "out")]
+    n = 1000
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_n2 * n * n, (name, peak / (n * n))
 
 
 def test_sweep_command(cohort, tmp_path, capsys):

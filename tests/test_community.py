@@ -16,7 +16,7 @@ from phyloclust.community import (
     walktrap_communities,
 )
 
-from conftest import weighted_graph
+from conftest import dense, weighted_graph
 
 
 def two_cliques(bridge=0.1):
@@ -123,7 +123,7 @@ def test_cocluster_fraction_matches_pair_loop():
             assert dm.ids == ids and dm.kind is MatrixKind.COCLUSTER
             ref = pair_loop_fraction(parts, ids)
             np.fill_diagonal(ref, 0.0)
-            assert dm.square().tobytes() == ref.tobytes(), (k, n)
+            assert dense(dm).tobytes() == ref.tobytes(), (k, n)
 
 
 def test_modularity_matches_naive():
@@ -318,7 +318,7 @@ def test_walktrap_matches_dense_oracle():
     cliques = two_cliques()
     for dm in graphs:
         got = walktrap_communities(WeightedGraph(dm))
-        assert got.same_grouping(dense_walktrap(dm.square(), dm.ids)), dm.ids
+        assert got.same_grouping(dense_walktrap(dense(dm), dm.ids)), dm.ids
     for walk_length in (1, 2, 4, 7):
         got = walktrap_communities(cliques, walk_length)
         want = dense_walktrap(cliques.weights, cliques.ids, walk_length)
@@ -330,7 +330,7 @@ def test_graph_is_the_triangles_nonzero_pairs():
     for _ in range(20):
         dm = random_cocluster(rng)
         g = WeightedGraph(dm)
-        sq = dm.square()
+        sq = dense(dm)
         assert g.weights.tobytes() == sq.tobytes()
         assert np.all(g.w > 0) and np.all(g.i < g.j)
         assert np.allclose(g.degrees(), sq.sum(axis=1), rtol=1e-15, atol=0)

@@ -18,7 +18,6 @@ from phyloclust import (
 from phyloclust import distance
 from phyloclust.distance import (
     compare_pair,
-    condensed_index,
     encode_alignment,
     k80_distance,
     p_distance,
@@ -29,6 +28,8 @@ from phyloclust.distance import (
     write_matrix_phylip,
 )
 from phyloclust.errors import DataError, LengthMismatch, MalformedMatrix
+
+from conftest import dense
 
 _BASES = "ACGT"
 
@@ -247,7 +248,7 @@ def test_matrix_symmetry_and_spot_checks():
     aln = parse_fasta("".join(rows))
     for kind, kernel in ((MatrixKind.P_DISTANCE, p_distance), (MatrixKind.K80, k80_distance)):
         dm = build_distance_matrix(aln, kind)
-        sq = dm.square()
+        sq = dense(dm)
         assert np.array_equal(sq, sq.T, equal_nan=True)
         assert np.all(np.diag(sq) == 0.0)
         for _ in range(30):
@@ -268,8 +269,7 @@ def test_matrix_cap_policy():
     assert capped.get(0, 1) == 0.75
     assert capped.get(1, 2) == 0.25
     assert capped.capped is not None
-    assert capped.capped[condensed_index(3, 0, 1)]
-    assert not capped.capped[condensed_index(3, 1, 2)]
+    assert capped.capped.tolist() == [True, True, False]  # pairs ab, ac, bc
 
 
 @pytest.mark.parametrize("idx", [[7, 2, 11, 5], [13, 0], [9], [], [12, 3, 8, 1, 6]])
@@ -284,6 +284,8 @@ def test_values_within_matches_get_loop(idx):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 17])
 def test_square_conversions_match_triu_reference(n):
+    """The reader's whole square, and the triangle of a square's upper
+    rows, match a triu reference bit for bit, NaN included."""
     rng = np.random.default_rng(n)
     ids = [f"t{k}" for k in range(n)]
     vals = rng.random(n * (n - 1) // 2)
@@ -292,13 +294,14 @@ def test_square_conversions_match_triu_reference(n):
     ref = np.zeros((n, n))
     ref[iu] = vals
     ref.T[iu] = vals
-    sq = DistanceMatrix(ids, vals, MatrixKind.P_DISTANCE).square()
+    sq = DistanceMatrix(ids, vals, MatrixKind.P_DISTANCE).block_reader(ids)(0, n, 0, n)
     assert sq.dtype == np.float64
     assert np.array_equal(sq, ref, equal_nan=True)
-    # from_square reads the strict upper triangle only
+    # the upper rows leave the diagonal and the lower triangle unread
     noisy = ref.copy()
     noisy[np.tril_indices(n)] = -7.0
-    back = DistanceMatrix.from_square(ids, noisy, MatrixKind.K80)
+    rows = (row[i + 1 :] for i, row in enumerate(noisy))
+    back = DistanceMatrix.from_upper_rows(ids, rows, MatrixKind.K80)
     assert back.ids == ids and back.kind is MatrixKind.K80
     assert back.values.dtype == np.float64
     assert back.values.tobytes() == ref[iu].tobytes()
@@ -323,7 +326,7 @@ def test_from_upper_rows_inverts_upper_rows(n):
             DistanceMatrix.from_upper_rows(ids, rows[:-2], MatrixKind.PATRISTIC)
 
 
-def test_from_square_inverts_square_bit_for_bit():
+def test_upper_rows_of_the_read_square_invert_it_bit_for_bit():
     rng = np.random.default_rng(37)
     rows = [f">r{i}\n{_random_seq(rng, 60, 'ACGTN-')}\n" for i in range(25)]
     rows.append(">blank\n" + "N" * 60 + "\n")  # NaN against everyone
@@ -331,8 +334,41 @@ def test_from_square_inverts_square_bit_for_bit():
     for kind in (MatrixKind.P_DISTANCE, MatrixKind.K80):
         dm = build_distance_matrix(aln, kind)
         assert dm.num_undefined() > 0
-        back = DistanceMatrix.from_square(dm.ids, dm.square(), kind)
+        sq = dm.block_reader(dm.ids)(0, dm.n, 0, dm.n)
+        rows = (row[i + 1 :] for i, row in enumerate(sq))
+        back = DistanceMatrix.from_upper_rows(dm.ids, rows, kind)
         assert back.values.tobytes() == dm.values.tobytes()
+
+
+@pytest.mark.parametrize("permuted", [False, True])
+def test_block_reader_matches_dense(permuted):
+    """Blocks of a matrix with NaN cells, in its own id order or a shuffled
+    one, equal the dense square's bit for bit: one-sided, straddling the
+    diagonal, larger than one chunk, read in row chunks, and the upper
+    triangles the median takes."""
+    rng = np.random.default_rng(61)
+    n = 300  # the whole square holds more than BLOCK_PAIRS pairs
+    assert n * n > distance.BLOCK_PAIRS
+    vals = rng.random(n * (n - 1) // 2)
+    vals[rng.random(vals.shape) < 0.02] = np.nan
+    dm = DistanceMatrix([f"t{k}" for k in range(n)], vals, MatrixKind.PATRISTIC)
+    order = rng.permutation(n) if permuted else np.arange(n)
+    read = dm.block_reader([dm.ids[k] for k in order])
+    sq = dense(dm)[np.ix_(order, order)]
+    for r0, r1, c0, c1 in [
+        (0, n, 0, n), (40, 300, 0, 40), (0, 40, 40, 300), (17, 18, 0, 300),
+        (90, 200, 150, 260), (5, 5, 0, 9), (299, 300, 0, 299),
+    ]:
+        block = read(r0, r1, c0, c1)
+        assert block.shape == (r1 - r0, c1 - c0)
+        assert block.tobytes() == np.ascontiguousarray(sq[r0:r1, c0:c1]).tobytes()
+    chunks = list(distance.row_chunks(0, n, n))
+    assert len(chunks) > 1 and chunks[0][0] == 0 and chunks[-1][1] == n
+    stacked = np.concatenate([read(a, b, 0, n) for a, b in chunks])
+    assert stacked.tobytes() == sq.tobytes()
+    for lo, hi in [(0, n), (31, 97), (150, 152)]:
+        iu = np.triu_indices(hi - lo, k=1)
+        assert read(lo, hi, lo, hi)[iu].tobytes() == sq[lo:hi, lo:hi][iu].tobytes()
 
 
 def _cocluster(n, vals):
@@ -373,7 +409,7 @@ def test_nonzero_pairs_match_square(n):
     vals[rng.random(vals.shape) < 0.05] = np.nan
     dm = _cocluster(n, vals)
     i, j, w = dm.nonzero_pairs()
-    sq = dm.square()
+    sq = dense(dm)
     want = [(a, b) for a, b in itertools.combinations(range(n), 2) if sq[a, b] != 0]
     assert list(zip(i.tolist(), j.tolist())) == want
     assert w.tobytes() == sq[i, j].tobytes()
@@ -388,20 +424,31 @@ def test_threads_do_not_change_values():
     assert np.array_equal(one.values, four.values, equal_nan=True)
 
 
+_BLOCKS = [(0, 3, 3, 37), (5, 37, 0, 5), (9, 10, 10, 37), (0, 30, 30, 31), (0, 37, 0, 37)]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "r0, r1, c0, c1",
-    [(0, 3, 3, 37), (5, 37, 0, 5), (9, 10, 10, 37), (0, 30, 30, 31), (0, 37, 0, 37)],
+    "reader, r0, r1, c0, c1",
+    [("p", *b) for b in _BLOCKS] + [("matrix", *b) for b in _BLOCKS],
+    ids=[f"{r0}-{r1}-{c0}-{c1}" for r0, r1, c0, c1 in _BLOCKS]
+    + [f"matrix-{r0}-{r1}-{c0}-{c1}" for r0, r1, c0, c1 in _BLOCKS],
 )
-def test_p_blocks_bit_equal_matrix(r0, r1, c0, c1):
+def test_p_blocks_bit_equal_matrix(reader, r0, r1, c0, c1):
     """Wide, tall and one-sided blocks read the matrix's values bit for bit,
-    NaN included, whichever side the kernel loops over."""
+    NaN included, from the alignment whichever side the kernel loops over,
+    and from the matrix itself."""
     rng = np.random.default_rng(41)
     seqs = [_random_seq(rng, 130) for _ in range(37)]
     seqs[4], seqs[30] = "N" * 130, "-" * 130  # nothing compared: NaN
     aln = parse_fasta("".join(f">r{i}\n{s}\n" for i, s in enumerate(seqs)))
-    sq = build_distance_matrix(aln, MatrixKind.P_DISTANCE).square()
-    block = distance.p_block_reader(encode_alignment(aln))(r0, r1, c0, c1)
+    dm = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
+    sq = dense(dm)
+    if reader == "p":
+        read = distance.p_block_reader(encode_alignment(aln))
+    else:
+        read = dm.block_reader(dm.ids)
+    block = read(r0, r1, c0, c1)
     want = sq[r0:r1, c0:c1]
     off = np.arange(r0, r1)[:, None] != np.arange(c0, c1)[None, :]  # not i, i
     assert np.isnan(want[off]).any()
@@ -498,6 +545,8 @@ def test_binary_sidecar_count_mismatch_is_data_error(tmp_path):
         "abc\na 0 1\nb 1 0\n",  # count line is not an integer
         "2\na 0 1\nb 1\n",  # short row
         "2\na 0 1\nb 1 x\n",  # non-numeric cell
+        "2\na 0 1\nb x 0\n",  # non-numeric cell below the diagonal
+        "2\na 0 x\nb 1 0\n",  # non-numeric cell in the first row
         "3\na 0 1\nb 1 0\n",  # missing row
     ],
 )

@@ -19,6 +19,8 @@ from phyloclust.evaluation import (
 )
 from phyloclust.threshold import ClusterCriteria, Statistic
 
+from conftest import dense
+
 
 def pair_counting_ari(p, q):
     """ARI from the four pair-agreement counts, nothing shared with the
@@ -240,7 +242,7 @@ def test_cocluster_identical_partitions():
     ids = [f"s{i}" for i in range(6)]
     p = Partition.from_labels(ids, ["1", "1", "1", "2", "2", "2"])
     dm = method_cocluster_matrix([p] * 6, ids)
-    sq = dm.square()
+    sq = dense(dm)
     pos = {ident: k for k, ident in enumerate(dm.ids)}
     assert sorted(dm.ids) == sorted(ids)
     for a, b in itertools.combinations(ids, 2):
@@ -261,7 +263,7 @@ def test_cocluster_matches_manual_counts():
     ids = [f"s{i}" for i in range(15)]
     parts = [random_partition(rng, ids) for _ in range(3)]
     dm = method_cocluster_matrix(parts, ids)
-    sq = dm.square()
+    sq = dense(dm)
     pos = {ident: k for k, ident in enumerate(dm.ids)}
     for a, b in itertools.combinations(dm.ids, 2):
         manual = sum(p.label_of(a) == p.label_of(b) for p in parts) / 3.0

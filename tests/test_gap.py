@@ -9,12 +9,12 @@ from phyloclust import MatrixKind, Partition
 from phyloclust.errors import UndefinedDistance
 from phyloclust.gap import GapConfig, _row_cut, gap_cluster
 
-from conftest import blob_matrix, square_dm
+from conftest import blob_matrix, dense, square_dm
 
 
 def friend_set(dm, i, config=GapConfig()):
     """Friend indices of row i: the others at or under the row's cut."""
-    sq = dm.square()
+    sq = dense(dm)
     others = [j for j in range(dm.n) if j != i]
     cut = _row_cut(np.sort(sq[i, others]), config.search_quantile)
     return {j for j in others if sq[i, j] <= cut}
@@ -25,7 +25,7 @@ def reference_gap_cluster(dm, config=GapConfig()):
     prefix before the first largest window gap; components of the
     either-direction friendship graph are the clusters."""
     n = dm.n
-    sq = dm.square()
+    sq = dense(dm)
     np.fill_diagonal(sq, -np.inf)
     order = np.argsort(sq, axis=1, kind="stable")
     parent = list(range(n))

@@ -17,7 +17,7 @@ from phyloclust.phylo import (
 )
 from phyloclust.simulate import SimConfig, simulate_tree
 
-from conftest import decorate_tree
+from conftest import decorate_tree, dense
 
 
 def _naive_patristic(tree, a, b):
@@ -89,7 +89,7 @@ def test_patristic_matches_naive_walk_through_unary_nodes():
 
 def test_patristic_metric_properties():
     tree, _ = simulate_tree(SimConfig(cluster_sizes=(12,), rng_seed=4))
-    sq = patristic_matrix(tree).square()
+    sq = dense(patristic_matrix(tree))
     assert np.array_equal(sq, sq.T)
     assert np.all(np.diag(sq) == 0.0)
     n = sq.shape[0]

@@ -17,7 +17,6 @@ from phyloclust import (
     parse_newick,
 )
 from phyloclust import distance
-from phyloclust.distance import condensed_index
 from phyloclust.errors import MissingSequence, UnannotatedSupport
 from phyloclust.phylo import patristic_matrix
 from phyloclust.threshold import (
@@ -28,7 +27,7 @@ from phyloclust.threshold import (
 )
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
-from conftest import decorate_tree, square_dm
+from conftest import decorate_tree, dense, square_dm
 
 TWO_CHERRIES = "((a:0.005,b:0.005)1.0:0.15,(c:0.005,d:0.005)1.0:0.15);"
 
@@ -238,7 +237,10 @@ def _pair_values(tree, dm):
         members = tips(node)
         out[id(node)] = (
             members,
-            [dm.get_by_id(a, b) for a, b in itertools.combinations(members, 2)],
+            [
+                dm.get(dm.index_of(a), dm.index_of(b))
+                for a, b in itertools.combinations(members, 2)
+            ],
         )
     return out
 
@@ -277,10 +279,13 @@ def _with_nans(dm, rng, rate):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(16))
-def test_threshold_matches_pair_list_oracle(seed):
+def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
     """Random trees with random supports and unary nodes; p-distances in a
     shuffled id order and from an alignment holding all-N and all-gap
-    sequences, and patristic distances with and without NaN cells."""
+    sequences, and patristic distances with and without NaN cells.  Odd
+    seeds read every block in row chunks of a few pairs."""
+    if seed % 2:
+        monkeypatch.setattr(distance, "BLOCK_PAIRS", 3)
     rng = np.random.default_rng(seed)
     cfg = SimConfig(
         cluster_sizes=(7, 5, 4, 3, 2),
@@ -295,7 +300,7 @@ def test_threshold_matches_pair_list_oracle(seed):
 
     p = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
     order = rng.permutation(p.n)
-    shuffled = square_dm([p.ids[k] for k in order], p.square()[np.ix_(order, order)])
+    shuffled = square_dm([p.ids[k] for k in order], dense(p)[np.ix_(order, order)])
     pat = patristic_matrix(tree)
     blank = dict(zip(rng.choice(p.ids, 2, replace=False).tolist(), "N-"))
     holed = Alignment(
@@ -383,9 +388,10 @@ def test_nan_fails_a_clade_whose_median_passes():
         frozenset("ef"),
     }
     # five of the clade's six pairs stay under the cutoff
-    vals = pat.values.copy()
-    vals[condensed_index(pat.n, pat.index_of("a"), pat.index_of("c"))] = np.nan
-    holed = DistanceMatrix(pat.ids, vals, MatrixKind.PATRISTIC)
+    sq = dense(pat)
+    a, c = pat.index_of("a"), pat.index_of("c")
+    sq[a, c] = sq[c, a] = np.nan
+    holed = square_dm(pat.ids, sq, MatrixKind.PATRISTIC)
     got = _clusters(threshold_cluster(tree, holed, crit))
     assert got == {frozenset("ab"), frozenset("cd"), frozenset("ef")}
     assert got == _oracle(tree, _pair_values(tree, holed), crit)
