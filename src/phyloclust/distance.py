@@ -16,6 +16,7 @@ argument is not positive.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import logging
 import math
@@ -134,49 +135,135 @@ def _scratch(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _count_rows(planes: np.ndarray, rows: Iterable[int], counts: np.ndarray) -> None:
-    # Counts each row i against rows i+1.. into its condensed slice of
-    # counts; the slices are disjoint, so stripes may run concurrently.
-    # Row 2 of counts, when there is one, holds popcount(v & x0) until
-    # pair_counts fixes it up.
+def _count_rows(
+    planes: np.ndarray,
+    r0: int,
+    r1: int,
+    work: np.ndarray,
+    pop: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    # Counts each row i of r0..r1-1 against rows i+1.. into counts, from
+    # column 0: the pairs of a row run are one contiguous run of the
+    # condensed triangle.  Row 2 of counts, when there is one, holds
+    # popcount(v & x0), the transversions.
     n = planes.shape[2]
-    work, pop = _scratch(planes)
-    for i in rows:
-        lo = _row_shift(n, i) + i + 1
-        _count_against(
-            planes, i, slice(i + 1, n), work, pop, counts[:, lo : lo + n - 1 - i]
-        )
+    lo = 0
+    for i in range(r0, r1):
+        hi = lo + n - 1 - i
+        _count_against(planes, i, slice(i + 1, n), work, pop, counts[:, lo:hi])
+        lo = hi
 
 
-def pair_counts(
-    codes: np.ndarray, threads: int = 1, transitions: bool = True
-) -> np.ndarray:
+def pair_counts(codes: np.ndarray, transitions: bool = True) -> np.ndarray:
     """Compared, mismatched and transition site counts of every pair.
 
     codes is an (n, sites) matrix from encode_alignment.  Returns a
     (3, n*(n-1)/2) int32 array whose rows hold compared sites,
     mismatches and transitions in condensed pair order; with
     transitions=False only the first two rows are counted and returned.
-    threads splits the rows across a thread pool of at most
-    min(threads, cores, n - 1) workers; the counts do not depend on it.
+    build_distance_matrix counts the same pairs run by run and never holds
+    this array.
     """
     n = codes.shape[0]
     planes = _pack_planes(codes)
     counts = np.empty((3 if transitions else 2, condensed_size(n)), dtype=np.int32)
-    workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))
-    if workers == 1:
-        _count_rows(planes, range(n - 1), counts)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_count_rows, planes, range(w, n - 1, workers), counts)
-                for w in range(workers)
-            ]
-            for f in futs:
-                f.result()
+    _count_rows(planes, 0, n - 1, *_scratch(planes), counts)
     if transitions:
         np.subtract(counts[1], counts[2], out=counts[2])
     return counts
+
+
+def _p_values(
+    compared: np.ndarray, mism: np.ndarray, out: np.ndarray, undefined: np.ndarray
+) -> np.ndarray:
+    # p = mism / compared into out, NaN where no site is compared.  0/0
+    # alone gives a NaN with its sign bit set, so NaN is written over it;
+    # undefined is bool scratch of out's shape.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(mism, compared, out=out)
+    np.equal(compared, 0, out=undefined)
+    np.copyto(out, np.nan, where=undefined)
+    return out
+
+
+def _k80_values(
+    counts: np.ndarray,
+    out: np.ndarray,
+    w1: np.ndarray,
+    w2: np.ndarray,
+    bad: np.ndarray,
+) -> None:
+    # -0.5*ln(1-2P-Q) - 0.25*ln(1-2Q) into out, NaN where no site is
+    # compared or a log argument is not positive.  counts holds compared,
+    # mismatches and transversions; the transversions row is overwritten.
+    # out is the scratch for P, and the operations run in the order of
+    # the whole-array formula, so every value is the same bit for bit.
+    compared, mism, tv = counts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(tv, compared, out=w2)  # Q
+        np.subtract(mism, tv, out=tv)
+        np.divide(tv, compared, out=out)  # P
+        np.multiply(2.0, out, out=w1)
+        np.subtract(1.0, w1, out=w1)
+        np.subtract(w1, w2, out=w1)
+        np.multiply(2.0, w2, out=w2)
+        np.subtract(1.0, w2, out=w2)
+        # w1 and w2 are NaN where no site is compared, so "not both
+        # positive" marks every undefined pair
+        np.minimum(w1, w2, out=out)
+        np.greater(out, 0.0, out=bad)
+        np.logical_not(bad, out=bad)
+        np.copyto(w1, 1.0, where=bad)
+        np.copyto(w2, 1.0, where=bad)
+        np.log(w1, out=w1)
+        np.log(w2, out=w2)
+        np.multiply(-0.5, w1, out=out)
+        np.multiply(0.25, w2, out=w2)
+        np.subtract(out, w2, out=out)
+    np.copyto(out, np.nan, where=bad)
+
+
+def _row_runs(n: int, workers: int) -> list[tuple[int, int, int, int]]:
+    # Contiguous row runs (r0, r1, lo, hi) of about BLOCK_PAIRS pairs each,
+    # and at least workers of them; rows r0..r1-1 hold the condensed
+    # pairs lo..hi-1.  Each cut is the first row at or past an even share
+    # of the pairs, moved so that every run keeps at least one row.
+    rows = np.arange(n)
+    starts = (_row_shift(n, rows) + rows + 1).tolist()
+    total = starts[-1]
+    runs = min(n - 1, max(workers, -(-total // BLOCK_PAIRS)))
+    cuts = [0]
+    for k in range(1, runs):
+        r = bisect.bisect_left(starts, total * k // runs)
+        cuts.append(min(max(r, cuts[-1] + 1), n - 1 - runs + k))
+    cuts.append(n - 1)
+    return [(a, b, starts[a], starts[b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _fill_runs(
+    planes: np.ndarray,
+    runs: list[tuple[int, int, int, int]],
+    values: np.ndarray,
+    work: np.ndarray,
+    pop: np.ndarray,
+    counts: np.ndarray,
+    undefined: np.ndarray,
+    w1: np.ndarray | None,
+    w2: np.ndarray | None,
+) -> None:
+    # Counts each run into counts and writes its distances into
+    # values[lo:hi]: K80 when the float buffers w1 and w2 are given, else
+    # p.  Every buffer comes from the caller, so a worker thread allocates
+    # nothing.
+    for r0, r1, lo, hi in runs:
+        m = hi - lo
+        run, out, bad = counts[:, :m], values[lo:hi], undefined[:m]
+        _count_rows(planes, r0, r1, work, pop, run)
+        if w1 is None:
+            _p_values(run[0], run[1], out, bad)
+        else:
+            _k80_values(run, out, w1[:m], w2[:m], bad)
 
 
 def p_block_reader(codes: np.ndarray) -> Callable[[int, int, int, int], np.ndarray]:
@@ -198,10 +285,9 @@ def p_block_reader(codes: np.ndarray) -> Callable[[int, int, int, int], np.ndarr
         for i in range(r0, r1):
             _count_against(planes, i, slice(c0, c1), work, pop, counts[:, i - r0])
         compared, mism = counts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = mism / compared
-        vals[compared == 0] = np.nan
-        return vals
+        return _p_values(
+            compared, mism, np.empty(compared.shape), np.empty(compared.shape, bool)
+        )
 
     return read
 
@@ -252,7 +338,8 @@ def condensed_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
-# Pairs per block read: a read of k pairs takes a few arrays of k integers.
+# Pairs per block read, and per run of build_distance_matrix: either takes
+# a few arrays of that many numbers.
 BLOCK_PAIRS = 65_536
 
 
@@ -403,37 +490,48 @@ def build_distance_matrix(
     """All-pairs p or K80 distances for an alignment.
 
     cap=None leaves undefined pairs as NaN; a float replaces them with that
-    value and flags them in the capped array.  threads is passed to
-    pair_counts, which clamps it to the cores and rows; results are
-    identical for any thread count.
+    value and flags them in the capped array.  The rows are counted and
+    transformed in runs of about BLOCK_PAIRS pairs, straight into the
+    triangle; threads spreads the runs over a pool of at most
+    min(threads, cores, n - 1) workers, and results are identical for any
+    thread count.
     """
     if kind is MatrixKind.PATRISTIC:
         raise ValueError("patristic matrices are built from a tree")
     if len(alignment.records) < 2:
         raise EmptyInput("need at least two sequences")
-    p_only = kind is MatrixKind.P_DISTANCE
-    counts = pair_counts(encode_alignment(alignment), threads, not p_only)
-    compared, mism = counts[0], counts[1]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if p_only:
-            vals = mism / compared
-            vals[compared == 0] = np.nan
-        else:
-            tsc = counts[2]
-            p = tsc / compared
-            q = (mism - tsc) / compared
-            w1 = 1.0 - 2.0 * p - q
-            w2 = 1.0 - 2.0 * q
-            bad = (compared == 0) | (w1 <= 0.0) | (w2 <= 0.0)
-            w1[bad] = 1.0
-            w2[bad] = 1.0
-            vals = -0.5 * np.log(w1) - 0.25 * np.log(w2)
-            vals[bad] = np.nan
+    planes = _pack_planes(encode_alignment(alignment))
+    n = planes.shape[2]
+    values = np.empty(condensed_size(n), dtype=np.float64)
+    workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))
+    runs = _row_runs(n, workers)
+    width = max(hi - lo for _, _, lo, hi in runs)
+    k80 = kind is MatrixKind.K80
+    # every buffer is made here: one made in a worker thread would come
+    # from that thread's own malloc arena and raise the peak
+    buffers = [
+        (
+            *_scratch(planes),
+            np.empty((3 if k80 else 2, width), dtype=np.int32),
+            np.empty(width, dtype=bool),
+            *((np.empty(width), np.empty(width)) if k80 else (None, None)),
+        )
+        for _ in range(workers)
+    ]
+    if workers == 1:
+        _fill_runs(planes, runs, values, *buffers[0])
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futs = [
+                pool.submit(_fill_runs, planes, runs[w::workers], values, *buffers[w])
+                for w in range(workers)
+            ]
+            for f in futs:
+                f.result()
 
     capped = None
     if cap is not None:
-        undef = np.isnan(vals)
+        undef = np.isnan(values)
         if undef.any():
             log.warning(
                 "capping %d undefined %s distances at %g",
@@ -441,10 +539,10 @@ def build_distance_matrix(
                 kind.value,
                 cap,
             )
-        vals = np.where(undef, cap, vals)
+        values[undef] = cap
         capped = undef
     return DistanceMatrix(
-        [r.id for r in alignment.records], vals, kind, capped
+        [r.id for r in alignment.records], values, kind, capped
     )
 
 

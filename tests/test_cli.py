@@ -451,7 +451,7 @@ def big_cohort(tmp_path_factory):
 
 # each matrix command, and the bytes per n² it may hold: under the n×n
 # square's 8, of which the condensed triangle takes 4; a p-matrix built
-# from the alignment also holds its int32 pair counts, 4 more
+# from the alignment holds no more, its pair counts are made per row run
 _MATRIX_COMMANDS = {
     "gap-bin": ("cluster --method gap --matrix {d}/p.bin", 8),
     "gap-phy": ("cluster --method gap --matrix {d}/p.phy", 8),
@@ -465,9 +465,10 @@ _MATRIX_COMMANDS = {
     ),
     "sweep-maxp": (
         "sweep --tree {d}/tree.nwk --ref {d}/planted.csv --align {d}/alignment.fasta",
-        12,
+        8,
     ),
-    "dist-phylip": ("dist --align {d}/alignment.fasta", 12),
+    "gap-align": ("cluster --method gap --align {d}/alignment.fasta", 8),
+    "dist-phylip": ("dist --align {d}/alignment.fasta", 8),
     "linkage": ("linkage --chain-dir {d}/chain", 8),
 }
 

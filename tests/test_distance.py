@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -119,9 +120,9 @@ def test_pair_counts_match_site_oracle(sites, n, threads):
     oracle = np.array(
         [_oracle_counts(x, y) for x, y in itertools.combinations(seqs, 2)]
     ).T
-    counts = pair_counts(encode_alignment(aln), threads)
+    counts = pair_counts(encode_alignment(aln))
     assert np.array_equal(counts, oracle)
-    counts = pair_counts(encode_alignment(aln), threads, transitions=False)
+    counts = pair_counts(encode_alignment(aln), transitions=False)
     assert counts.shape == (2, oracle.shape[1])
     assert np.array_equal(counts, oracle[:2])
     for (x, y), (c, m, t) in zip(itertools.combinations(seqs, 2), oracle.T):
@@ -142,6 +143,90 @@ def test_pair_counts_match_site_oracle(sites, n, threads):
     got_k80 = build_distance_matrix(aln, MatrixKind.K80, threads=threads)
     assert np.array_equal(got_p.values, p, equal_nan=True)
     assert np.array_equal(got_k80.values, k80, equal_nan=True)
+
+
+def _whole_array_values(counts, kind):
+    """Distances from all pair counts at once, in the operation order
+    build_distance_matrix keeps per run: the oracle of its run transform."""
+    compared, mism = counts[0], counts[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is MatrixKind.P_DISTANCE:
+            vals = mism / compared
+            vals[compared == 0] = np.nan
+        else:
+            tsc = counts[2]
+            p = tsc / compared
+            q = (mism - tsc) / compared
+            w1 = 1.0 - 2.0 * p - q
+            w2 = 1.0 - 2.0 * q
+            bad = (compared == 0) | (w1 <= 0.0) | (w2 <= 0.0)
+            w1[bad] = 1.0
+            w2[bad] = 1.0
+            vals = -0.5 * np.log(w1) - 0.25 * np.log(w2)
+            vals[bad] = np.nan
+    return vals
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.P_DISTANCE, MatrixKind.K80])
+@pytest.mark.parametrize("block", [5, 100])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
+    """Distances made run by run, in runs of one row (block 5) or of
+    several rows (block 100), on one, two or four threads switching
+    often, equal the whole-array transform of pair_counts bit for bit: NaN
+    of an all-N row, zeros of identical rows, and K80 pairs saturated at
+    w1 <= 0 and at w2 <= 0."""
+    monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    rng = np.random.default_rng(block + threads)
+    sites = 300
+    base = np.array(list(_random_seq(rng, sites, _BASES)))
+    seqs = []
+    for _ in range(40):
+        seq = base.copy()
+        hit = rng.random(sites) < rng.uniform(0.01, 0.3)
+        seq[hit] = rng.choice(list(_BASES + "N-"), hit.sum())
+        seqs.append("".join(seq))
+    seqs[3] = "N" * sites
+    seqs[8] = seqs[7]
+    seqs[20], seqs[21] = "A" * sites, "G" * sites  # P = 1: w1 < 0
+    seqs[22] = "C" * sites  # against A: Q = 1, w2 < 0
+    seqs[23] = "A" * (sites // 2) + "G" * (sites // 2)  # against A: w1 = 0
+    aln = parse_fasta("".join(f">r{i}\n{s}\n" for i, s in enumerate(seqs)))
+    assert len(distance._row_runs(len(seqs), threads)) >= 8
+
+    counts = pair_counts(encode_alignment(aln), kind is MatrixKind.K80)
+    want = _whole_array_values(counts, kind)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = build_distance_matrix(aln, kind, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.values.tobytes() == want.tobytes()
+    assert np.count_nonzero(want == 0.0) and np.isnan(want).any()
+    if kind is MatrixKind.K80:
+        assert np.count_nonzero(np.isnan(want)) > np.count_nonzero(counts[0] == 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 40, 300])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("block", [1, 7, 65_536])
+def test_row_runs_tile_the_triangle(monkeypatch, n, workers, block):
+    """Runs cover rows 0..n-2 and the whole triangle in order, every run
+    holds a row, there are enough runs for every worker (as many as
+    n - 1 allows), and none is much larger than BLOCK_PAIRS."""
+    monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
+    runs = distance._row_runs(n, workers)
+    assert len(runs) >= min(workers, n - 1)
+    assert runs[0][::2] == (0, 0) and runs[-1][1::2] == (n - 1, n * (n - 1) // 2)
+    for (_, r1, _, hi), (r0, _, lo, _) in zip(runs, runs[1:]):
+        assert (r1, hi) == (r0, lo)
+    for r0, r1, lo, hi in runs:
+        assert r0 < r1
+        assert hi - lo == sum(n - 1 - i for i in range(r0, r1))
+        if r1 - r0 > 1:
+            assert hi - lo <= max(block, n * (n - 1) // 2 // len(runs)) + n
 
 
 def test_compare_pair_empty_strings():
