@@ -118,6 +118,7 @@ _EXPORTS = {
 }
 
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
@@ -127,85 +128,3 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     return getattr(import_module(f".{module}", __name__), name)
 
-
-__all__ = [
-    "Alignment",
-    "CaseMetadata",
-    "ChainConfig",
-    "ChainState",
-    "ChainSummary",
-    "Clade",
-    "ClusterCriteria",
-    "ClusterGrowthRow",
-    "DataError",
-    "DistanceMatrix",
-    "GapConfig",
-    "GrowthWindow",
-    "MatrixKind",
-    "Node",
-    "PairComparison",
-    "Partition",
-    "PartitionSummary",
-    "PhyloTree",
-    "ReferenceSet",
-    "SequenceRecord",
-    "SimConfig",
-    "Stage",
-    "Statistic",
-    "WeightedGraph",
-    "adjusted_rand_index",
-    "annotate_support",
-    "build_distance_matrix",
-    "compare_pair",
-    "cutpoint_sweep",
-    "emit_growth_svg",
-    "enumerate_clades",
-    "gap_cluster",
-    "growth_report",
-    "initialize_chain",
-    "k80_distance",
-    "linkage_estimate",
-    "load_chain_summary",
-    "load_fasta",
-    "load_metadata",
-    "load_newick",
-    "load_newick_list",
-    "load_partition",
-    "log_posterior",
-    "majority_consensus",
-    "method_cocluster_matrix",
-    "modularity",
-    "p_distance",
-    "fasta_string",
-    "metadata_string",
-    "newick_string",
-    "partition_string",
-    "parse_fasta",
-    "parse_metadata",
-    "parse_newick",
-    "parse_newick_list",
-    "parse_partition",
-    "partial_gold_transform",
-    "partition_adjacency",
-    "partition_summary",
-    "patristic_matrix",
-    "percentile_cutoff",
-    "phi_breakdown",
-    "read_matrix_binary",
-    "read_matrix_phylip",
-    "reference_ari",
-    "root_at_outgroup",
-    "run_chain",
-    "save_chain_summary",
-    "simulate_alignment",
-    "simulate_metadata",
-    "simulate_tree",
-    "threshold_cluster",
-    "walktrap_communities",
-    "write_fasta",
-    "write_matrix_binary",
-    "write_matrix_phylip",
-    "write_metadata",
-    "write_newick",
-    "write_partition",
-]

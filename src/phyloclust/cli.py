@@ -242,8 +242,11 @@ def _cmd_cluster(args) -> None:
         statistic = _STATISTIC_BY_METHOD[args.method]
         if not args.tree:
             raise _UsageError(f"--method {args.method} needs --tree")
+        if args.matrix and statistic is not Statistic.MAX_PAIRWISE_P:
+            raise _UsageError("--matrix is for maxp and gap; patristic is from --tree")
         tree = load_newick(args.tree)
         inputs.append(args.tree)
+        source = None  # patristic distances come from the tree
         if statistic is Statistic.MAX_PAIRWISE_P:
             if args.matrix:
                 source = _load_matrix(args.matrix, MatrixKind.P_DISTANCE)
@@ -253,11 +256,6 @@ def _cmd_cluster(args) -> None:
                 inputs.append(args.align)
             else:
                 raise _UsageError("--method maxp needs --align or --matrix")
-        elif args.matrix:
-            source = _load_matrix(args.matrix, MatrixKind.PATRISTIC)
-            inputs.append(args.matrix)
-        else:
-            source = None  # patristic distances come from the tree
         criteria = ClusterCriteria(args.support_min, args.distance_max, statistic)
         part = threshold_cluster(tree, source, criteria)
         seeds = []
@@ -307,7 +305,6 @@ def _cmd_consensus(args) -> None:
 def _cmd_sweep(args) -> None:
     from .evaluation import ClusterCriteria, ReferenceSet, cutpoint_sweep
     from .io_formats import load_fasta, load_newick, load_partition
-    from .phylo import patristic_matrix
     from .threshold import threshold_cluster, tip_p_matrix
 
     started = time.monotonic()
@@ -317,13 +314,12 @@ def _cmd_sweep(args) -> None:
     statistic = _STATISTIC_BY_METHOD[args.method]
     labels = tree.tip_labels()
     ref = ReferenceSet(reference, tuple(labels))
-    # one matrix serves every grid point
-    if statistic is not Statistic.MAX_PAIRWISE_P:
-        source = patristic_matrix(tree)
-    elif alignment is not None:
+    # one p-matrix serves every maxp grid point; the patristic statistics
+    # sum path lengths from the tree, and maxp without --align leaves
+    # threshold_cluster to report the missing sequences
+    source = None
+    if statistic is Statistic.MAX_PAIRWISE_P and alignment is not None:
         source = tip_p_matrix(alignment, labels, _resolve_threads(args))
-    else:
-        source = None  # threshold_cluster reports the missing sequences
 
     def runner(criteria: ClusterCriteria):
         return threshold_cluster(tree, source, criteria)
@@ -516,7 +512,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     p.add_argument("--tree", default=None)
     p.add_argument("--align", default=None)
     p.add_argument("--matrix", default=None,
-                   help="precomputed distance matrix (phylip or .bin)")
+                   help="p-distance matrix (phylip or .bin) for maxp and gap")
     p.add_argument("--support-min", type=float, default=0.70)
     p.add_argument("--distance-max", type=float, default=0.045)
     p.add_argument("--gap-quantile", type=float, default=0.90,

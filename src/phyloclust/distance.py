@@ -5,9 +5,7 @@ sites (p) and the two-parameter transition/transversion correction (K80).
 Both use pairwise deletion: a site counts for a pair only when both
 sequences hold a plain A/C/G/T there.  Both derive from one set of pair
 counts (compared sites, mismatches, transitions), which a single
-bit-packed kernel produces for one pair or for all pairs.  Tree-derived
-path-length matrices share the same container so downstream clustering
-code does not care where a matrix came from.
+bit-packed kernel produces for one pair or for all pairs.
 
 Matrices are stored condensed (upper triangle, row major).  NaN encodes an
 undefined entry: an empty site overlap, or a saturated K80 pair whose log

@@ -15,6 +15,7 @@ import datetime
 import enum
 import io
 import logging
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -319,9 +320,9 @@ def parse_newick(text: str) -> PhyloTree:
             try:
                 length = float(s[k:j])
             except ValueError:
-                raise UnbalancedParentheses(
-                    f"bad branch length {s[k:j]!r}"
-                ) from None
+                length = math.nan
+            if not math.isfinite(length):
+                raise UnbalancedParentheses(f"bad branch length {s[k:j]!r}")
             if length < 0:
                 raise NegativeBranchLength(length, node.label or "")
             node.length = length

@@ -291,6 +291,15 @@ def _collapse_unary(root: Node) -> None:
 # ------------------------------------------------------------ path lengths
 
 
+def lift_path_lengths(h, node: Node, spans: dict[int, tuple[int, int]]) -> None:
+    """Add the edge above each child of node to its tips' entries of the
+    array h.  Lifted from zeros at each internal node in postorder, a
+    node's tip_spans run of h holds its tips' path lengths up to it."""
+    for child in node.children:
+        lo, hi = spans[id(child)]
+        h[lo:hi] += child.length or 0.0
+
+
 def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
     """Sum of branch lengths along the path between every tip pair.
 
@@ -309,24 +318,17 @@ def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
     values = np.empty(n * (n - 1) // 2, dtype=np.float64)
     shift = _row_shift(n, np.arange(n))
     spans = tree.tip_spans()
-
-    # path length from each tip below a node up to that node
-    up: dict[int, np.ndarray] = {}
+    h = np.zeros(n, dtype=np.float64)
     for node in tree.postorder():
         if node.is_tip:
-            up[id(node)] = np.zeros(1, dtype=np.float64)
             continue
-        parts = [
-            (spans[id(c)], up.pop(id(c)) + (c.length or 0.0)) for c in node.children
-        ]
-        for a in range(len(parts)):
-            for b in range(a + 1, len(parts)):
-                (alo, ahi), da = parts[a]
-                (blo, bhi), db = parts[b]
+        lift_path_lengths(h, node, spans)
+        kids = [spans[id(c)] for c in node.children]
+        for a, (alo, ahi) in enumerate(kids):
+            for blo, bhi in kids[a + 1 :]:
                 for r0, r1 in row_chunks(alo, ahi, bhi - blo):
                     at = shift[r0:r1, None] + np.arange(blo, bhi)
-                    values[at] = da[r0 - alo : r1 - alo, None] + db
-        up[id(node)] = np.concatenate([d for _, d in parts])
+                    values[at] = h[r0:r1, None] + h[blo:bhi]
     return DistanceMatrix(labels, values, MatrixKind.PATRISTIC)
 
 

@@ -10,15 +10,15 @@ Every clade's diameter (its largest within-clade distance) and, for the
 median, its number of pairs at or under the cutoff come from one
 postorder pass, which reads each pair once, at its tips' lowest common
 ancestor, as a block between one child's tips and its earlier siblings'.
-The blocks come from one reader, read in row chunks: a matrix's
-DistanceMatrix.block_reader gathers them from its condensed triangle,
-and for max-p from an alignment p_block_reader computes them with the
-pair-count kernel on demand.  The maximum statistics
-compare the diameter with the cutoff, so the pass reads a clade's blocks
-only when all its children pass and stops at the first block that fails:
-from an alignment it computes only those pairs.  A median passes at once
-when the diameter does; otherwise the count settles it, and the median
-itself is computed only when the two middle values straddle the cutoff.
+The blocks are read in row chunks: for max-p, a matrix's block_reader
+gathers them from its condensed triangle and an alignment's
+p_block_reader computes them on demand; a patristic block sums the
+tips' path lengths, lifted up the tree as the pass goes.  The maximum
+statistics read a clade's blocks only when all its children pass and
+stop at the first block that fails: from an alignment they compute only
+those pairs.  A median passes at once when the diameter does; otherwise
+the count settles it, and the median itself is computed only when the
+two middle values straddle the cutoff.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .evaluation import ClusterCriteria, Statistic
 from .io_formats import Alignment, Partition
-from .phylo import Node, PhyloTree, patristic_matrix
+from .phylo import Node, PhyloTree, lift_path_lengths, patristic_matrix
 
 
 def percentile_cutoff(tree: PhyloTree, percentile: float) -> float:
@@ -65,12 +65,12 @@ def threshold_cluster(
 ) -> Partition:
     """Cluster tree tips by thresholding clade support and spread.
 
-    source supplies the distances: an Alignment (MAX_PAIRWISE_P only,
-    whose p-distances are computed just for the clades the search
-    reads), a precomputed DistanceMatrix of the matching kind, or None to
-    derive patristic distances from the tree.  The root counts as support
-    1.0; an undefined (NaN) distance inside a clade disqualifies that
-    clade.
+    For MAX_PAIRWISE_P, source supplies the p-distances: an Alignment,
+    whose p-distances are computed just for the clades the search reads,
+    or a p-distance DistanceMatrix.  The patristic statistics sum path
+    lengths from the tree and take source=None.  The root counts as
+    support 1.0; an undefined (NaN) distance inside a clade disqualifies
+    that clade.
     """
     labels = tree.tip_labels()
     if len(labels) != len(set(labels)):
@@ -84,9 +84,16 @@ def threshold_cluster(
 
     cutoff = criteria.distance_max
     median = criteria.statistic is Statistic.MEDIAN_PATRISTIC
-    read = _block_reader(tree, source, criteria.statistic, labels)
+    h = None
+    if criteria.statistic is Statistic.MAX_PAIRWISE_P:
+        read = _block_reader(source, labels)
+    elif source is None:
+        h = np.zeros(len(labels), dtype=np.float64)
+        read = lambda r0, r1, c0, c1: h[r0:r1, None] + h[c0:c1]
+    else:
+        raise ValueError("patristic statistics are summed from the tree; pass None")
     spans = tree.tip_spans()
-    stats = _diameters(tree, spans, read, cutoff, median)
+    stats = _diameters(tree, spans, read, h, cutoff, median)
 
     clusters: list[list[str]] = []
     stack: list[Node] = [tree.root]
@@ -96,7 +103,7 @@ def threshold_cluster(
         support = 1.0 if node is tree.root else (node.support or 0.0)
         if hi - lo < 2 or (
             support >= criteria.support_min
-            and _clade_passes(read, lo, hi, *stats[id(node)], cutoff, median)
+            and _clade_passes(node, lo, hi, *stats[id(node)], cutoff, median)
         ):
             clusters.append(labels[lo:hi])
         else:
@@ -108,6 +115,7 @@ def _diameters(
     tree: PhyloTree,
     spans: dict[int, tuple[int, int]],
     read: Callable[[int, int, int, int], np.ndarray],
+    h: np.ndarray | None,
     cutoff: float,
     median: bool,
 ) -> dict[int, tuple[float, int]]:
@@ -120,11 +128,12 @@ def _diameters(
     A node's statistics combine its children's with the blocks between
     each child and the children before it, so each pair is read once:
     read(clo, chi, lo, clo) returns the distances of tips [clo, chi) to
-    tips [lo, clo), in row chunks.  NaN is kept explicitly: `max` is
+    tips [lo, clo), in row chunks; a patristic read sums h, the tips' path
+    lengths, lifted to each node first.  NaN is kept explicitly: `max` is
     order-dependent on it.  For the max statistics a clade fails as soon
-    as one child or chunk does, and its blocks are read only when every
-    child passes; a failed clade records a failing lower bound of its
-    diameter, or NaN.
+    as one child or chunk does, and its blocks are read (and h lifted)
+    only when every child passes; a failed clade records a failing lower
+    bound of its diameter, or NaN.
     """
     stats: dict[int, tuple[float, int]] = {}
     for node in tree.postorder():
@@ -137,6 +146,8 @@ def _diameters(
             if failed is not None:
                 stats[id(node)] = failed
                 continue
+        if h is not None:
+            lift_path_lengths(h, node, spans)
         lo = spans[id(node)][0]
         d, under = kids[0]
         for child, (child_d, child_under) in zip(node.children[1:], kids[1:]):
@@ -157,7 +168,7 @@ def _diameters(
 
 
 def _clade_passes(
-    read: Callable[[int, int, int, int], np.ndarray],
+    node: Node,
     lo: int,
     hi: int,
     diameter: float,
@@ -165,7 +176,7 @@ def _clade_passes(
     cutoff: float,
     median: bool,
 ) -> bool:
-    """Whether the pairs among tips [lo, hi) pass the statistic's cutoff.
+    """Whether the pairs among node's tips [lo, hi) pass the cutoff.
 
     A clade passes whose diameter is at most the cutoff; a NaN diameter
     fails it.  For the median, under (the pairs at or under the cutoff)
@@ -180,11 +191,7 @@ def _clade_passes(
     pairs = m * (m - 1) // 2
     if 2 * under != pairs:
         return 2 * under > pairs
-    chunks = row_chunks(lo, hi, m)
-    vals = np.concatenate(
-        [read(a, b, a, hi)[np.triu_indices(b - a, 1, hi - a)] for a, b in chunks]
-    )
-    return float(np.median(vals)) <= cutoff
+    return float(np.median(patristic_matrix(PhyloTree(node)).values)) <= cutoff
 
 
 def tip_p_matrix(
@@ -209,24 +216,15 @@ def _tip_alignment(alignment: Alignment, labels: list[str]) -> Alignment:
 
 
 def _block_reader(
-    tree: PhyloTree,
-    source: Alignment | DistanceMatrix | None,
-    statistic: Statistic,
-    labels: list[str],
+    source: Alignment | DistanceMatrix | None, labels: list[str]
 ) -> Callable[[int, int, int, int], np.ndarray]:
-    """The statistic's distances among the tips, in label order."""
-    p = statistic is Statistic.MAX_PAIRWISE_P
-    if p and isinstance(source, Alignment):
+    """The p-distances among the tips, in label order."""
+    if isinstance(source, Alignment):
         return p_block_reader(encode_alignment(_tip_alignment(source, labels)))
-    if not p and source is None:
-        source = patristic_matrix(tree)
     if not isinstance(source, DistanceMatrix):
-        if p:
-            raise MissingSequence("an alignment or p-distance matrix is required")
-        raise ValueError("patristic statistics take a DistanceMatrix or None")
-    if source.kind is not (MatrixKind.P_DISTANCE if p else MatrixKind.PATRISTIC):
-        name = "p-distances" if p else "patristic distances"
-        raise ValueError(f"{statistic.value} needs {name}, got {source.kind.value}")
+        raise MissingSequence("an alignment or p-distance matrix is required")
+    if source.kind is not MatrixKind.P_DISTANCE:
+        raise ValueError(f"max-p needs p-distances, got {source.kind.value}")
     have = set(source.ids)
     for lab in labels:
         if lab not in have:

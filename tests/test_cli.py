@@ -184,6 +184,16 @@ def test_usage_errors_exit_two(cohort, tmp_path):
         ["cluster", "--method", "gap", "--align", str(cohort / "alignment.fasta"),
          "--seeds", "1,2", "--out", str(out)]
     ) == 2
+    # the patristic methods sum path lengths from the tree, so even a
+    # well-formed matrix is a usage error
+    p_bin = tmp_path / "p.bin"
+    assert main(["dist", "--align", str(cohort / "alignment.fasta"), "--binary",
+                 "--out", str(p_bin)]) == 0
+    for method in ("medianpatristic", "maxpatristic"):
+        assert main(
+            ["cluster", "--method", method, "--tree", str(cohort / "tree.nwk"),
+             "--matrix", str(p_bin), "--out", str(out)]
+        ) == 2
     assert not out.exists()
 
 
@@ -213,6 +223,19 @@ def test_malformed_tree_exits_one(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["nan", "inf", "1e400"])
+def test_non_finite_branch_length_exits_one(tmp_path, capsys, length):
+    bad = tmp_path / "bad.nwk"
+    bad.write_text(f"((a:{length},b:1):1,c:1);\n")
+    rc = main(
+        ["cluster", "--method", "maxpatristic", "--tree", str(bad),
+         "--out", str(tmp_path / "o.csv")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "bad branch length" in err and "Traceback" not in err
 
 
 def test_config_defaults_flags_still_win(cohort, tmp_path):
@@ -451,17 +474,23 @@ def big_cohort(tmp_path_factory):
 
 # each matrix command, and the bytes per n² it may hold: under the n×n
 # square's 8, of which the condensed triangle takes 4; a p-matrix built
-# from the alignment holds no more, its pair counts are made per row run
+# from the alignment holds no more, its pair counts are made per row run.
+# The patristic commands sum path lengths from the tree and stay under
+# the triangle itself.
 _MATRIX_COMMANDS = {
     "gap-bin": ("cluster --method gap --matrix {d}/p.bin", 8),
     "gap-phy": ("cluster --method gap --matrix {d}/p.phy", 8),
     "maxp-bin": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.bin", 8),
     "maxp-phy": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.phy", 8),
-    "medianpatristic": ("cluster --method medianpatristic --tree {d}/tree.nwk", 8),
-    "maxpatristic": ("cluster --method maxpatristic --tree {d}/tree.nwk", 8),
+    "medianpatristic": ("cluster --method medianpatristic --tree {d}/tree.nwk", 4),
+    "maxpatristic": ("cluster --method maxpatristic --tree {d}/tree.nwk", 4),
     "sweep-medianpatristic": (
         "sweep --method medianpatristic --tree {d}/tree.nwk --ref {d}/planted.csv",
-        8,
+        4,
+    ),
+    "sweep-maxpatristic": (
+        "sweep --method maxpatristic --tree {d}/tree.nwk --ref {d}/planted.csv",
+        4,
     ),
     "sweep-maxp": (
         "sweep --tree {d}/tree.nwk --ref {d}/planted.csv --align {d}/alignment.fasta",

@@ -112,6 +112,17 @@ def test_newick_negative_length():
         parse_newick("(a:-0.1,b:0.2);")
 
 
+@pytest.mark.parametrize("length", ["x", "nan", "inf", "1e400"])
+def test_newick_bad_length(length):
+    """float() reads all but the first; a path length summed from them
+    would not be a distance."""
+    text = f"(a:{length},b:1);"
+    with pytest.raises(UnbalancedParentheses, match="bad branch length"):
+        parse_newick(text)
+    with pytest.raises(UnbalancedParentheses, match="bad branch length"):
+        parse_newick_list("(a:1,b:1);\n" + text)
+
+
 def test_newick_whitespace_insensitive():
     clean = parse_newick("((a:0.1,b:0.2)0.9:0.05,c:0.3);")
     spaced = parse_newick("( ( a:0.1 ,\n\tb:0.2 ) 0.9 : 0.05 , c:0.3 ) ;")

@@ -114,16 +114,16 @@ def test_statistics_differ_on_skewed_clade():
     assert len(mx.clusters()[mx.label_of("a")]) == 2
 
 
-def test_patristic_statistic_accepts_precomputed_matrix():
+@pytest.mark.parametrize(
+    "statistic", [Statistic.MEDIAN_PATRISTIC, Statistic.MAX_PATRISTIC]
+)
+def test_patristic_statistic_rejects_a_matrix(statistic):
+    """Patristic distances come from the tree alone."""
     tree = parse_newick(TWO_CHERRIES)
-    dm = patristic_matrix(tree)
-    direct = threshold_cluster(
-        tree, dm, ClusterCriteria(0.70, 0.05, Statistic.MAX_PATRISTIC)
-    )
-    derived = threshold_cluster(
-        tree, None, ClusterCriteria(0.70, 0.05, Statistic.MAX_PATRISTIC)
-    )
-    assert direct.same_grouping(derived)
+    with pytest.raises(ValueError):
+        threshold_cluster(
+            tree, patristic_matrix(tree), ClusterCriteria(0.70, 0.05, statistic)
+        )
 
 
 def test_paper_selected_configuration_runs():
@@ -282,8 +282,10 @@ def _with_nans(dm, rng, rate):
 def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
     """Random trees with random supports and unary nodes; p-distances in a
     shuffled id order and from an alignment holding all-N and all-gap
-    sequences, and patristic distances with and without NaN cells.  Odd
-    seeds read every block in row chunks of a few pairs."""
+    sequences, and patristic distances summed from the tree.  Odd seeds
+    read every block in row chunks of a few pairs; in half the seeds the
+    branch lengths lie on a grid of 0.01 steps, zero included, so that
+    many path lengths tie with the cutoffs."""
     if seed % 2:
         monkeypatch.setattr(distance, "BLOCK_PAIRS", 3)
     rng = np.random.default_rng(seed)
@@ -297,6 +299,9 @@ def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
     tree, _ = simulate_tree(cfg)
     aln = simulate_alignment(tree, cfg)
     decorate_tree(tree, rng)
+    if seed // 2 % 2:
+        for node in tree.edges():
+            node.length = int(rng.integers(0, 4)) * 0.01
 
     p = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
     order = rng.permutation(p.n)
@@ -313,16 +318,13 @@ def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
     )
     # (statistic, what threshold_cluster reads, the oracle's matrix)
     holed_p = build_distance_matrix(holed, MatrixKind.P_DISTANCE)
-    cases = [(Statistic.MAX_PAIRWISE_P, holed, holed_p)] + [
-        (stat, dm, dm)
-        for stat, dm in [
-            (Statistic.MAX_PAIRWISE_P, shuffled),
-            (Statistic.MAX_PAIRWISE_P, _with_nans(shuffled, rng, 0.01)),
-            (Statistic.MEDIAN_PATRISTIC, pat),
-            (Statistic.MEDIAN_PATRISTIC, _with_nans(pat, rng, 0.01)),
-            (Statistic.MAX_PATRISTIC, pat),
-            (Statistic.MAX_PATRISTIC, _with_nans(pat, rng, 0.01)),
-        ]
+    nan_p = _with_nans(shuffled, rng, 0.01)
+    cases = [
+        (Statistic.MAX_PAIRWISE_P, holed, holed_p),
+        (Statistic.MAX_PAIRWISE_P, shuffled, shuffled),
+        (Statistic.MAX_PAIRWISE_P, nan_p, nan_p),
+        (Statistic.MEDIAN_PATRISTIC, None, pat),
+        (Statistic.MAX_PATRISTIC, None, pat),
     ]
     for stat, source, dm in cases:
         pair_values = _pair_values(tree, dm)
@@ -382,16 +384,7 @@ def test_nan_fails_a_clade_whose_median_passes():
         "(e:0.01,f:0.01)1.0:0.5);"
     )
     crit = ClusterCriteria(0.70, 0.1, Statistic.MEDIAN_PATRISTIC)
-    pat = patristic_matrix(tree)
-    assert _clusters(threshold_cluster(tree, pat, crit)) == {
+    assert _clusters(threshold_cluster(tree, None, crit)) == {
         frozenset("abcd"),
         frozenset("ef"),
     }
-    # five of the clade's six pairs stay under the cutoff
-    sq = dense(pat)
-    a, c = pat.index_of("a"), pat.index_of("c")
-    sq[a, c] = sq[c, a] = np.nan
-    holed = square_dm(pat.ids, sq, MatrixKind.PATRISTIC)
-    got = _clusters(threshold_cluster(tree, holed, crit))
-    assert got == {frozenset("ab"), frozenset("cd"), frozenset("ef")}
-    assert got == _oracle(tree, _pair_values(tree, holed), crit)
