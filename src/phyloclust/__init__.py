@@ -28,8 +28,6 @@ _EXPORTS = {
         "PairComparison",
         "build_distance_matrix",
         "compare_pair",
-        "k80_distance",
-        "p_distance",
         "read_matrix_binary",
         "read_matrix_phylip",
         "write_matrix_binary",
@@ -38,14 +36,12 @@ _EXPORTS = {
     "errors": ("DataError",),
     "evaluation": (
         "ClusterCriteria",
-        "PartitionSummary",
         "ReferenceSet",
         "Statistic",
         "adjusted_rand_index",
         "cutpoint_sweep",
         "method_cocluster_matrix",
         "partial_gold_transform",
-        "partition_summary",
         "reference_ari",
     ),
     "gap": (
@@ -103,7 +99,6 @@ _EXPORTS = {
         "enumerate_clades",
         "majority_consensus",
         "patristic_matrix",
-        "root_at_outgroup",
     ),
     "simulate": (
         "SimConfig",
@@ -111,10 +106,7 @@ _EXPORTS = {
         "simulate_metadata",
         "simulate_tree",
     ),
-    "threshold": (
-        "percentile_cutoff",
-        "threshold_cluster",
-    ),
+    "threshold": ("threshold_cluster",),
 }
 
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

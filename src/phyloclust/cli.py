@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -40,6 +41,17 @@ _STATISTIC_BY_METHOD = {
 
 class _UsageError(Exception):
     """Bad flag value or combination; maps to exit code 2."""
+
+
+@contextmanager
+def _flag_values():
+    """Report a ValueError raised while flag values become a config
+    object, a date or a grid as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
 
 _PRESETS: dict[str, dict] = {
     "demo": {"cluster_sizes": (8, 6, 5, 3, 2, 2, 1, 1)},
@@ -193,26 +205,30 @@ def _cmd_cluster(args) -> None:
     if args.seeds and args.method != "mcmc":
         raise _UsageError("--seeds applies only to --method mcmc")
     if args.method == "gap":
+        with _flag_values():
+            config = GapConfig(search_quantile=args.gap_quantile)
         dm = _cluster_distance_source(args, inputs)
-        part = gap_cluster(dm, GapConfig(search_quantile=args.gap_quantile))
+        part = gap_cluster(dm, config)
         seeds: list[int] = []
     elif args.method == "mcmc":
         if not args.tree or not args.align:
             raise _UsageError("--method mcmc needs --tree and --align")
+        seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+        with _flag_values():
+            configs = [
+                ChainConfig(
+                    iterations=args.iterations,
+                    burn_in=args.burn_in,
+                    thin=args.thin,
+                    rng_seed=seed,
+                )
+                for seed in seeds
+            ]
         tree = load_newick(args.tree)
         # each chain's start reads only the p-distances its clades need
         alignment = load_fasta(args.align)
         inputs += [args.tree, args.align]
-        seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
-        summaries = []
-        for seed in seeds:
-            cfg = ChainConfig(
-                iterations=args.iterations,
-                burn_in=args.burn_in,
-                thin=args.thin,
-                rng_seed=seed,
-            )
-            summaries.append(run_chain(tree, alignment, cfg))
+        summaries = [run_chain(tree, alignment, cfg) for cfg in configs]
         best = max(summaries, key=lambda s: s.map_log_posterior)
         for seed, summary in zip(seeds, summaries):
             log.info(
@@ -244,6 +260,8 @@ def _cmd_cluster(args) -> None:
             raise _UsageError(f"--method {args.method} needs --tree")
         if args.matrix and statistic is not Statistic.MAX_PAIRWISE_P:
             raise _UsageError("--matrix is for maxp and gap; patristic is from --tree")
+        with _flag_values():
+            criteria = ClusterCriteria(args.support_min, args.distance_max, statistic)
         tree = load_newick(args.tree)
         inputs.append(args.tree)
         source = None  # patristic distances come from the tree
@@ -256,7 +274,6 @@ def _cmd_cluster(args) -> None:
                 inputs.append(args.align)
             else:
                 raise _UsageError("--method maxp needs --align or --matrix")
-        criteria = ClusterCriteria(args.support_min, args.distance_max, statistic)
         part = threshold_cluster(tree, source, criteria)
         seeds = []
     write_partition(part, out)
@@ -308,24 +325,29 @@ def _cmd_sweep(args) -> None:
     from .threshold import threshold_cluster, tip_p_matrix
 
     started = time.monotonic()
-    tree = load_newick(args.tree)
-    alignment = load_fasta(args.align) if args.align else None
-    reference = load_partition(args.ref)
     statistic = _STATISTIC_BY_METHOD[args.method]
+    with _flag_values():
+        support_grid = [float(x) for x in args.support_grid.split(",")]
+        distance_grid = [float(x) for x in args.distance_grid.split(",")]
+        for s in support_grid:
+            for d in distance_grid:
+                ClusterCriteria(s, d, statistic)
+    tree = load_newick(args.tree)
+    reference = load_partition(args.ref)
+    inputs: list[str | Path] = [args.tree, args.ref]
     labels = tree.tip_labels()
     ref = ReferenceSet(reference, tuple(labels))
-    # one p-matrix serves every maxp grid point; the patristic statistics
-    # sum path lengths from the tree, and maxp without --align leaves
-    # threshold_cluster to report the missing sequences
+    # one p-matrix serves every maxp grid point, and maxp without --align
+    # leaves threshold_cluster to report the missing sequences; the
+    # patristic statistics sum path lengths from the tree alone
     source = None
-    if statistic is Statistic.MAX_PAIRWISE_P and alignment is not None:
-        source = tip_p_matrix(alignment, labels, _resolve_threads(args))
+    if statistic is Statistic.MAX_PAIRWISE_P and args.align:
+        inputs.append(args.align)
+        source = tip_p_matrix(load_fasta(args.align), labels, _resolve_threads(args))
 
     def runner(criteria: ClusterCriteria):
         return threshold_cluster(tree, source, criteria)
 
-    support_grid = [float(x) for x in args.support_grid.split(",")]
-    distance_grid = [float(x) for x in args.distance_grid.split(",")]
     best, best_ari, grid = cutpoint_sweep(
         runner, ref, support_grid, distance_grid, statistic
     )
@@ -338,7 +360,6 @@ def _cmd_sweep(args) -> None:
         f"best support_min={best.support_min} "
         f"distance_max={best.distance_max} ari={best_ari:.6f}"
     )
-    inputs = [args.tree, args.ref] + ([args.align] if args.align else [])
     _write_manifest(args, out, inputs, started)
 
 
@@ -383,6 +404,8 @@ def _cmd_linkage(args) -> None:
     from .mcmc import linkage_estimate
 
     started = time.monotonic()
+    if args.walk_length < 1:
+        raise _UsageError(f"--walk-length must be at least 1, got {args.walk_length}")
     matrix = Path(args.chain_dir) / "cocluster.bin"
     cocluster = read_matrix_binary(matrix, MatrixKind.COCLUSTER)
     part = linkage_estimate(cocluster, walk_length=args.walk_length)
@@ -402,13 +425,16 @@ def _cmd_growth(args) -> None:
     from .io_formats import load_metadata, load_partition
 
     started = time.monotonic()
+    if args.top_k < 1:
+        raise _UsageError(f"--top-k must be a positive integer, got {args.top_k}")
+    with _flag_values():
+        window = GrowthWindow(
+            window_start=datetime.date.fromisoformat(args.window_start),
+            phi_reliable_start=datetime.date.fromisoformat(args.phi_start),
+            window_end=datetime.date.fromisoformat(args.window_end),
+        )
     part = load_partition(args.partition)
     meta = load_metadata(args.metadata)
-    window = GrowthWindow(
-        window_start=datetime.date.fromisoformat(args.window_start),
-        phi_reliable_start=datetime.date.fromisoformat(args.phi_start),
-        window_end=datetime.date.fromisoformat(args.window_end),
-    )
     rows = growth_report(part, meta, window, top_k=args.top_k)
     out = Path(args.out)
     with open(out, "w") as fh:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import enum
 import logging
-import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -300,36 +299,6 @@ def compare_pair(x: str, y: str) -> PairComparison:
     codes = np.vstack([encode_sequence(x), encode_sequence(y)])
     compared, mism, tsc = pair_counts(codes)[:, 0].tolist()
     return PairComparison(compared, mism, tsc, mism - tsc)
-
-
-def p_distance(x: str, y: str) -> float:
-    """Proportion of differing sites among pairwise-defined sites.
-
-    NaN when no site is defined for the pair.
-    """
-    pc = compare_pair(x, y)
-    if pc.compared == 0:
-        return math.nan
-    return pc.mismatches / pc.compared
-
-
-def k80_distance(x: str, y: str) -> float:
-    """Two-parameter distance -0.5*ln(1-2P-Q) - 0.25*ln(1-2Q).
-
-    P and Q are the transition and transversion proportions among
-    pairwise-defined sites.  NaN when the pair has no defined sites or
-    either log argument is not positive (saturation).
-    """
-    pc = compare_pair(x, y)
-    if pc.compared == 0:
-        return math.nan
-    p = pc.transitions / pc.compared
-    q = pc.transversions / pc.compared
-    w1 = 1.0 - 2.0 * p - q
-    w2 = 1.0 - 2.0 * q
-    if w1 <= 0.0 or w2 <= 0.0:
-        return math.nan
-    return -0.5 * math.log(w1) - 0.25 * math.log(w2) + 0.0  # -0.0 -> 0.0
 
 
 def condensed_size(n: int) -> int:

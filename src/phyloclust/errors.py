@@ -111,16 +111,6 @@ class UndefinedDistance(DataError):
 # --------------------------------------------------------------------- trees
 
 
-class OutgroupMissing(DataError):
-    def __init__(self, ident: str):
-        super().__init__(f"outgroup id {ident!r} not among tree tips")
-        self.ident = ident
-
-
-class OutgroupNotMonophyletic(DataError):
-    pass
-
-
 class TipSetMismatch(DataError):
     pass
 
@@ -157,10 +147,6 @@ class IdSetMismatch(DataError):
 
 
 class EmptyList(DataError):
-    pass
-
-
-class EmptyPartition(DataError):
     pass
 
 

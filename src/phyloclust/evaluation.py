@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
 from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import EmptyList, EmptyPartition, IdSetMismatch
+from .errors import EmptyList, IdSetMismatch
 from .io_formats import Partition
 
 if TYPE_CHECKING:
@@ -43,7 +42,7 @@ class ClusterCriteria:
     def __post_init__(self):
         if not 0.0 <= self.support_min <= 1.0:
             raise ValueError(f"support_min {self.support_min} outside [0, 1]")
-        if self.distance_max <= 0.0:
+        if not self.distance_max > 0.0:
             raise ValueError(f"distance_max {self.distance_max} must be > 0")
 
 
@@ -314,36 +313,3 @@ def _average_leaf_order(dissent: np.ndarray, n: int) -> list[int]:
         else:
             stack += reversed(children[node - n])
     return order
-
-
-@dataclass(frozen=True)
-class PartitionSummary:
-    """Cluster-size statistics, with and without singletons."""
-
-    num_ids: int
-    num_clusters: int
-    mean_size: float
-    mean_size_no_singletons: float
-    median_size_no_singletons: float
-    max_size: int
-    num_singletons: int
-    num_clusters_ge2: int
-
-
-def partition_summary(p: Partition) -> PartitionSummary:
-    sizes = p.sizes()
-    if not sizes:
-        raise EmptyPartition("cannot summarize an empty partition")
-    multi = [s for s in sizes if s >= 2]
-    return PartitionSummary(
-        num_ids=len(p),
-        num_clusters=len(sizes),
-        mean_size=sum(sizes) / len(sizes),
-        mean_size_no_singletons=(sum(multi) / len(multi)) if multi else 0.0,
-        median_size_no_singletons=(
-            float(statistics.median(multi)) if multi else 0.0
-        ),
-        max_size=max(sizes),
-        num_singletons=sum(1 for s in sizes if s == 1),
-        num_clusters_ge2=len(multi),
-    )

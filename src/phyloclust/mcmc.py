@@ -92,9 +92,6 @@ class ChainState:
     mu_w_window: tuple[float, float]
     mu_b_window: tuple[float, float]
 
-    def to_partition(self, labels: list[str]) -> Partition:
-        return Partition.from_clusters([labels[lo:hi] for _, lo, hi in self.clades])
-
 
 @dataclass(frozen=True)
 class ChainSummary:

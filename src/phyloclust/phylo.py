@@ -1,30 +1,24 @@
-"""Rooted phylogenies: traversal, rooting, patristic distances, consensus.
+"""Rooted phylogenies: traversal, patristic distances, support, consensus.
 
-Trees are mutable node structures; every algorithm here is iterative so
-pathological caterpillar shapes do not hit the interpreter recursion limit.
-Within one tree a clade is a range [lo, hi) of its left-to-right tip
-order (`PhyloTree.tip_spans`).  Comparisons across trees (rooting,
-support, consensus) identify a clade by its tip set instead, held as an
-integer bitset over a shared tip index.
+Trees arrive rooted by the tree builder.  They are mutable node
+structures; every algorithm here is iterative so pathological caterpillar
+shapes do not hit the interpreter recursion limit.  Within one tree a
+clade is a range [lo, hi) of its left-to-right tip order
+(`PhyloTree.tip_spans`).  Comparisons across trees (support, consensus)
+identify a clade by its tip set instead, held as an integer bitset over a
+shared tip index.
 
 Support values are attached to internal nodes but belong conceptually to
-the edge above the node; re-rooting moves them so each value stays with
-the tip bipartition its edge induces.
+the edge above the node.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .errors import (
-    DegenerateTree,
-    EmptyInput,
-    OutgroupMissing,
-    OutgroupNotMonophyletic,
-    TipSetMismatch,
-)
+from .errors import DegenerateTree, EmptyInput, TipSetMismatch
 
 if TYPE_CHECKING:
     from .distance import DistanceMatrix
@@ -93,14 +87,6 @@ class PhyloTree:
 
     def tip_labels(self) -> list[str]:
         return [n.label or "" for n in self.tips()]
-
-    @property
-    def num_tips(self) -> int:
-        return len(self.tips())
-
-    def edges(self) -> list[Node]:
-        """Non-root nodes; each stands for the edge to its parent."""
-        return [n for n in self.preorder() if n.parent is not None]
 
     # ------------------------------------------------------------- utility
 
@@ -178,114 +164,6 @@ def enumerate_clades(
 
 def mask_to_labels(mask: int, labels: list[str]) -> list[str]:
     return [lab for k, lab in enumerate(labels) if mask >> k & 1]
-
-
-# ----------------------------------------------------------------- rooting
-
-
-def root_at_outgroup(tree: PhyloTree, outgroup: Iterable[str]) -> PhyloTree:
-    """Re-root on the edge separating the outgroup, then drop the outgroup.
-
-    Requires every outgroup id to be a tip and the outgroup to form a
-    clade in the unrooted sense.  Patristic distances among the remaining
-    tips are unchanged, and support values stay with their bipartitions.
-    """
-    og = set(outgroup)
-    if not og:
-        raise EmptyInput("empty outgroup")
-    work = tree.copy()
-    index = work.tip_index()
-    for ident in sorted(og):
-        if ident not in index:
-            raise OutgroupMissing(ident)
-    if len(og) == len(index):
-        raise OutgroupNotMonophyletic("outgroup covers every tip")
-
-    og_mask = 0
-    for ident in og:
-        og_mask |= 1 << index[ident]
-    full = (1 << len(index)) - 1
-    in_mask = full ^ og_mask
-    masks = work.node_masks(index)
-
-    # The ingroup already hangs below one node: detach that subtree.
-    for node in work.preorder():
-        if node.parent is not None and masks[id(node)] == in_mask:
-            node.parent = None
-            node.length = None
-            node.support = None
-            out = PhyloTree(node)
-            out.missing_lengths = work.missing_lengths
-            return out
-
-    # Otherwise the outgroup must be a rooted clade; flip edges above its
-    # attachment point so the rest of the tree hangs below it.
-    og_node = None
-    for node in work.preorder():
-        if node.parent is not None and masks[id(node)] == og_mask:
-            og_node = node
-            break
-    if og_node is None:
-        raise OutgroupNotMonophyletic(
-            "no edge separates the outgroup from the ingroup"
-        )
-
-    pivot = og_node.parent
-    assert pivot is not None
-    pivot.children.remove(og_node)
-
-    # Flip every edge on the path from the pivot to the old root.  Each
-    # flipped edge keeps its own length and support, so the values travel
-    # with the bipartition rather than with a node.
-    chain: list[Node] = []
-    cur = pivot.parent
-    while cur is not None:
-        chain.append(cur)
-        cur = cur.parent
-    prev = pivot
-    carry_len, carry_sup = pivot.length, pivot.support
-    for node in chain:
-        node.children.remove(prev)
-        next_len, next_sup = node.length, node.support
-        prev.children.append(node)
-        node.parent = prev
-        node.length, node.support = carry_len, carry_sup
-        carry_len, carry_sup = next_len, next_sup
-        prev = node
-    return _finish_reroot(pivot, work.missing_lengths)
-
-
-def _finish_reroot(pivot: Node, missing: int) -> PhyloTree:
-    pivot.parent = None
-    pivot.length = None
-    pivot.support = None
-    while len(pivot.children) == 1:
-        pivot = pivot.children[0]
-        pivot.parent = None
-        pivot.length = None
-        pivot.support = None
-    _collapse_unary(pivot)
-    out = PhyloTree(pivot)
-    out.missing_lengths = missing
-    return out
-
-
-def _collapse_unary(root: Node) -> None:
-    # A former root left with a single child merges into one edge; the
-    # surviving node keeps its own support (both edges induce the same
-    # bipartition once unary).
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        while len(node.children) == 1 and node.parent is not None:
-            child = node.children[0]
-            child.length = (child.length or 0.0) + (node.length or 0.0)
-            parent = node.parent
-            pos = parent.children.index(node)
-            parent.children[pos] = child
-            child.parent = parent
-            node = child
-        stack.extend(node.children)
 
 
 # ------------------------------------------------------------ path lengths

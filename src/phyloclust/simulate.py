@@ -8,7 +8,7 @@ reproducible regardless of call order.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -36,26 +36,10 @@ from .distance import (
     p_block_reader,
     row_chunks,
 )
-from .errors import (
-    DegenerateTree,
-    MissingSequence,
-    TipSetMismatch,
-    UnannotatedSupport,
-)
+from .errors import MissingSequence, TipSetMismatch, UnannotatedSupport
 from .evaluation import ClusterCriteria, Statistic
 from .io_formats import Alignment, Partition
 from .phylo import Node, PhyloTree, lift_path_lengths, patristic_matrix
-
-
-def percentile_cutoff(tree: PhyloTree, percentile: float) -> float:
-    """Nearest-rank percentile of all pairwise patristic distances."""
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError(f"percentile {percentile} outside (0, 100]")
-    if tree.num_tips < 2:
-        raise DegenerateTree("percentile cutoff needs at least two tips")
-    values = np.sort(patristic_matrix(tree).values)
-    rank = max(1, math.ceil(percentile / 100.0 * values.shape[0]))
-    return float(values[rank - 1])
 
 
 def threshold_cluster(

@@ -1,6 +1,7 @@
 """End-to-end command coverage through the in-process entry point."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -173,7 +174,7 @@ def test_unary_clade_gives_its_singleton(tmp_path, recwarn, method):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_usage_errors_exit_two(cohort, tmp_path):
+def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
     out = tmp_path / "nope.csv"
     assert main(["cluster", "--method", "mcmc", "--out", str(out)]) == 2
     assert main(
@@ -195,6 +196,40 @@ def test_usage_errors_exit_two(cohort, tmp_path):
              "--matrix", str(p_bin), "--out", str(out)]
         ) == 2
     assert not out.exists()
+
+    # flag values that a config object, a date or a grid rejects
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    tree, aln = str(cohort / "tree.nwk"), str(cohort / "alignment.fasta")
+    planted, meta = str(cohort / "planted.csv"), str(cohort / "metadata.csv")
+    cluster = ["cluster", "--tree", tree, "--align", aln, "--out", str(bad / "c.csv")]
+    mcmc = cluster + ["--method", "mcmc", "--chain-dir", str(bad / "chain")]
+    sweep = ["sweep", "--tree", tree, "--align", aln, "--ref", planted,
+             "--out", str(bad / "s.tsv")]
+    growth = ["growth", "--partition", planted, "--metadata", meta,
+              "--svg", str(bad / "g.svg"), "--out", str(bad / "g.tsv")]
+    for argv in (
+        cluster + ["--method", "maxp", "--distance-max", "0"],
+        cluster + ["--method", "maxp", "--distance-max", "nan"],
+        cluster + ["--method", "maxpatristic", "--support-min", "1.5"],
+        cluster + ["--method", "gap", "--gap-quantile", "0"],
+        mcmc + ["--iterations", "10", "--burn-in", "20"],
+        mcmc + ["--thin", "0"],
+        sweep + ["--support-grid", "x"],
+        sweep + ["--distance-grid", "0"],
+        sweep + ["--method", "maxpatristic", "--support-grid", "0.9,1.5"],
+        ["linkage", "--chain-dir", str(chain), "--walk-length", "0",
+         "--out", str(bad / "l.csv")],
+        growth + ["--window-start", "2020-01-01"],
+        growth + ["--window-start", "bogus"],
+        growth + ["--top-k", "-1"],
+        growth + ["--top-k", "0"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err, argv
+        assert not any(bad.iterdir()), argv
 
 
 def test_unknown_flag_exits_two(cohort, tmp_path):
@@ -312,14 +347,26 @@ def test_package_import_loads_no_submodule():
 
 
 def test_public_names_are_their_modules_own():
-    import importlib
-
     import phyloclust
 
     for name in phyloclust.__all__:
         obj = getattr(phyloclust, name)
         assert obj.__module__.startswith("phyloclust."), name
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+
+
+def test_bench_traced_names_resolve(monkeypatch):
+    """Every library name the traced bench run wraps or reads exists."""
+    import dataclasses
+
+    from phyloclust.mcmc import ChainSummary
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    replay = importlib.import_module("replay")
+    for owner, attr, *_ in replay._TRACED:
+        assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
+    fields = {f.name for f in dataclasses.fields(ChainSummary)}
+    assert "retained_samples" in fields
 
 
 _COMMAND_PROBE = """
@@ -708,6 +755,27 @@ def test_cluster_maxp_align_builds_no_matrix(cohort, tmp_path, build_threads):
     )
     assert rc == 0
     assert build_threads == []
+
+
+@pytest.mark.parametrize("method", ["maxpatristic", "medianpatristic"])
+def test_patristic_sweep_reads_no_alignment(cohort, tmp_path, monkeypatch, method):
+    from phyloclust import io_formats
+
+    aln = str(cohort / "alignment.fasta")
+    argv = ["sweep", "--method", method, "--tree", str(cohort / "tree.nwk"),
+            "--ref", str(cohort / "planted.csv"),
+            "--support-grid", "0.70,0.90", "--distance-grid", "0.03,0.045"]
+    plain, given = tmp_path / "plain.tsv", tmp_path / "given.tsv"
+    assert main(argv + ["--out", str(plain)]) == 0
+
+    def refuse(path):
+        raise AssertionError(f"sweep --method {method} loaded {path}")
+
+    monkeypatch.setattr(io_formats, "load_fasta", refuse)
+    assert main(argv + ["--align", aln, "--out", str(given)]) == 0
+    assert given.read_bytes() == plain.read_bytes()
+    manifest = json.loads((tmp_path / "given.tsv.manifest.json").read_text())
+    assert aln not in manifest["inputs"]
 
 
 def test_sweep_maxp_missing_sequence_exits_one(cohort, tmp_path, capsys):

@@ -20,8 +20,6 @@ from phyloclust import distance
 from phyloclust.distance import (
     compare_pair,
     encode_alignment,
-    k80_distance,
-    p_distance,
     pair_counts,
     read_matrix_binary,
     read_matrix_phylip,
@@ -31,6 +29,40 @@ from phyloclust.distance import (
 from phyloclust.errors import DataError, LengthMismatch, MalformedMatrix
 
 from conftest import dense
+
+# Single-pair reference distances over compare_pair; the matrix builder
+# must agree with them pair by pair.
+
+
+def p_distance(x: str, y: str) -> float:
+    """Proportion of differing sites among pairwise-defined sites.
+
+    NaN when no site is defined for the pair.
+    """
+    pc = compare_pair(x, y)
+    if pc.compared == 0:
+        return math.nan
+    return pc.mismatches / pc.compared
+
+
+def k80_distance(x: str, y: str) -> float:
+    """Two-parameter distance -0.5*ln(1-2P-Q) - 0.25*ln(1-2Q).
+
+    P and Q are the transition and transversion proportions among
+    pairwise-defined sites.  NaN when the pair has no defined sites or
+    either log argument is not positive (saturation).
+    """
+    pc = compare_pair(x, y)
+    if pc.compared == 0:
+        return math.nan
+    p = pc.transitions / pc.compared
+    q = pc.transversions / pc.compared
+    w1 = 1.0 - 2.0 * p - q
+    w2 = 1.0 - 2.0 * q
+    if w1 <= 0.0 or w2 <= 0.0:
+        return math.nan
+    return -0.5 * math.log(w1) - 0.25 * math.log(w2) + 0.0  # -0.0 -> 0.0
+
 
 _BASES = "ACGT"
 

@@ -1,4 +1,4 @@
-"""Partition scoring: ARI, partial-gold transform, sweeps, summaries."""
+"""Partition scoring: ARI, partial-gold transform, sweeps, co-clustering."""
 
 import itertools
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phyloclust import Partition
-from phyloclust.errors import EmptyPartition, IdSetMismatch
+from phyloclust.errors import IdSetMismatch
 from phyloclust.evaluation import (
     ReferenceSet,
     _average_leaf_order,
@@ -14,7 +14,6 @@ from phyloclust.evaluation import (
     cutpoint_sweep,
     method_cocluster_matrix,
     partial_gold_transform,
-    partition_summary,
     reference_ari,
 )
 from phyloclust.threshold import ClusterCriteria, Statistic
@@ -337,47 +336,3 @@ def test_average_leaf_order_matches_scipy():
     for trial, (n, y) in enumerate(cases):
         expect = leaves_list(linkage(y, method="average")).tolist()
         assert _average_leaf_order(y.copy(), n) == expect, (trial, n)
-
-
-def test_summary_hand_example():
-    p = Partition.from_labels(["a", "b", "c"], ["1", "2", "2"])
-    s = partition_summary(p)
-    assert s.num_ids == 3
-    assert s.num_clusters == 2
-    assert s.mean_size == pytest.approx(1.5)
-    assert s.mean_size_no_singletons == pytest.approx(2.0)
-    assert s.num_singletons == 1
-    assert s.num_clusters_ge2 == 1
-
-
-def test_summary_matches_recount():
-    rng = np.random.default_rng(31)
-    for _ in range(25):
-        n = int(rng.integers(1, 40))
-        ids = [f"s{i}" for i in range(n)]
-        p = random_partition(rng, ids)
-        s = partition_summary(p)
-        sizes = sorted(len(c) for c in p.clusters().values())
-        multi = [z for z in sizes if z >= 2]
-        assert s.num_ids == n
-        assert s.num_clusters == len(sizes)
-        assert s.mean_size == pytest.approx(sum(sizes) / len(sizes))
-        assert s.max_size == max(sizes)
-        assert s.num_singletons == sizes.count(1)
-        assert s.num_clusters_ge2 == len(multi)
-        if multi:
-            assert s.mean_size_no_singletons == pytest.approx(
-                sum(multi) / len(multi)
-            )
-            mid = len(multi) // 2
-            expect_median = (
-                multi[mid]
-                if len(multi) % 2
-                else (multi[mid - 1] + multi[mid]) / 2.0
-            )
-            assert s.median_size_no_singletons == pytest.approx(expect_median)
-
-
-def test_summary_empty_partition_rejected():
-    with pytest.raises(EmptyPartition):
-        partition_summary(Partition.from_labels([], []))

@@ -30,6 +30,10 @@ def uniform_alignment(labels, sites=60):
     return parse_fasta("".join(f">{lab}\n{'A' * sites}\n" for lab in labels))
 
 
+def state_partition(state, labels):
+    return Partition.from_clusters([labels[lo:hi] for _, lo, hi in state.clades])
+
+
 # ------------------------------------------------------- enumeration oracle
 
 
@@ -156,7 +160,7 @@ CHERRY_FASTA = (
 def test_initialize_two_cherries():
     tree = parse_newick(TWO_CHERRIES)
     state = initialize_chain(tree, parse_fasta(CHERRY_FASTA), ChainConfig())
-    part = state.to_partition(tree.tip_labels())
+    part = state_partition(state, tree.tip_labels())
     groups = sorted(sorted(c) for c in part.clusters().values())
     assert groups == [["a", "b"], ["c", "d"]]
     m_w = (0.01 + 0.02 + 0.015 + 0.025) / 4.0
@@ -178,7 +182,7 @@ def test_initialize_singleton_fallback(caplog):
 
     with caplog.at_level(logging.WARNING):
         state = initialize_chain(tree, parse_fasta(fasta), ChainConfig())
-    assert state.to_partition(tree.tip_labels()).num_clusters() == 4
+    assert state_partition(state, tree.tip_labels()).num_clusters() == 4
     assert state.mu_w == pytest.approx(0.05)  # single smallest edge
     assert state.mu_b == pytest.approx((0.05 + 0.08 + 0.3 + 0.06 + 0.07 + 0.4) / 6)
     assert any("decile" in r.getMessage() for r in caplog.records)
@@ -214,7 +218,7 @@ def test_log_posterior_two_tip_arithmetic():
     tree = parse_newick("(a:0.02,b:0.03);")
     cfg = ChainConfig(init_mu_w=0.01, init_mu_b=0.15, init_alpha=100.0)
     state = initialize_chain(tree, uniform_alignment(["a", "b"]), cfg)
-    assert state.to_partition(tree.tip_labels()).num_clusters() == 1
+    assert state_partition(state, tree.tip_labels()).num_clusters() == 1
 
     mu_w, mu_b, alpha = 0.01, 0.15, 100.0
     lam, shape, scale = 2368.0, 500.0, 0.2

@@ -1,4 +1,4 @@
-"""Tree traversal, rooting, patristic distances, clades, consensus."""
+"""Tree traversal, patristic distances, clades, support, consensus."""
 
 import itertools
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from phyloclust import parse_newick, newick_string
-from phyloclust.errors import OutgroupMissing
 from phyloclust.phylo import (
     annotate_support,
     enumerate_clades,
     majority_consensus,
     mask_to_labels,
     patristic_matrix,
-    root_at_outgroup,
 )
 from phyloclust.simulate import SimConfig, simulate_tree
 
@@ -158,35 +156,6 @@ def _assert_spans_match_masks(tree):
     for node in nodes:
         lo, hi = spans[id(node)]
         assert labels[lo:hi] == mask_to_labels(masks[id(node)], labels)
-
-
-def test_root_at_outgroup_sibling_case():
-    tree = parse_newick("((a:1,b:2):3,og:9);")
-    rooted = root_at_outgroup(tree, ["og"])
-    assert sorted(rooted.tip_labels()) == ["a", "b"]
-    dm = patristic_matrix(rooted)
-    assert dm.get(dm.ids.index("a"), dm.ids.index("b")) == pytest.approx(3.0)
-
-
-def test_root_at_outgroup_missing():
-    tree = parse_newick("(a:1,b:1);")
-    with pytest.raises(OutgroupMissing):
-        root_at_outgroup(tree, ["nope"])
-
-
-def test_rerooting_preserves_ingroup_patristic():
-    """The ingroup metric is a property of the unrooted tree."""
-    for seed in range(5):
-        tree, _ = simulate_tree(SimConfig(cluster_sizes=(6, 5), rng_seed=seed))
-        out = tree.tip_labels()[0]
-        before = patristic_matrix(tree)
-        rooted = root_at_outgroup(tree, [out])
-        after = patristic_matrix(rooted)
-        for i, a in enumerate(after.ids):
-            for j in range(i + 1, len(after.ids)):
-                b = after.ids[j]
-                expect = before.get(before.ids.index(a), before.ids.index(b))
-                assert abs(after.get(i, j) - expect) <= 1e-9
 
 
 def test_support_sample_of_copies():

@@ -1,4 +1,4 @@
-"""Support-and-distance clade clustering plus percentile cutpoints."""
+"""Support-and-distance clade clustering."""
 
 import itertools
 import math
@@ -22,7 +22,6 @@ from phyloclust.phylo import patristic_matrix
 from phyloclust.threshold import (
     ClusterCriteria,
     Statistic,
-    percentile_cutoff,
     threshold_cluster,
 )
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
@@ -200,20 +199,6 @@ def test_determinism():
     assert a.assignment == b.assignment
 
 
-def test_percentile_uniform_distances():
-    tree = parse_newick("(a:0.1,b:0.1,c:0.1,d:0.1);")
-    for pct in (1.0, 15.0, 30.0, 50.0, 100.0):
-        assert percentile_cutoff(tree, pct) == pytest.approx(0.2)
-
-
-def test_percentile_matches_sort_oracle():
-    tree, _ = simulate_tree(SimConfig(cluster_sizes=(11, 7), rng_seed=8))
-    values = np.sort(patristic_matrix(tree).values)
-    for pct in (15.0, 30.0):
-        rank = max(1, math.ceil(pct / 100.0 * values.shape[0]))
-        assert percentile_cutoff(tree, pct) == pytest.approx(values[rank - 1])
-
-
 def test_criteria_validation():
     with pytest.raises(ValueError):
         ClusterCriteria(-0.1, 0.05, Statistic.MAX_PAIRWISE_P)
@@ -300,8 +285,9 @@ def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
     aln = simulate_alignment(tree, cfg)
     decorate_tree(tree, rng)
     if seed // 2 % 2:
-        for node in tree.edges():
-            node.length = int(rng.integers(0, 4)) * 0.01
+        for node in tree.preorder():
+            if node.parent is not None:
+                node.length = int(rng.integers(0, 4)) * 0.01
 
     p = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
     order = rng.permutation(p.n)
