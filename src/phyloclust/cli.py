@@ -399,16 +399,21 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_linkage(args) -> None:
-    from .distance import MatrixKind, read_matrix_binary
+    from .community import WeightedGraph, walktrap_communities
+    from .distance import read_nonzero_pairs_binary
+    from .errors import MalformedMatrix
     from .io_formats import write_partition
-    from .mcmc import linkage_estimate
 
     started = time.monotonic()
     if args.walk_length < 1:
         raise _UsageError(f"--walk-length must be at least 1, got {args.walk_length}")
     matrix = Path(args.chain_dir) / "cocluster.bin"
-    cocluster = read_matrix_binary(matrix, MatrixKind.COCLUSTER)
-    part = linkage_estimate(cocluster, walk_length=args.walk_length)
+    # the graph's edges are the triangle's nonzero pairs, read block by block
+    ids, i, j, w = read_nonzero_pairs_binary(matrix)
+    if not (w >= 0.0).all():  # NaN fails too
+        raise MalformedMatrix(f"{matrix}: co-clustering weights must be non-negative")
+    graph = WeightedGraph.from_edges(ids, i, j, w)
+    part = walktrap_communities(graph, walk_length=args.walk_length)
     out = Path(args.out)
     write_partition(part, out)
     _write_manifest(args, out, [matrix], started)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,11 +69,12 @@ class WeightedGraph:
         return float(self.w.sum())
 
 
-def cocluster_fraction(
+def cocluster_rows(
     partitions: Sequence[Partition], ids: Sequence[str]
-) -> DistanceMatrix:
-    """COCLUSTER matrix over ids: the fraction of partitions that put each
-    pair of ids in one cluster, 0 for every pair when there are none.
+) -> Iterator[np.ndarray]:
+    """Row i of the COCLUSTER triangle over ids, for i = 0 .. n-2: the
+    fraction of partitions that put ids[i] in one cluster with each of
+    ids[i+1:], 0 for every pair when there are none.
 
     Every partition must assign every id.  Each fraction is an exact count
     divided once by the number of partitions.
@@ -83,11 +84,17 @@ def cocluster_fraction(
     for row, p in zip(codes, partitions):
         labels: dict[str, int] = {}
         row[:] = [labels.setdefault(p.assignment[i], len(labels)) for i in ids]
-    rows = (
-        (codes[:, i + 1 :] == codes[:, i, None]).sum(axis=0) / max(k, 1)
-        for i in range(len(ids))
+    for i in range(len(ids) - 1):
+        yield (codes[:, i + 1 :] == codes[:, i, None]).sum(axis=0) / max(k, 1)
+
+
+def cocluster_fraction(
+    partitions: Sequence[Partition], ids: Sequence[str]
+) -> DistanceMatrix:
+    """The COCLUSTER matrix whose rows cocluster_rows gives."""
+    return DistanceMatrix.from_upper_rows(
+        list(ids), cocluster_rows(partitions, ids), MatrixKind.COCLUSTER
     )
-    return DistanceMatrix.from_upper_rows(list(ids), rows, MatrixKind.COCLUSTER)
 
 
 def partition_adjacency(p: Partition) -> WeightedGraph:

@@ -22,7 +22,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -324,6 +324,14 @@ def _row_shift(n, i):
     return i * (2 * n - i - 3) // 2 - 1
 
 
+def _pair_of(n: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The pairs (i, j), i < j, at the sorted condensed positions pos.
+    rows = np.arange(n - 1)
+    shift = _row_shift(n, rows)
+    i = np.searchsorted(shift + rows + 1, pos, side="right") - 1
+    return i, pos - shift[i]
+
+
 class DistanceMatrix:
     """Symmetric pairwise distances over named sequences.
 
@@ -436,10 +444,7 @@ class DistanceMatrix:
         """The pairs whose value is not zero (NaN included) as arrays i, j
         and value, with i < j, in condensed (row-major) order."""
         pos = np.flatnonzero(self.values)
-        rows = np.arange(self.n - 1)
-        shift = _row_shift(self.n, rows)
-        i = np.searchsorted(shift + rows + 1, pos, side="right") - 1
-        return i, pos - shift[i], self.values[pos]
+        return (*_pair_of(self.n, pos), self.values[pos])
 
     def values_within(self, idx: Iterable[int]) -> np.ndarray:
         """Condensed values for all pairs among the given indices."""
@@ -576,15 +581,56 @@ def write_matrix_binary(dm: DistanceMatrix, path: str | Path) -> None:
     Sequence ids are not part of the binary layout; they are written to a
     sidecar text file <path>.ids, one id per line.
     """
+    write_binary_rows(dm.ids, dm.upper_rows(), path)
+
+
+def write_binary_rows(
+    ids: list[str], rows: Iterable[np.ndarray], path: str | Path
+) -> None:
+    """write_matrix_binary's file from row i's values to ids i+1.., for
+    i = 0 .. n-2, as upper_rows() yields them; one row is held at a time
+    and rows past n-2 are not read."""
     path = Path(path)
+    n = len(ids)
+    written = 0
     with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<B", _BINARY_VERSION))
-        fh.write(struct.pack("<Q", dm.n))
-        # a view of values on a little-endian host, a byte-swapped copy elsewhere
-        fh.write(np.ascontiguousarray(dm.values, dtype="<f8"))
+        fh.write(_BINARY_MAGIC + struct.pack("<BQ", _BINARY_VERSION, n))
+        for _, row in zip(range(n - 1), rows):
+            # a view of row on a little-endian host, a byte-swapped copy elsewhere
+            fh.write(np.ascontiguousarray(row, dtype="<f8"))
+            written += len(row)
+    if written != condensed_size(n):
+        raise ValueError(f"rows fill {written} of {condensed_size(n)} condensed values")
     with open(path.with_name(path.name + ".ids"), "w") as fh:
-        fh.write("".join(f"{ident}\n" for ident in dm.ids))
+        fh.write("".join(f"{ident}\n" for ident in ids))
+
+
+def _binary_ids(path: Path, fh: BinaryIO) -> list[str]:
+    # Checks the header, size and id sidecar of write_matrix_binary's file
+    # open at its start as fh, leaves fh at the first value and returns
+    # the ids.
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(13)
+    if head[:4] != _BINARY_MAGIC:
+        raise MalformedMatrix(f"{path} is not a distance-matrix file")
+    if len(head) < 13:
+        raise MalformedMatrix(f"{path}: header is cut short")
+    version, n = struct.unpack_from("<BQ", head, 4)
+    if version != _BINARY_VERSION:
+        raise MalformedMatrix(f"{path}: unsupported matrix version {version}")
+    if size != 13 + 8 * condensed_size(n):
+        raise MalformedMatrix(
+            f"{path}: {size - 13} value bytes for n={n}, "
+            f"expected {8 * condensed_size(n)}"
+        )
+    sidecar = path.with_name(path.name + ".ids")
+    try:
+        ids = sidecar.read_text().split()
+    except FileNotFoundError:
+        raise MalformedMatrix(f"{path}: id sidecar {sidecar} is missing") from None
+    if len(ids) != n:
+        raise MalformedMatrix(f"{sidecar}: {len(ids)} ids for n={n}")
+    return ids
 
 
 def read_matrix_binary(
@@ -593,27 +639,27 @@ def read_matrix_binary(
     """Read write_matrix_binary's triangle and its <path>.ids sidecar."""
     path = Path(path)
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(13)
-        if head[:4] != _BINARY_MAGIC:
-            raise MalformedMatrix(f"{path} is not a distance-matrix file")
-        if len(head) < 13:
-            raise MalformedMatrix(f"{path}: header is cut short")
-        version, n = struct.unpack_from("<BQ", head, 4)
-        if version != _BINARY_VERSION:
-            raise MalformedMatrix(f"{path}: unsupported matrix version {version}")
-        if size != 13 + 8 * condensed_size(n):
-            raise MalformedMatrix(
-                f"{path}: {size - 13} value bytes for n={n}, "
-                f"expected {8 * condensed_size(n)}"
-            )
+        ids = _binary_ids(path, fh)
         # straight into the array; astype copies only on a big-endian host
-        vals = np.fromfile(fh, "<f8", condensed_size(n)).astype(np.float64, copy=False)
-    sidecar = path.with_name(path.name + ".ids")
-    try:
-        ids = sidecar.read_text().split()
-    except FileNotFoundError:
-        raise MalformedMatrix(f"{path}: id sidecar {sidecar} is missing") from None
-    if len(ids) != n:
-        raise MalformedMatrix(f"{sidecar}: {len(ids)} ids for n={n}")
-    return DistanceMatrix(ids, vals, kind)
+        vals = np.fromfile(fh, "<f8", condensed_size(len(ids)))
+    return DistanceMatrix(ids, vals.astype(np.float64, copy=False), kind)
+
+
+def read_nonzero_pairs_binary(
+    path: str | Path,
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The ids of write_matrix_binary's file and its pairs whose value is
+    not zero (NaN included), as nonzero_pairs() gives them.  The triangle
+    is read in blocks of BLOCK_PAIRS values and never held whole."""
+    path = Path(path)
+    positions, weights = [np.empty(0, np.int64)], [np.empty(0)]
+    with open(path, "rb") as fh:
+        ids = _binary_ids(path, fh)
+        total = condensed_size(len(ids))
+        for lo in range(0, total, BLOCK_PAIRS):
+            block = np.fromfile(fh, "<f8", min(BLOCK_PAIRS, total - lo))
+            hit = np.flatnonzero(block)
+            positions.append(hit + lo)
+            weights.append(block[hit].astype(np.float64, copy=False))
+    pos = np.concatenate(positions)
+    return (ids, *_pair_of(len(ids), pos), np.concatenate(weights))

@@ -69,8 +69,11 @@ def growth_report(
 
     recent_phi_count is a lower bound on cases the cluster accrued in
     [phi_reliable_start, window_end]; min_size_before_2012 counts
-    chronic members collected before that window opened.
+    chronic members collected before that window opened.  Raises
+    ValueError when top_k is below 1.
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     w = w or GrowthWindow()
     by_id = _meta_index(meta, p)
     clusters = p.clusters()

@@ -22,8 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .community import WeightedGraph, cocluster_fraction, walktrap_communities
-from .distance import DistanceMatrix, MatrixKind, read_matrix_binary, write_matrix_binary
+from .community import (
+    WeightedGraph,
+    cocluster_fraction,
+    cocluster_rows,
+    walktrap_communities,
+)
+from .distance import DistanceMatrix, write_binary_rows
 from .errors import DegenerateTree
 from .io_formats import (
     Alignment,
@@ -95,16 +100,22 @@ class ChainState:
 
 @dataclass(frozen=True)
 class ChainSummary:
-    """A chain's MAP partition and score, its post-burn-in trace and its
-    retained samples.  cocluster (kind COCLUSTER, ids in tip order) holds
-    the fraction of retained samples that put each pair in one cluster;
-    all zeros when nothing was retained."""
+    """A chain's MAP partition and score, the tree's tip labels in order
+    (ids), its post-burn-in trace and its retained samples.  The
+    co-clustering triangle is not kept: cocluster builds it on each
+    access, and save_chain_summary streams it to disk row by row."""
 
     map_partition: Partition
     map_log_posterior: float
-    cocluster: DistanceMatrix
+    ids: list[str]
     trace: list[tuple[int, float]]
     retained_samples: list[Partition]
+
+    @property
+    def cocluster(self) -> DistanceMatrix:
+        """COCLUSTER matrix over ids: the fraction of retained samples that
+        put each pair in one cluster, all zeros when nothing was retained."""
+        return cocluster_fraction(self.retained_samples, self.ids)
 
 
 # ---------------------------------------------------------------- scoring
@@ -582,7 +593,7 @@ def run_chain(
             [labels[spans[cid]] for cid in best_snapshot]
         ),
         map_log_posterior=best_lp,
-        cocluster=cocluster_fraction(retained, labels),
+        ids=labels,
         trace=trace,
         retained_samples=retained,
     )
@@ -602,7 +613,10 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_partition(summary.map_partition, directory / "map_partition.csv")
-    write_matrix_binary(summary.cocluster, directory / "cocluster.bin")
+    ids = summary.ids
+    write_binary_rows(
+        ids, cocluster_rows(summary.retained_samples, ids), directory / "cocluster.bin"
+    )
 
     with open(directory / "trace.tsv", "w") as fh:
         fh.write("iteration\tlog_posterior\n")
@@ -610,7 +624,6 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
             fh.write(f"{it}\t{lp!r}\n")
 
     with open(directory / "retained_samples.txt", "w") as fh:
-        ids = summary.cocluster.ids
         fh.write(",".join(ids) + "\n")
         for part in summary.retained_samples:
             fh.write(",".join(part.assignment[i] for i in ids) + "\n")
@@ -620,7 +633,7 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
             {
                 "map_log_posterior": summary.map_log_posterior,
                 "num_retained": len(summary.retained_samples),
-                "num_ids": summary.cocluster.n,
+                "num_ids": len(ids),
             },
             fh,
             indent=2,
@@ -629,9 +642,10 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
 
 
 def load_chain_summary(directory: str | Path) -> ChainSummary:
+    """save_chain_summary's directory; cocluster.bin is not read, since
+    the retained samples give the co-clustering triangle."""
     directory = Path(directory)
     map_partition = load_partition(directory / "map_partition.csv")
-    cocluster = read_matrix_binary(directory / "cocluster.bin", MatrixKind.COCLUSTER)
 
     trace: list[tuple[int, float]] = []
     with open(directory / "trace.tsv") as fh:
@@ -652,7 +666,7 @@ def load_chain_summary(directory: str | Path) -> ChainSummary:
     return ChainSummary(
         map_partition=map_partition,
         map_log_posterior=float(meta["map_log_posterior"]),
-        cocluster=cocluster,
+        ids=ids,
         trace=trace,
         retained_samples=retained,
     )

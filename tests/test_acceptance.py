@@ -10,7 +10,6 @@ multi-core scaling is only asserted when the host actually has the cores.
 """
 
 import itertools
-import math
 import os
 import time
 

@@ -4,6 +4,8 @@ import hashlib
 import importlib
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -501,6 +503,28 @@ def test_linkage_command(cohort, chain, tmp_path):
     assert part.same_grouping(linkage_estimate(cocluster))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d[:21] + struct.pack("<d", -0.5) + d[29:], "non-negative"),
+        (lambda d: d[:-8] + struct.pack("<d", float("nan")), "non-negative"),
+        (lambda d: d[:-3], "value bytes"),
+        (lambda d: b"PK\x03\x04" + d[4:], "not a distance-matrix file"),
+    ],
+    ids=["negative", "nan", "truncated", "foreign"],
+)
+def test_linkage_bad_cocluster_is_data_error(chain, tmp_path, capsys, edit, message):
+    bad = tmp_path / "chain"
+    shutil.copytree(chain, bad)
+    data = (bad / "cocluster.bin").read_bytes()
+    (bad / "cocluster.bin").write_bytes(edit(data))
+    out = tmp_path / "linkage.csv"
+    assert main(["linkage", "--chain-dir", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "MalformedMatrix" in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def big_cohort(tmp_path_factory):
     """A 1,000-sequence cohort with its p-matrix in both formats and a
@@ -546,6 +570,11 @@ _MATRIX_COMMANDS = {
     "gap-align": ("cluster --method gap --align {d}/alignment.fasta", 8),
     "dist-phylip": ("dist --align {d}/alignment.fasta", 8),
     "linkage": ("linkage --chain-dir {d}/chain", 8),
+    "chain": (
+        "cluster --method mcmc --tree {d}/tree.nwk --align {d}/alignment.fasta "
+        "--iterations 400 --burn-in 200 --thin 20 --seed 1 --chain-dir {t}/chain",
+        4,
+    ),
 }
 
 
@@ -556,7 +585,8 @@ def test_matrix_commands_build_no_square(big_cohort, tmp_path, name):
     command holds would exceed.  The fixture has already loaded every
     module the commands import."""
     command, per_n2 = _MATRIX_COMMANDS[name]
-    argv = command.format(d=big_cohort).split() + ["--out", str(tmp_path / "out")]
+    argv = command.format(d=big_cohort, t=tmp_path).split()
+    argv += ["--out", str(tmp_path / "out")]
     n = 1000
     tracemalloc.start()
     try:

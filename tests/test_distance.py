@@ -23,6 +23,8 @@ from phyloclust.distance import (
     pair_counts,
     read_matrix_binary,
     read_matrix_phylip,
+    read_nonzero_pairs_binary,
+    write_binary_rows,
     write_matrix_binary,
     write_matrix_phylip,
 )
@@ -584,6 +586,42 @@ def test_binary_roundtrip(tmp_path):
     assert np.array_equal(back.values, dm.values, equal_nan=True)
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, 65_536])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 23])
+def test_binary_nonzero_reader_matches_nonzero_pairs(tmp_path, monkeypatch, n, block):
+    """Bit for bit nonzero_pairs() of the written triangle, when nonzeros
+    and NaNs straddle the block boundaries."""
+    monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
+    rng = np.random.default_rng(53 + n)
+    vals = rng.random(n * (n - 1) // 2)
+    vals[rng.random(vals.shape) < 0.5] = 0.0
+    vals[rng.random(vals.shape) < 0.1] = np.nan
+    dm = _cocluster(n, vals)
+    path = tmp_path / "m.bin"
+    write_matrix_binary(dm, path)
+    ids, i, j, w = read_nonzero_pairs_binary(path)
+    want = dm.nonzero_pairs()
+    assert ids == dm.ids
+    for got, exp in zip((i, j, w), want):
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+def test_binary_rows_writer_matches_matrix_writer(tmp_path, n):
+    dm = _cocluster(n, np.random.default_rng(n).random(n * (n - 1) // 2))
+    write_matrix_binary(dm, tmp_path / "a.bin")
+    # rows past n - 2 are not read
+    write_binary_rows(dm.ids, [*dm.upper_rows(), np.ones(3)], tmp_path / "b.bin")
+    for suffix in ("bin", "bin.ids"):
+        a, b = (tmp_path / f"{k}.{suffix}" for k in "ab")
+        assert a.read_bytes() == b.read_bytes(), suffix
+
+
+def test_binary_rows_writer_rejects_short_rows(tmp_path):
+    with pytest.raises(ValueError, match="rows fill 2 of 3"):
+        write_binary_rows(["a", "b", "c"], [np.ones(2)], tmp_path / "m.bin")
+
+
 def test_phylip_roundtrip(tmp_path):
     rng = np.random.default_rng(37)
     vals = rng.random(6 * 5 // 2)
@@ -634,6 +672,34 @@ def test_binary_malformed_messages(tmp_path, edit, message):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(MalformedMatrix, match=message):
         read_matrix_binary(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: b"XXXX" + d[4:],
+        lambda d: d[:12],
+        lambda d: d[:4] + b"\x02" + d[5:],
+        lambda d: d + b"\x00",
+        lambda d: d[:-1],
+        lambda d: b"",
+    ],
+)
+def test_binary_nonzero_reader_rejects_malformed(tmp_path, edit):
+    path = _write_bin(tmp_path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(MalformedMatrix):
+        read_nonzero_pairs_binary(path)
+
+
+def test_binary_nonzero_reader_checks_the_sidecar(tmp_path):
+    path = _write_bin(tmp_path)
+    (tmp_path / "m.bin.ids").write_text("a\nb\n")
+    with pytest.raises(MalformedMatrix, match="2 ids for n=3"):
+        read_nonzero_pairs_binary(path)
+    (tmp_path / "m.bin.ids").unlink()
+    with pytest.raises(MalformedMatrix, match="sidecar"):
+        read_nonzero_pairs_binary(path)
 
 
 def test_binary_read_is_writable_float64(tmp_path):

@@ -16,7 +16,7 @@ from phyloclust.evaluation import (
     partial_gold_transform,
     reference_ari,
 )
-from phyloclust.threshold import ClusterCriteria, Statistic
+from phyloclust.threshold import ClusterCriteria
 
 from conftest import dense
 

@@ -171,6 +171,13 @@ def test_top_k_truncates():
     assert len(rows) == 1 and rows[0].total_size == 20
 
 
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_top_k_below_one_is_rejected(top_k):
+    part, meta = cohort_with_big_cluster()
+    with pytest.raises(ValueError, match="top_k"):
+        growth_report(part, meta, top_k=top_k)
+
+
 def test_growth_monotone_in_window():
     rng = np.random.default_rng(11)
     part, meta = _random_cohort(rng, 50)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from phyloclust import (
-    Alignment,
     CaseMetadata,
     Partition,
     Stage,

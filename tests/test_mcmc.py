@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from phyloclust import MatrixKind, Partition, parse_fasta, parse_newick
-from phyloclust.community import modularity, walktrap_communities
+from phyloclust.community import cocluster_fraction, modularity
+from phyloclust.distance import read_matrix_binary, write_matrix_binary
 from phyloclust.errors import DegenerateTree
 from phyloclust.mcmc import (
     ChainConfig,
@@ -397,15 +398,35 @@ def test_summary_roundtrip(tmp_path):
     back = load_chain_summary(tmp_path)
     assert back.map_log_posterior == summary.map_log_posterior
     assert back.map_partition.same_grouping(summary.map_partition)
-    assert np.array_equal(back.cocluster.values, summary.cocluster.values)
-    assert back.cocluster.ids == summary.cocluster.ids
-    assert back.cocluster.kind is MatrixKind.COCLUSTER
+    assert back.ids == summary.ids
+    written = read_matrix_binary(tmp_path / "cocluster.bin", MatrixKind.COCLUSTER)
+    assert written.ids == summary.ids
+    assert written.values.tobytes() == summary.cocluster.values.tobytes()
     assert back.trace == summary.trace
     assert len(back.retained_samples) == len(summary.retained_samples)
     assert all(
         a.same_grouping(b)
         for a, b in zip(back.retained_samples, summary.retained_samples)
     )
+
+
+@pytest.mark.parametrize(
+    "iterations, thin, retained",
+    [(3_000, 2_001, 0), (3_000, 2_000, 1), (19_000, 18, 1_000)],
+)
+def test_streamed_cocluster_equals_whole_matrix_write(
+    tmp_path, iterations, thin, retained
+):
+    """The chain streams cocluster.bin byte for byte as the whole triangle
+    would be written, with 0, 1 and several retained samples."""
+    _, cfg, summary = chain_on_six_tips(iterations=iterations, burn_in=1_000, thin=thin)
+    assert cfg.num_retained == retained
+    save_chain_summary(summary, tmp_path / "chain")
+    whole = cocluster_fraction(summary.retained_samples, summary.ids)
+    write_matrix_binary(whole, tmp_path / "whole.bin")
+    for suffix in ("bin", "bin.ids"):
+        streamed = (tmp_path / "chain" / f"cocluster.{suffix}").read_bytes()
+        assert streamed == (tmp_path / f"whole.{suffix}").read_bytes(), suffix
 
 
 def constant_cocluster(ids, labels):

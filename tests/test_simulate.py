@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from phyloclust import MatrixKind, Stage, build_distance_matrix, newick_string
-from phyloclust.phylo import patristic_matrix
 from phyloclust.simulate import (
     SimConfig,
     simulate_alignment,
