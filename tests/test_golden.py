@@ -8,7 +8,9 @@ import hashlib
 
 import pytest
 
-from phyloclust.cli import main
+from phyloclust import newick_string
+from phyloclust.cli import _PRESETS, main
+from phyloclust.simulate import SimConfig, simulate_tree
 
 GOLDEN = {
     "maxp.csv": "c284d2495d2e11a4612af1088150be445010725e860c3934b0cdf1d822c1caa4",
@@ -30,6 +32,8 @@ GOLDEN = {
     "p.bin.ids": "af4f2eea9a005cc73e8e70591548a337a3a7fa17cac8a24b6fcdccaeb0a9e8ab",
     "compare.bin": "40495551b2da17f53f994b27383ba7bb7a2bf1f2128167ff6004fee441da70b9",
     "compare.bin.ids": "f54679e7fd6c92994128a70032f113fcdf07fa70bf40016d590923b21d86cd2e",
+    "support.nwk": "581684d32266cf1a2c045bf2dd83a57b50dbef93fc13f5cbc6a2165014fb1696",
+    "consensus.nwk": "7a3ae9934f4402861fefc7dae8342b40291dc20b242c23cecfca8211b8bce4e9",
 }
 
 
@@ -43,6 +47,15 @@ def outputs(tmp_path_factory):
         assert main([str(a) for a in argv]) == 0
 
     run("simulate", "--preset", "acceptance", "--seed", 0, "--out-dir", c)
+    # a tree sample over the cohort's ids at the sibling seeds 1..20
+    sample = d / "sample.nwk"
+    sizes = _PRESETS["acceptance"]["cluster_sizes"]
+    sample.write_text("".join(
+        newick_string(simulate_tree(SimConfig(cluster_sizes=sizes, rng_seed=s))[0])
+        for s in range(1, 21)
+    ))
+    run("support", "--tree", tree, "--samples", sample, "--out", d / "support.nwk")
+    run("consensus", "--samples", sample, "--out", d / "consensus.nwk")
     run("dist", "--align", align, "--out", d / "p.phy")
     run("dist", "--align", align, "--kind", "k80", "--out", d / "k80.phy")
     run("dist", "--align", align, "--binary", "--out", d / "p.bin")

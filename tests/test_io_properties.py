@@ -1,0 +1,107 @@
+"""Property tests of the Newick reader.
+
+Random edits of valid Newick texts must parse or raise a DataError,
+never another exception; the writer's output reads back byte for byte;
+and a list of trees reads as its trees read one at a time.  Every test
+is derandomized with a fixed example count, so a run is repeatable.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phyloclust import newick_string, parse_newick, parse_newick_list
+from phyloclust.cli import _PRESETS
+from phyloclust.errors import DataError
+from phyloclust.simulate import SimConfig, simulate_tree
+
+VALID = (
+    "((a:0.1,b:0.2)90:0.05,c:0.3);",
+    "((a:0.1,b:0.2)1.0:0.05,(c:0.3,d:0)0.5:1e-3,e:2);",
+    "(a,(b:1,c)x:2,((d,e)77,f:0.25)100);",
+    "((t1:1.5,t2:0.5,t3:0.125)inner:0.5,(t4:1,t5:1)0:0);",
+)
+
+# the reserved characters, whitespace, and label and number characters
+ALPHABET = "():,;" + " \n" + "abxt_" + "0123456789.-+eE"
+
+
+def fixed(max_examples):
+    """The same examples on every run, and no example database on disk."""
+    return settings(
+        derandomize=True, database=None, deadline=None, max_examples=max_examples
+    )
+
+
+@st.composite
+def mutants(draw, texts=st.sampled_from(VALID)):
+    """A valid text after one to four random insertions, deletions or
+    substitutions of ALPHABET characters."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(ALPHABET))
+        op = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if op == "insert":
+            text = text[:k] + c + text[k:]
+        elif op == "delete":
+            text = text[:k] + text[k + 1 :]
+        else:
+            text = text[:k] + c + text[k + 1 :]
+    return text
+
+
+def _read_or_reject(parse, text):
+    """parse(text), or None when it raises a DataError; any other
+    exception fails the test."""
+    try:
+        return parse(text)
+    except DataError:
+        return None
+
+
+@fixed(1500)
+@given(mutants())
+def test_mutated_tree_parses_or_raises_data_error(text):
+    tree = _read_or_reject(parse_newick, text)
+    if tree is not None:
+        again = newick_string(tree)
+        assert newick_string(parse_newick(again)) == again
+    # the list reader takes a one-tree text exactly when parse_newick does
+    trees = _read_or_reject(parse_newick_list, text)
+    assert (tree is not None) == (trees is not None and len(trees) == 1)
+    if tree is not None:
+        assert newick_string(trees[0]) == newick_string(tree)
+
+
+@fixed(500)
+@given(mutants(st.lists(st.sampled_from(VALID), min_size=2, max_size=3).map("\n".join)))
+def test_mutated_tree_list_parses_or_raises_data_error(text):
+    _read_or_reject(parse_newick_list, text)
+    _read_or_reject(parse_newick, text)
+
+
+@fixed(12)
+@given(st.sampled_from(("demo", "acceptance")), st.integers(0, 2**16))
+def test_simulated_tree_round_trips_byte_for_byte(preset, seed):
+    sizes = _PRESETS[preset]["cluster_sizes"]
+    tree, _ = simulate_tree(SimConfig(cluster_sizes=sizes, rng_seed=seed))
+    text = newick_string(tree)
+    assert newick_string(parse_newick(text)) == text
+
+
+@fixed(40)
+@given(
+    st.lists(st.sampled_from(VALID) | st.integers(0, 2**16), min_size=1, max_size=5),
+    st.sampled_from(("", "\n", " \n\t")),
+)
+def test_tree_list_reads_as_its_trees(sources, sep):
+    texts = [
+        s if isinstance(s, str)
+        else newick_string(simulate_tree(SimConfig(
+            cluster_sizes=_PRESETS["demo"]["cluster_sizes"], rng_seed=s))[0])
+        for s in sources
+    ]
+    trees = parse_newick_list(sep.join(texts))
+    assert [newick_string(t) for t in trees] == [
+        newick_string(parse_newick(t)) for t in texts
+    ]
