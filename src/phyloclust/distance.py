@@ -26,7 +26,13 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyInput, LengthMismatch, MalformedMatrix
+from .errors import (
+    DuplicateId,
+    EmptyInput,
+    LengthMismatch,
+    MalformedMatrix,
+    text_input,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .io_formats import Alignment
@@ -536,7 +542,7 @@ def write_matrix_phylip(dm: DistanceMatrix, path: str | Path) -> None:
 def read_matrix_phylip(
     path: str | Path, kind: MatrixKind = MatrixKind.P_DISTANCE
 ) -> DistanceMatrix:
-    with open(path) as fh:
+    with text_input(path), open(path) as fh:
         header = fh.readline().split()
         if not header:
             raise EmptyInput(str(path))
@@ -625,7 +631,8 @@ def _binary_ids(path: Path, fh: BinaryIO) -> list[str]:
         )
     sidecar = path.with_name(path.name + ".ids")
     try:
-        ids = sidecar.read_text().split()
+        with text_input(sidecar):
+            ids = sidecar.read_text().split()
     except FileNotFoundError:
         raise MalformedMatrix(f"{path}: id sidecar {sidecar} is missing") from None
     if len(ids) != n:

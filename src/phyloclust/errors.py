@@ -6,6 +6,9 @@ exit with a data-error status instead of a traceback.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from pathlib import Path
+
 
 class DataError(Exception):
     """Base class for malformed input or contract violations in data."""
@@ -16,6 +19,29 @@ class DataError(Exception):
 
 class EmptyInput(DataError):
     pass
+
+
+class UndecodableText(DataError):
+    """A text input holds bytes that its encoding cannot decode."""
+
+
+@contextmanager
+def text_input(path: str | Path):
+    """Report text read from `path` inside this block that cannot be
+    decoded as UndecodableText naming the file; every text reader reads
+    its file inside one."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise UndecodableText(
+            f"{path} is not {exc.encoding} text ({exc.reason})"
+        ) from None
+
+
+class MalformedRow(DataError):
+    def __init__(self, row: int, detail: str):
+        super().__init__(f"row {row}: {detail}")
+        self.row = row
 
 
 class DuplicateId(DataError):

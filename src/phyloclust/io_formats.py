@@ -1,11 +1,20 @@
 """Record types and the text formats they travel in.
 
-Parsers take text and return validated records; load_* helpers read files.
+Parsers take text and return validated records; load_* helpers read files,
+and report a file that is not valid text as a DataError naming it.
 Serialization is deterministic so identical inputs produce byte-identical
 output files.  Sequences are normalized on the way in: uppercase, U -> T,
-'.' -> '-'.  Newick support labels are auto-scaled: if any numeric internal
-label exceeds 1 the file is read as bootstrap percentages and every value
-is divided by 100, otherwise values are taken as posterior probabilities.
+'.' -> '-'.
+
+Newick is read in this subset: labels are unquoted runs of anything but
+whitespace and ( ) : , ; and brackets are label characters, not comments.
+A numeric internal label in [0, 100] is a support value, auto-scaled per
+tree: if any exceeds 1 the tree is read as bootstrap percentages and every
+value is divided by 100, otherwise values are taken as posterior
+probabilities.  A missing branch length reads as 0, and one warning gives
+their count.  Each tree is read in one pass over its tokens, so of several
+faults in one input the first met in reading order is reported; a tip's
+missing label is met at the ',' or ')' that ends the tip.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .errors import (
     DuplicateTipLabel,
     EmptyInput,
     IllegalCharacter,
+    MalformedRow,
     MissingColumn,
     NegativeBranchLength,
     RaggedAlignment,
@@ -35,6 +45,7 @@ from .errors import (
     UnassignedId,
     UnbalancedParentheses,
     UnknownStage,
+    text_input,
 )
 from .phylo import Node, PhyloTree
 
@@ -254,8 +265,13 @@ def fasta_string(alignment: Alignment, width: int = 70) -> str:
     return "".join(parts)
 
 
+def _read_text(path: str | Path) -> str:
+    with text_input(path):
+        return Path(path).read_text()
+
+
 def load_fasta(path: str | Path) -> Alignment:
-    return parse_fasta(Path(path).read_text())
+    return parse_fasta(_read_text(path))
 
 
 def write_fasta(alignment: Alignment, path: str | Path) -> None:
@@ -265,7 +281,8 @@ def write_fasta(alignment: Alignment, path: str | Path) -> None:
 # ------------------------------------------------------------------- Newick
 
 
-_RESERVED = "():,;"
+# a reserved character, or a run of anything but those and whitespace
+_TOKEN = re.compile(r"[():,]|[^():,;\s]+")
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -273,135 +290,97 @@ def parse_newick(text: str) -> PhyloTree:
 
     Numeric internal labels become support values (see module docstring
     for the percent/posterior convention).  A missing branch length is
-    read as zero and counted on the tree's missing_lengths attribute.
+    read as zero, and one warning gives their count.
     """
-    s = text.strip()
-    if not s:
+    if not text.strip():
         raise EmptyInput("empty Newick text")
-    root = Node()
-    node = root
-    depth = 0
-    just_closed = False
-    i = 0
-    n = len(s)
-    end = -1
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-        elif c == "(":
-            if node.children or node.label is not None or just_closed:
-                raise UnbalancedParentheses(f"unexpected '(' at offset {i}")
-            child = Node()
-            node.add(child)
-            node = child
-            depth += 1
-            i += 1
-        elif c == ",":
-            if node.parent is None:
-                raise UnbalancedParentheses(f"',' outside parentheses at {i}")
-            sib = Node()
-            node.parent.add(sib)
-            node = sib
-            just_closed = False
-            i += 1
-        elif c == ")":
-            if node.parent is None or depth == 0:
-                raise UnbalancedParentheses(f"unmatched ')' at offset {i}")
-            node = node.parent
-            depth -= 1
-            just_closed = True
-            i += 1
-        elif c == ":":
-            k = i + 1
-            while k < n and s[k].isspace():
-                k += 1
-            j = _scan_token(s, k)
-            try:
-                length = float(s[k:j])
-            except ValueError:
-                length = math.nan
-            if not math.isfinite(length):
-                raise UnbalancedParentheses(f"bad branch length {s[k:j]!r}")
-            if length < 0:
-                raise NegativeBranchLength(length, node.label or "")
-            node.length = length
-            i = j
-        elif c == ";":
-            if depth != 0:
-                raise UnbalancedParentheses("unclosed '(' at end of tree")
-            end = i
-            break
-        else:
-            j = _scan_token(s, i)
-            token = s[i:j]
-            if node.label is not None or (node.children and not just_closed):
-                raise UnbalancedParentheses(f"unexpected label {token!r}")
-            node.label = token
-            i = j
-    if end < 0:
+    body, semi, rest = text.partition(";")
+    tree, missing = _read_tree(text, 0, len(body))
+    if not semi:
         raise UnbalancedParentheses("tree does not end with ';'")
-    rest = s[end + 1 :].strip()
-    if rest:
-        raise TrailingGarbage(rest)
-
-    tree = PhyloTree(root)
-    _check_tip_labels(tree)
-    _assign_supports(tree)
-    # an unlengthed root is the norm; any other missing length reads as 0
-    for nd in tree.preorder():
-        if nd.parent is not None and nd.length is None:
-            nd.length = 0.0
-            tree.missing_lengths += 1
-    if tree.missing_lengths:
-        log.warning(
-            "%d branch lengths missing, read as 0", tree.missing_lengths
-        )
+    if rest.strip():
+        raise TrailingGarbage(rest.strip())
+    if missing:
+        log.warning("%d branch lengths missing, read as 0", missing)
     return tree
 
 
-def _scan_token(s: str, i: int) -> int:
-    j = i
-    while j < len(s) and s[j] not in _RESERVED and not s[j].isspace():
-        j += 1
-    if j == i:
-        raise UnbalancedParentheses(f"expected a token at offset {i}")
-    return j
-
-
-def _check_tip_labels(tree: PhyloTree) -> None:
-    seen: set[str] = set()
-    for node in tree.preorder():
-        if node.is_tip:
-            if not node.label:
-                raise UnbalancedParentheses("tip without a label")
-            if node.label in seen:
-                raise DuplicateTipLabel(node.label)
-            seen.add(node.label)
-
-
-def _assign_supports(tree: PhyloTree) -> None:
-    numeric: list[tuple[Node, float]] = []
-    for node in tree.preorder():
-        if node.is_tip or node.label is None:
-            continue
-        try:
-            val = float(node.label)
-        except ValueError:
-            continue
-        if 0.0 <= val <= 100.0:
-            numeric.append((node, val))
-        else:
-            log.warning(
-                "internal label %r outside [0, 100], kept as a name",
-                node.label,
+def _read_tree(text: str, pos: int, endpos: int) -> tuple[PhyloTree, int]:
+    # The tree in text[pos:endpos], the text before its ';', and its count
+    # of missing lengths, from one pass over its tokens.  A label on a node
+    # with children (read after its ')') is internal; one on a node without
+    # them is a tip's, since no '(' may follow a label.  An unlabelled tip
+    # shows only where its text ends: at the next ',' or ')', or at endpos.
+    root = node = Node()
+    tips: set[str] = set()
+    supports: list[tuple[Node, float]] = []
+    missing = 0
+    tokens = _TOKEN.finditer(text, pos, endpos)
+    for m in tokens:
+        tok = m.group()
+        if tok == ":":
+            value = next(tokens, None)
+            value = "" if value is None else value.group()
+            try:
+                length = float(value)
+            except ValueError:
+                length = math.nan
+            if not math.isfinite(length):
+                raise UnbalancedParentheses(
+                    f"bad branch length {value!r} at offset {m.start()}"
+                )
+            if length < 0:
+                raise NegativeBranchLength(length, node.label or "")
+            node.length = length
+        elif tok == "," or tok == ")":
+            if node.parent is None:
+                raise UnbalancedParentheses(
+                    f"unmatched {tok!r} at offset {m.start()}"
+                )
+            if node.label is None and not node.children:
+                raise UnbalancedParentheses(
+                    f"tip without a label at offset {m.start()}"
+                )
+            if node.length is None:
+                node.length = 0.0
+                missing += 1
+            node = node.parent.add(Node()) if tok == "," else node.parent
+        elif tok == "(":
+            if node.children or node.label is not None:
+                raise UnbalancedParentheses(
+                    f"unexpected '(' at offset {m.start()}"
+                )
+            node = node.add(Node())
+        elif node.label is not None:
+            raise UnbalancedParentheses(
+                f"unexpected label {tok!r} at offset {m.start()}"
             )
-    if not numeric:
-        return
-    percent = any(v > 1.0 for _, v in numeric)
-    for node, val in numeric:
-        node.support = val / 100.0 if percent else val
-        node.label = None
+        elif not node.children:
+            if tok in tips:
+                raise DuplicateTipLabel(tok)
+            tips.add(tok)
+            node.label = tok
+        else:
+            node.label = tok
+            try:
+                val = float(tok)
+            except ValueError:
+                continue
+            if 0.0 <= val <= 100.0:
+                supports.append((node, val))
+            else:
+                log.warning(
+                    "internal label %r outside [0, 100], kept as a name", tok
+                )
+    if node is not root:
+        raise UnbalancedParentheses("unclosed '(' at end of tree")
+    if root.label is None and not root.children:
+        raise UnbalancedParentheses("tip without a label")
+    percent = any(val > 1.0 for _, val in supports)
+    for nd, val in supports:
+        nd.support = val / 100.0 if percent else val
+        nd.label = None
+    return PhyloTree(root), missing
 
 
 def newick_string(tree: PhyloTree) -> str:
@@ -428,7 +407,7 @@ def _fmt_float(v: float) -> str:
 
 
 def load_newick(path: str | Path) -> PhyloTree:
-    return parse_newick(Path(path).read_text())
+    return parse_newick(_read_text(path))
 
 
 def write_newick(tree: PhyloTree, path: str | Path) -> None:
@@ -437,22 +416,25 @@ def write_newick(tree: PhyloTree, path: str | Path) -> None:
 
 def parse_newick_list(text: str) -> list[PhyloTree]:
     """Parse a file of one tree per ';' (whitespace between trees ignored)."""
-    out = []
-    buf = []
-    for ch in text:
-        buf.append(ch)
-        if ch == ";":
-            out.append(parse_newick("".join(buf)))
-            buf = []
-    if "".join(buf).strip():
-        raise TrailingGarbage("".join(buf).strip())
-    if not out:
+    *bodies, rest = text.split(";")
+    trees: list[PhyloTree] = []
+    missing = pos = 0
+    for body in bodies:
+        tree, count = _read_tree(text, pos, pos + len(body))
+        trees.append(tree)
+        missing += count
+        pos += len(body) + 1
+    if rest.strip():
+        raise TrailingGarbage(rest.strip())
+    if not trees:
         raise EmptyInput("no trees in input")
-    return out
+    if missing:
+        log.warning("%d branch lengths missing, read as 0", missing)
+    return trees
 
 
 def load_newick_list(path: str | Path) -> list[PhyloTree]:
-    return parse_newick_list(Path(path).read_text())
+    return parse_newick_list(_read_text(path))
 
 
 # ----------------------------------------------------------------- metadata
@@ -478,12 +460,17 @@ def parse_metadata(text: str) -> list[CaseMetadata]:
         if name not in header:
             raise MissingColumn(name)
         col[name] = header.index(name)
+    width = max(col.values()) + 1
 
     out: list[CaseMetadata] = []
     seen: set[str] = set()
     for rownum, row in enumerate(reader, start=1):
         if not row:
             continue
+        if len(row) < width:
+            raise MalformedRow(
+                rownum, f"{len(row)} cells; the required columns need {width}"
+            )
         ident = row[col["id"]].strip()
         if ident in seen:
             raise DuplicateId(ident)
@@ -516,7 +503,7 @@ def metadata_string(rows: list[CaseMetadata]) -> str:
 
 
 def load_metadata(path: str | Path) -> list[CaseMetadata]:
-    return parse_metadata(Path(path).read_text())
+    return parse_metadata(_read_text(path))
 
 
 def write_metadata(rows: list[CaseMetadata], path: str | Path) -> None:
@@ -546,9 +533,13 @@ def parse_partition(text: str) -> Partition:
     if header[:2] != ["id", "label"]:
         raise MissingColumn("id,label header")
     assignment: dict[str, str] = {}
-    for ln in lines[1:]:
-        ident, _, label = ln.partition(",")
+    for rownum, ln in enumerate(lines[1:], start=1):
+        ident, comma, label = ln.partition(",")
         ident = ident.strip()
+        if not comma:
+            raise MalformedRow(rownum, f"no ',' between id and label in {ln!r}")
+        if not ident:
+            raise MalformedRow(rownum, "empty id")
         if ident in assignment:
             raise DuplicateId(ident)
         assignment[ident] = label.strip()
@@ -556,4 +547,4 @@ def parse_partition(text: str) -> Partition:
 
 
 def load_partition(path: str | Path) -> Partition:
-    return parse_partition(Path(path).read_text())
+    return parse_partition(_read_text(path))

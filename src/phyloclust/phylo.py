@@ -62,7 +62,6 @@ class PhyloTree:
 
     def __init__(self, root: Node):
         self.root = root
-        self.missing_lengths = 0
 
     # ------------------------------------------------------------ traversal
 
@@ -100,9 +99,7 @@ class PhyloTree:
             clone = Node(node.label, node.length, node.support)
             mapping[id(node.parent)].add(clone)
             mapping[id(node)] = clone
-        t = PhyloTree(new_root)
-        t.missing_lengths = self.missing_lengths
-        return t
+        return PhyloTree(new_root)
 
     def tip_index(self) -> dict[str, int]:
         return {lab: k for k, lab in enumerate(self.tip_labels())}

@@ -262,6 +262,50 @@ def test_malformed_tree_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "reader", ["tree", "fasta", "partition", "metadata", "phylip", "ids"]
+)
+def test_non_utf8_input_exits_one(tmp_path, capsys, reader):
+    """A byte that is not UTF-8 in any text input is a data error that
+    names the file, not a UnicodeDecodeError traceback."""
+    good = {
+        "tree": "(a:1,b:1);\n",
+        "fasta": ">a\nAC\n>b\nAG\n",
+        "partition": "id,label\na,1\nb,2\n",
+        "metadata": "id,collection_date,stage,risk_group\na,2013-01-01,PHI,MSM\n",
+        "phylip": "2\na 0 0.5\nb 0.5 0\n",
+    }
+    bad = tmp_path / f"bad.{reader}"
+    out = str(tmp_path / "o.csv")
+    if reader == "ids":
+        main(["dist", "--align", str(_write(tmp_path / "a.fa", good["fasta"])),
+              "--binary", "--out", str(tmp_path / "p.bin")])
+        bad = tmp_path / "p.bin.ids"
+        bad.write_bytes(b"a\n\xff\n")
+        capsys.readouterr()
+    else:
+        bad.write_bytes(good[reader].encode() + b"\xff\n")
+    part = str(_write(tmp_path / "part.csv", good["partition"]))
+    argv = {
+        "tree": ["cluster", "--method", "maxpatristic", "--tree", str(bad), "--out", out],
+        "fasta": ["dist", "--align", str(bad), "--out", out],
+        "partition": ["ari", "--a", str(bad), "--b", part],
+        "metadata": ["growth", "--partition", part, "--metadata", str(bad), "--out", out],
+        "phylip": ["cluster", "--method", "gap", "--matrix", str(bad), "--out", out],
+        "ids": ["cluster", "--method", "gap", "--matrix", str(tmp_path / "p.bin"),
+                "--out", out],
+    }[reader]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: UndecodableText") and str(bad) in err
+    assert "Traceback" not in err
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
 @pytest.mark.parametrize("length", ["nan", "inf", "1e400"])
 def test_non_finite_branch_length_exits_one(tmp_path, capsys, length):
     bad = tmp_path / "bad.nwk"

@@ -22,6 +22,7 @@ from phyloclust.errors import (
     DuplicateId,
     DuplicateTipLabel,
     IllegalCharacter,
+    MalformedRow,
     NegativeBranchLength,
     RaggedAlignment,
     TrailingGarbage,
@@ -160,6 +161,16 @@ def test_metadata_bad_date():
         parse_metadata("id,collection_date,stage,risk_group\ns1,2015-13-01,PHI,\n")
 
 
+def test_metadata_short_row_names_its_row():
+    header = "id,collection_date,stage,risk_group\n"
+    with pytest.raises(MalformedRow, match="row 2: 3 cells") as err:
+        parse_metadata(header + "s1,2015-01-01,PHI,MSM\na,2013-01-01,PHI\n")
+    assert err.value.row == 2
+    # a missing cell of a column that is not read is no fault
+    rows = parse_metadata(header.replace("\n", ",notes\n") + "s1,2015-01-01,PHI,MSM\n")
+    assert rows[0].risk_group == "MSM"
+
+
 def test_metadata_roundtrip():
     import datetime
 
@@ -189,6 +200,17 @@ def test_partition_roundtrip_random():
         q = parse_partition(partition_string(p))
         assert q.same_grouping(p)
         assert partition_string(q) == partition_string(p)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [("a,1\nb\nc\n", "row 2: no ','"), ("a,1\n ,2\n", "row 2: empty id")],
+)
+def test_partition_malformed_row_names_its_row(rows, message):
+    """Before, rows b and c both read the label "" and so co-clustered."""
+    with pytest.raises(MalformedRow, match=message) as err:
+        parse_partition("id,label\n" + rows)
+    assert err.value.row == 2
 
 
 def test_partition_from_clusters_canonical_labels():
