@@ -93,16 +93,19 @@ def _pack_planes(codes: np.ndarray) -> np.ndarray:
 
     The planes are valid, code bit 0 and code bit 1.  Words run along the
     middle axis, so the rows after any one sequence are a slice whose
-    inner axis is long.
+    inner axis is long.  One plane's (n, sites) mask exists at a time.
     """
     n, sites = codes.shape
     words = -(-sites // 64)
-    bits = np.packbits(
-        np.stack([codes != 255, codes & 1, codes & 2]), axis=-1, bitorder="little"
-    )
-    padded = np.zeros((3, n, words * 8), dtype=np.uint8)
-    padded[:, :, : bits.shape[2]] = bits
-    return np.ascontiguousarray(padded.view(np.uint64).transpose(0, 2, 1))
+    nbytes = -(-sites // 8)
+    padded = np.zeros((n, words * 8), dtype=np.uint8)  # tail bytes stay zero
+    out = np.empty((3, words, n), dtype=np.uint64)
+    for k in range(3):
+        mask = codes != 255 if k == 0 else codes & k  # valid, bit 0, bit 1
+        padded[:, :nbytes] = np.packbits(mask, axis=-1, bitorder="little")
+        del mask
+        out[k] = padded.view(np.uint64).T
+    return out
 
 
 def _count_against(

@@ -535,14 +535,16 @@ def parse_partition(text: str) -> Partition:
     assignment: dict[str, str] = {}
     for rownum, ln in enumerate(lines[1:], start=1):
         ident, comma, label = ln.partition(",")
-        ident = ident.strip()
+        ident, label = ident.strip(), label.strip()
         if not comma:
             raise MalformedRow(rownum, f"no ',' between id and label in {ln!r}")
         if not ident:
             raise MalformedRow(rownum, "empty id")
+        if not label:
+            raise MalformedRow(rownum, f"empty label for {ident!r}")
         if ident in assignment:
             raise DuplicateId(ident)
-        assignment[ident] = label.strip()
+        assignment[ident] = label
     return Partition(assignment)
 
 

@@ -19,17 +19,13 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .community import (
-    WeightedGraph,
-    cocluster_fraction,
-    cocluster_rows,
-    walktrap_communities,
-)
-from .distance import DistanceMatrix, write_binary_rows
-from .errors import DegenerateTree
+from .community import WeightedGraph, walktrap_communities
+from .distance import DistanceMatrix, MatrixKind, write_binary_rows
+from .errors import DegenerateTree, MalformedRow
 from .io_formats import (
     Alignment,
     Partition,
@@ -101,21 +97,51 @@ class ChainState:
 @dataclass(frozen=True)
 class ChainSummary:
     """A chain's MAP partition and score, the tree's tip labels in order
-    (ids), its post-burn-in trace and its retained samples.  The
-    co-clustering triangle is not kept: cocluster builds it on each
-    access, and save_chain_summary streams it to disk row by row."""
+    (ids), its post-burn-in trace and its retained samples.
+
+    trace[k] is the log posterior after iteration burn_in + 1 + k.  Every
+    cluster is a clade, so a tip range ids[lo:hi]; retained_samples holds
+    one int32 row per retained sample, whose entry t is the hi of tip t's
+    range.  The co-clustering triangle is not kept: cocluster builds it
+    on each access, and save_chain_summary streams it to disk row by row.
+    """
 
     map_partition: Partition
     map_log_posterior: float
     ids: list[str]
-    trace: list[tuple[int, float]]
-    retained_samples: list[Partition]
+    burn_in: int
+    trace: np.ndarray
+    retained_samples: np.ndarray
 
     @property
     def cocluster(self) -> DistanceMatrix:
         """COCLUSTER matrix over ids: the fraction of retained samples that
         put each pair in one cluster, all zeros when nothing was retained."""
-        return cocluster_fraction(self.retained_samples, self.ids)
+        return DistanceMatrix.from_upper_rows(
+            self.ids, _cocluster_rows(self.retained_samples), MatrixKind.COCLUSTER
+        )
+
+
+def _cocluster_rows(ends: np.ndarray) -> Iterator[np.ndarray]:
+    # Row i of the COCLUSTER triangle over the (k, n) retained ends, as
+    # community.cocluster_rows gives it.  Tip j > i shares tip i's range
+    # exactly when that range ends past j, so the count for j is the
+    # number of samples whose end for i is at least j + 1: a suffix sum
+    # of one histogram.  Each count is exact and divided once.
+    k, n = ends.shape
+    for i in range(n - 1):
+        count = np.bincount(ends[:, i], minlength=n + 1)[i + 2 :]
+        yield np.cumsum(count[::-1])[::-1] / max(k, 1)
+
+
+def _sample_labels(end: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    # Each tip's label in Partition.from_clusters numbering for the
+    # retained sample end: clusters count from 1 in the order of their
+    # smallest id as a string, where rank[t] is tip t's place in that order.
+    lo = np.flatnonzero(np.diff(end, prepend=0))
+    label = np.empty(lo.size, dtype=np.intp)
+    label[np.argsort(np.minimum.reduceat(rank, lo))] = np.arange(1, lo.size + 1)
+    return np.repeat(label, end[lo] - lo)
 
 
 # ---------------------------------------------------------------- scoring
@@ -382,8 +408,8 @@ def run_chain(
     n = len(labels)
     rng = np.random.default_rng([cfg.rng_seed, 23])
 
-    spans = {k: slice(lo, hi) for k, (lo, hi) in t.tip_spans().items()}
-    tip_count = {k: s.stop - s.start for k, s in spans.items()}
+    spans = t.tip_spans()
+    tip_count = {k: hi - lo for k, (lo, hi) in spans.items()}
     child_len_sum = {
         id(node): sum(_floored_length(c) for c in node.children)
         for node in t.postorder()
@@ -394,18 +420,20 @@ def run_chain(
     k_count = len(state.clades)
     size_lgamma = sum(math.lgamma(hi - lo) for _, lo, hi in state.clades)
 
-    clusters: set[int] = {id(node) for node, _, _ in state.clades}
+    # the clusters' tip ranges: end_at_lo[lo] = hi for each cluster
+    # tips[lo:hi], 0 elsewhere, so a running maximum is each tip's range end
+    end_at_lo = np.zeros(n, dtype=np.int32)
     splittable = _IndexedSet()
     mergeable = _IndexedSet()
     ready: dict[int, int] = {}
-    for node, _, _ in state.clades:
+    for node, lo, hi in state.clades:
+        end_at_lo[lo] = hi
         if len(node.children) >= 2:
             splittable.add(node)
+    initial = {id(node) for node, _, _ in state.clades}
     for node in t.preorder():
         if len(node.children) >= 2:
-            ready[id(node)] = sum(
-                1 for ch in node.children if id(ch) in clusters
-            )
+            ready[id(node)] = sum(1 for ch in node.children if id(ch) in initial)
             if ready[id(node)] == len(node.children):
                 mergeable.add(node)
 
@@ -442,7 +470,8 @@ def run_chain(
         )
 
     def register_cluster(node: Node) -> None:
-        clusters.add(id(node))
+        lo, hi = spans[id(node)]
+        end_at_lo[lo] = hi
         if len(node.children) >= 2:
             splittable.add(node)
         parent = node.parent
@@ -452,7 +481,7 @@ def run_chain(
                 mergeable.add(parent)
 
     def unregister_cluster(node: Node) -> None:
-        clusters.discard(id(node))
+        end_at_lo[spans[id(node)][0]] = 0
         splittable.discard(node)
         parent = node.parent
         if parent is not None and id(parent) in ready:
@@ -461,10 +490,11 @@ def run_chain(
             ready[id(parent)] -= 1
 
     lp = current_logpost()
-    trace: list[tuple[int, float]] = []
-    retained: list[Partition] = []
+    trace = np.empty(cfg.iterations - cfg.burn_in)
+    ends = np.empty((cfg.num_retained, n), dtype=np.int32)
+    retained = 0
     best_lp = -math.inf
-    best_snapshot: set[int] | None = None
+    best_snapshot: np.ndarray | None = None
 
     num_moves = 2 if cfg.topology_only else 4
 
@@ -575,27 +605,29 @@ def run_chain(
 
         if it <= cfg.burn_in:
             continue
-        trace.append((it, lp))
+        trace[it - cfg.burn_in - 1] = lp
         if lp > best_lp:
             best_lp = lp
-            best_snapshot = clusters.copy()
+            best_snapshot = end_at_lo.copy()
         if (it - cfg.burn_in) % cfg.thin == 0:
             lp = current_logpost()  # resync accumulated rounding
-            retained.append(
-                Partition.from_clusters([labels[spans[cid]] for cid in clusters])
-            )
-            assert sum(tip_count[cid] for cid in clusters) == n
-            assert k_count == len(clusters)
+            np.maximum.accumulate(end_at_lo, out=ends[retained])
+            retained += 1
+            lo = np.flatnonzero(end_at_lo)
+            assert lo.size == k_count
+            assert int((end_at_lo[lo] - lo).sum()) == n
 
     assert best_snapshot is not None
+    lo = np.flatnonzero(best_snapshot).tolist()
     return ChainSummary(
         map_partition=Partition.from_clusters(
-            [labels[spans[cid]] for cid in best_snapshot]
+            [labels[a:b] for a, b in zip(lo, best_snapshot[lo].tolist())]
         ),
         map_log_posterior=best_lp,
         ids=labels,
+        burn_in=cfg.burn_in,
         trace=trace,
-        retained_samples=retained,
+        retained_samples=ends,
     )
 
 
@@ -609,24 +641,34 @@ def linkage_estimate(cocluster: DistanceMatrix, walk_length: int = 4) -> Partiti
 
 
 def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
-    """Directory layout: partition csv, triangle binary, tsv trace, label log."""
+    """Directory layout: partition csv, triangle binary, tsv trace, label log.
+
+    Each line of the label log after the ids gives a retained sample's
+    labels as Partition.from_clusters numbers them."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_partition(summary.map_partition, directory / "map_partition.csv")
     ids = summary.ids
     write_binary_rows(
-        ids, cocluster_rows(summary.retained_samples, ids), directory / "cocluster.bin"
+        ids, _cocluster_rows(summary.retained_samples), directory / "cocluster.bin"
     )
 
     with open(directory / "trace.tsv", "w") as fh:
         fh.write("iteration\tlog_posterior\n")
-        for it, lp in summary.trace:
-            fh.write(f"{it}\t{lp!r}\n")
+        first = summary.burn_in + 1
+        fh.writelines(
+            f"{it}\t{lp!r}\n"
+            for it, lp in enumerate(summary.trace.tolist(), start=first)
+        )
 
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    text = [str(k) for k in range(len(ids) + 1)]
     with open(directory / "retained_samples.txt", "w") as fh:
         fh.write(",".join(ids) + "\n")
-        for part in summary.retained_samples:
-            fh.write(",".join(part.assignment[i] for i in ids) + "\n")
+        for end in summary.retained_samples:
+            labels = _sample_labels(end, rank).tolist()
+            fh.write(",".join([text[k] for k in labels]) + "\n")
 
     with open(directory / "summary.json", "w") as fh:
         json.dump(
@@ -643,23 +685,29 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
 
 def load_chain_summary(directory: str | Path) -> ChainSummary:
     """save_chain_summary's directory; cocluster.bin is not read, since
-    the retained samples give the co-clustering triangle."""
+    the retained samples give the co-clustering triangle.  A label-log
+    cluster that is not a run of consecutive ids is a MalformedRow."""
     directory = Path(directory)
     map_partition = load_partition(directory / "map_partition.csv")
 
-    trace: list[tuple[int, float]] = []
     with open(directory / "trace.tsv") as fh:
         next(fh)
-        for line in fh:
-            it, lp = line.split("\t")
-            trace.append((int(it), float(lp)))
+        rows = [line.split("\t") for line in fh]
+    burn_in = int(rows[0][0]) - 1 if rows else 0
+    trace = np.array([float(lp) for _, lp in rows])
 
-    retained: list[Partition] = []
+    ends = []
     with open(directory / "retained_samples.txt") as fh:
         ids = fh.readline().rstrip("\n").split(",")
-        for line in fh:
-            labels = line.rstrip("\n").split(",")
-            retained.append(Partition.from_labels(ids, labels))
+        for row, line in enumerate(fh, start=1):
+            labels = np.array(line.rstrip("\n").split(","))
+            if labels.size != len(ids):
+                raise MalformedRow(row, f"{labels.size} labels for {len(ids)} ids")
+            # a cluster's range ends where the label next changes
+            cut = np.append(np.flatnonzero(labels[1:] != labels[:-1]) + 1, len(ids))
+            if cut.size != np.unique(labels).size:
+                raise MalformedRow(row, "a cluster is not a run of consecutive ids")
+            ends.append(np.repeat(cut, np.diff(cut, prepend=0)))
 
     with open(directory / "summary.json") as fh:
         meta = json.load(fh)
@@ -667,6 +715,7 @@ def load_chain_summary(directory: str | Path) -> ChainSummary:
         map_partition=map_partition,
         map_log_posterior=float(meta["map_log_posterior"]),
         ids=ids,
+        burn_in=burn_in,
         trace=trace,
-        retained_samples=retained,
+        retained_samples=np.array(ends, dtype=np.int32).reshape(len(ends), len(ids)),
     )

@@ -262,6 +262,17 @@ def test_malformed_tree_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_ari_empty_label_is_data_error(tmp_path, capsys):
+    """Rows with an empty label once all read as label "" and co-clustered:
+    ari printed -0.5 and exited 0."""
+    a = _write(tmp_path / "a.csv", "id,label\na,\nb,\nc,1\n")
+    b = _write(tmp_path / "b.csv", "id,label\na,1\nb,2\nc,1\n")
+    assert main(["ari", "--a", str(a), "--b", str(b)]) == 1
+    captured = capsys.readouterr()
+    assert "MalformedRow" in captured.err and "row 1: empty label" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "reader", ["tree", "fasta", "partition", "metadata", "phylip", "ids"]
 )

@@ -204,7 +204,11 @@ def test_partition_roundtrip_random():
 
 @pytest.mark.parametrize(
     "rows, message",
-    [("a,1\nb\nc\n", "row 2: no ','"), ("a,1\n ,2\n", "row 2: empty id")],
+    [
+        ("a,1\nb\nc\n", "row 2: no ','"),
+        ("a,1\n ,2\n", "row 2: empty id"),
+        ("a,1\nb, \nc,\n", "row 2: empty label for 'b'"),
+    ],
 )
 def test_partition_malformed_row_names_its_row(rows, message):
     """Before, rows b and c both read the label "" and so co-clustered."""

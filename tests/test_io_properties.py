@@ -1,9 +1,10 @@
-"""Property tests of the Newick reader.
+"""Property tests of the Newick and FASTA readers.
 
-Random edits of valid Newick texts must parse or raise a DataError,
-never another exception; the writer's output reads back byte for byte;
-and a list of trees reads as its trees read one at a time.  Every test
-is derandomized with a fixed example count, so a run is repeatable.
+Random edits of valid Newick and FASTA texts must parse or raise a
+DataError, never another exception; the writers' output reads back to
+what was written; and a list of trees reads as its trees read one at a
+time.  Every test is derandomized with a fixed example count, so a run
+is repeatable.
 """
 
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from phyloclust import newick_string, parse_newick, parse_newick_list
 from phyloclust.cli import _PRESETS
 from phyloclust.errors import DataError
-from phyloclust.simulate import SimConfig, simulate_tree
+from phyloclust.io_formats import fasta_string, parse_fasta
+from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
 VALID = (
     "((a:0.1,b:0.2)90:0.05,c:0.3);",
@@ -24,6 +26,16 @@ VALID = (
 # the reserved characters, whitespace, and label and number characters
 ALPHABET = "():,;" + " \n" + "abxt_" + "0123456789.-+eE"
 
+VALID_FASTA = (
+    ">a\nACGT\n>b\nAC-T\n",
+    ">s1 first sample\nacgu\nnn\n\n>s2\nRYSW\nKM.-\n",
+    ">x\n\nA\n>y\t2017\nN\n>z\nt\n",
+)
+
+# the header mark, whitespace, residues in both cases, gaps, and
+# characters that are not residues
+FASTA_ALPHABET = ">" + " \t\n\r" + "ACGTUNRYacgtun-." + "xz1?*"
+
 
 def fixed(max_examples):
     """The same examples on every run, and no example database on disk."""
@@ -33,13 +45,13 @@ def fixed(max_examples):
 
 
 @st.composite
-def mutants(draw, texts=st.sampled_from(VALID)):
+def mutants(draw, texts=st.sampled_from(VALID), alphabet=ALPHABET):
     """A valid text after one to four random insertions, deletions or
-    substitutions of ALPHABET characters."""
+    substitutions of alphabet characters."""
     text = draw(texts)
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(0, len(text)))
-        c = draw(st.sampled_from(ALPHABET))
+        c = draw(st.sampled_from(alphabet))
         op = draw(st.sampled_from(("insert", "delete", "substitute")))
         if op == "insert":
             text = text[:k] + c + text[k:]
@@ -105,3 +117,20 @@ def test_tree_list_reads_as_its_trees(sources, sep):
     assert [newick_string(t) for t in trees] == [
         newick_string(parse_newick(t)) for t in texts
     ]
+
+
+@fixed(1500)
+@given(mutants(st.sampled_from(VALID_FASTA), FASTA_ALPHABET))
+def test_mutated_fasta_parses_or_raises_data_error(text):
+    alignment = _read_or_reject(parse_fasta, text)
+    if alignment is not None:
+        again = fasta_string(alignment)
+        assert fasta_string(parse_fasta(again)) == again
+
+
+@fixed(12)
+@given(st.sampled_from(("demo", "acceptance")), st.integers(0, 2**16))
+def test_simulated_alignment_round_trips(preset, seed):
+    cfg = SimConfig(cluster_sizes=_PRESETS[preset]["cluster_sizes"], rng_seed=seed)
+    alignment = simulate_alignment(simulate_tree(cfg)[0], cfg)
+    assert parse_fasta(fasta_string(alignment)).records == alignment.records

@@ -3,17 +3,27 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from phyloclust import MatrixKind, Partition, parse_fasta, parse_newick
-from phyloclust.community import cocluster_fraction, modularity
+from phyloclust import (
+    Alignment,
+    MatrixKind,
+    Partition,
+    SequenceRecord,
+    parse_fasta,
+    parse_newick,
+)
+from phyloclust.cli import _PRESETS
+from phyloclust.community import cocluster_fraction, cocluster_rows, modularity
 from phyloclust.distance import read_matrix_binary, write_matrix_binary
-from phyloclust.errors import DegenerateTree
+from phyloclust.errors import DegenerateTree, MalformedRow
 from phyloclust.mcmc import (
     ChainConfig,
     _clade_nodes_for,
+    _cocluster_rows,
     initialize_chain,
     linkage_estimate,
     load_chain_summary,
@@ -22,7 +32,9 @@ from phyloclust.mcmc import (
     save_chain_summary,
 )
 
-from conftest import dense, square_dm, weighted_graph
+from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
+
+from conftest import decorate_tree, dense, square_dm, weighted_graph
 
 EDGE_FLOOR = 1e-9
 
@@ -106,17 +118,38 @@ def exact_distribution(tree, mu_w, mu_b, alpha, rate):
     )
     weights = np.exp(scores - scores.max())
     probs = weights / weights.sum()
-    return dict(zip(parts, probs))
+    return dict(zip((ends_key(tree, p) for p in parts), probs))
 
 
-def as_key(partition):
-    return frozenset(frozenset(c) for c in partition.clusters().values())
+def ends_key(tree, clusters):
+    """A clade partition as a retained-sample row, as a tuple: the end of
+    each tip's range in tip_labels() order."""
+    index = tree.tip_index()
+    end = [0] * len(index)
+    for cluster in clusters:
+        hi = max(index[ident] for ident in cluster) + 1
+        for ident in cluster:
+            end[index[ident]] = hi
+    return tuple(end)
+
+
+def sample_partitions(summary):
+    """Each retained sample as Partition.from_clusters of its tip ranges."""
+    out = []
+    for end in summary.retained_samples.tolist():
+        clusters, lo = [], 0
+        while lo < len(end):
+            assert end[lo] > lo
+            clusters.append(summary.ids[lo : end[lo]])
+            lo = end[lo]
+        out.append(Partition.from_clusters(clusters))
+    return out
 
 
 def total_variation(exact, samples):
     counts = {}
-    for p in samples:
-        key = as_key(p)
+    for end in samples:
+        key = tuple(end.tolist())
         counts[key] = counts.get(key, 0) + 1
     m = len(samples)
     tv = 0.0
@@ -345,18 +378,17 @@ def test_chain_summary_invariants():
     assert summary.cocluster.kind is MatrixKind.COCLUSTER
     c = dense(summary.cocluster)
     assert np.all((c >= 0.0) & (c <= 1.0))
-    assert summary.map_log_posterior == max(lp for _, lp in summary.trace)
-    iters = [it for it, _ in summary.trace]
-    assert iters == sorted(iters)
-    assert iters[0] > cfg.burn_in
-    assert iters[-1] <= cfg.iterations
+    assert summary.map_log_posterior == summary.trace.max()
+    assert summary.burn_in == cfg.burn_in
+    assert summary.trace.shape == (cfg.iterations - cfg.burn_in,)
+    assert summary.retained_samples.dtype == np.int32
     # cocluster frequencies equal a recount over the retained partitions
     ids = summary.cocluster.ids
     pos = {ident: k for k, ident in enumerate(ids)}
     m = len(summary.retained_samples)
     for a, b in itertools.combinations(ids[:4], 2):
         manual = sum(
-            p.label_of(a) == p.label_of(b) for p in summary.retained_samples
+            p.label_of(a) == p.label_of(b) for p in sample_partitions(summary)
         ) / m
         assert c[pos[a], pos[b]] == pytest.approx(manual)
 
@@ -364,7 +396,7 @@ def test_chain_summary_invariants():
 def test_chain_retaining_nothing_has_identity_cocluster():
     tree, cfg, summary = chain_on_six_tips(iterations=3_000, burn_in=1_000, thin=2_001)
     assert cfg.num_retained == 0
-    assert summary.retained_samples == []
+    assert summary.retained_samples.shape == (0, len(tree.tip_labels()))
     assert len(summary.trace) == 2_000
     # no pair co-clusters: the identity, less the diagonal the type omits
     assert summary.cocluster.ids == tree.tip_labels()
@@ -375,21 +407,18 @@ def test_chain_determinism():
     _, _, s1 = chain_on_six_tips(iterations=30_000, burn_in=3_000, thin=9, seed=7)
     _, _, s2 = chain_on_six_tips(iterations=30_000, burn_in=3_000, thin=9, seed=7)
     assert s1.map_log_posterior == s2.map_log_posterior
-    assert s1.trace == s2.trace
+    assert np.array_equal(s1.trace, s2.trace)
     assert np.array_equal(s1.cocluster.values, s2.cocluster.values)
-    assert all(
-        a.assignment == b.assignment
-        for a, b in zip(s1.retained_samples, s2.retained_samples)
-    )
+    assert np.array_equal(s1.retained_samples, s2.retained_samples)
     _, _, s3 = chain_on_six_tips(iterations=30_000, burn_in=3_000, thin=9, seed=8)
-    assert s3.trace != s1.trace
+    assert not np.array_equal(s3.trace, s1.trace)
 
 
 def test_map_partition_is_best_enumerated():
     tree, cfg, summary = chain_on_six_tips()
     exact = exact_distribution(tree, 0.012, 0.2, 1.0, 2.0)
     best = max(exact, key=exact.get)
-    assert as_key(summary.map_partition) == best
+    assert ends_key(tree, summary.map_partition.clusters().values()) == best
 
 
 def test_summary_roundtrip(tmp_path):
@@ -402,12 +431,29 @@ def test_summary_roundtrip(tmp_path):
     written = read_matrix_binary(tmp_path / "cocluster.bin", MatrixKind.COCLUSTER)
     assert written.ids == summary.ids
     assert written.values.tobytes() == summary.cocluster.values.tobytes()
-    assert back.trace == summary.trace
-    assert len(back.retained_samples) == len(summary.retained_samples)
-    assert all(
-        a.same_grouping(b)
-        for a, b in zip(back.retained_samples, summary.retained_samples)
-    )
+    assert back.burn_in == summary.burn_in
+    assert back.trace.tobytes() == summary.trace.tobytes()
+    assert back.retained_samples.dtype == np.int32
+    assert np.array_equal(back.retained_samples, summary.retained_samples)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: row[:-2], "row 1: 5 labels for 6 ids"),
+        (lambda row: "1,2,1,2,1,2", "row 1: a cluster is not a run"),
+    ],
+)
+def test_load_rejects_a_sample_that_is_not_tip_ranges(tmp_path, edit, message):
+    """A retained sample reads back as tip ranges, so a label-log row of
+    the wrong length or with a cluster split in two is a MalformedRow."""
+    _, _, summary = chain_on_six_tips(iterations=3_000, burn_in=1_000, thin=1_000)
+    save_chain_summary(summary, tmp_path)
+    log = tmp_path / "retained_samples.txt"
+    header, first, *rest = log.read_text().splitlines()
+    log.write_text("\n".join([header, edit(first), *rest]) + "\n")
+    with pytest.raises(MalformedRow, match=message):
+        load_chain_summary(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -422,11 +468,93 @@ def test_streamed_cocluster_equals_whole_matrix_write(
     _, cfg, summary = chain_on_six_tips(iterations=iterations, burn_in=1_000, thin=thin)
     assert cfg.num_retained == retained
     save_chain_summary(summary, tmp_path / "chain")
-    whole = cocluster_fraction(summary.retained_samples, summary.ids)
+    whole = cocluster_fraction(sample_partitions(summary), summary.ids)
     write_matrix_binary(whole, tmp_path / "whole.bin")
     for suffix in ("bin", "bin.ids"):
         streamed = (tmp_path / "chain" / f"cocluster.{suffix}").read_bytes()
         assert streamed == (tmp_path / f"whole.{suffix}").read_bytes(), suffix
+
+
+def random_chain(seed, retained):
+    """A chain retaining the given number of samples on a random tree with
+    unary nodes, zero and missing branch lengths, and tip labels whose
+    string order is not the tree's order."""
+    rng = np.random.default_rng(seed)
+    sim = SimConfig(cluster_sizes=(6, 4, 3, 2, 1, 1), seq_length=40, rng_seed=seed)
+    tree, _ = simulate_tree(sim)
+    aln = simulate_alignment(tree, sim)
+    decorate_tree(tree, rng, unary_rate=0.3)
+    names = {}
+    for node in tree.preorder():
+        if node.parent is not None:
+            u = rng.random()
+            node.length = None if u < 0.15 else 0.0 if u < 0.3 else node.length
+        if node.is_tip:
+            names[node.label] = f"t{rng.integers(1000)}-{len(names)}"
+            node.label = names[node.label]
+    aln = Alignment([SequenceRecord(names[r.id], r.residues) for r in aln.records])
+    cfg = ChainConfig(
+        iterations=103 + 7 * retained,
+        burn_in=100,
+        thin=7,
+        rng_seed=seed,
+        topology_only=True,
+        init_mu_w=0.02,
+        init_mu_b=0.08,
+        init_alpha=1.0,
+        cluster_count_rate=4.0,
+    )
+    return tree, run_chain(tree, aln, cfg)
+
+
+@pytest.mark.parametrize("retained", [0, 1, 3, 50])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_histogram_rows_equal_cocluster_rows(tmp_path, seed, retained):
+    """Rows built from the retained ends equal community.cocluster_rows
+    over the samples as partitions bit for bit, and retained_samples.txt
+    written from the ends equals the one written from the partitions."""
+    tree, summary = random_chain(seed, retained)
+    ids = summary.ids
+    assert ids == tree.tip_labels() and ids != sorted(ids)
+    assert summary.retained_samples.shape == (retained, len(ids))
+    clades = set(tree.tip_spans().values())
+    parts = sample_partitions(summary)
+    for end in summary.retained_samples.tolist():
+        lo = 0
+        while lo < len(end):  # each range is a clade, and its tips share its end
+            hi = end[lo]
+            assert (lo, hi) in clades and end[lo:hi] == [hi] * (hi - lo)
+            lo = hi
+    want = list(cocluster_rows(parts, ids))
+    got = list(_cocluster_rows(summary.retained_samples))
+    assert len(got) == len(want) == len(ids) - 1
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    save_chain_summary(summary, tmp_path)
+    expect = ",".join(ids) + "\n" + "".join(
+        ",".join(p.assignment[i] for i in ids) + "\n" for p in parts
+    )
+    assert (tmp_path / "retained_samples.txt").read_text() == expect
+
+
+def test_chain_samples_take_int32_ends():
+    """run_chain retaining 1,000 samples on the acceptance cohort peaks
+    under 6.2 MB traced, twice the 3.1 MB measured; the ends take 2.2 MB.
+    Samples kept as Partition objects peaked at 42.3 MB."""
+    sim = SimConfig(cluster_sizes=_PRESETS["acceptance"]["cluster_sizes"], rng_seed=0)
+    tree, _ = simulate_tree(sim)
+    aln = simulate_alignment(tree, sim)
+    cfg = ChainConfig(iterations=1100, burn_in=100, thin=1, rng_seed=0)
+    initialize_chain(tree, aln, cfg)  # fills the tree's span caches
+    tracemalloc.start()
+    try:
+        summary = run_chain(tree, aln, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(summary.retained_samples) == 1000
+    assert peak < 6_200_000, peak
 
 
 def constant_cocluster(ids, labels):
