@@ -25,9 +25,7 @@ _EXPORTS = {
     "distance": (
         "DistanceMatrix",
         "MatrixKind",
-        "PairComparison",
         "build_distance_matrix",
-        "compare_pair",
         "read_matrix_binary",
         "read_matrix_phylip",
         "write_matrix_binary",
@@ -85,18 +83,15 @@ _EXPORTS = {
         "ChainState",
         "ChainSummary",
         "initialize_chain",
-        "linkage_estimate",
         "load_chain_summary",
         "log_posterior",
         "run_chain",
         "save_chain_summary",
     ),
     "phylo": (
-        "Clade",
         "Node",
         "PhyloTree",
         "annotate_support",
-        "enumerate_clades",
         "majority_consensus",
         "patristic_matrix",
     ),

@@ -412,7 +412,7 @@ def _cmd_linkage(args) -> None:
     ids, i, j, w = read_nonzero_pairs_binary(matrix)
     if not (w >= 0.0).all():  # NaN fails too
         raise MalformedMatrix(f"{matrix}: co-clustering weights must be non-negative")
-    graph = WeightedGraph.from_edges(ids, i, j, w)
+    graph = WeightedGraph(ids, i, j, w)
     part = walktrap_communities(graph, walk_length=args.walk_length)
     out = Path(args.out)
     write_partition(part, out)
@@ -462,11 +462,7 @@ def _cmd_simulate(args) -> None:
 
     started = time.monotonic()
     base = dict(_PRESETS[args.preset]) if args.preset else {}
-    if args.cluster_sizes:
-        base["cluster_sizes"] = tuple(
-            int(x) for x in args.cluster_sizes.split(",")
-        )
-    if "cluster_sizes" not in base:
+    if not (args.cluster_sizes or args.preset):
         raise DataError("simulate needs --preset or --cluster-sizes")
     for key in (
         "within_mean",
@@ -480,7 +476,12 @@ def _cmd_simulate(args) -> None:
         value = getattr(args, key)
         if value is not None:
             base[key] = value
-    cfg = SimConfig(rng_seed=args.seed, **base)
+    with _flag_values():
+        if args.cluster_sizes:
+            base["cluster_sizes"] = tuple(
+                int(x) for x in args.cluster_sizes.split(",")
+            )
+        cfg = SimConfig(rng_seed=args.seed, **base)
 
     tree, planted = simulate_tree(cfg)
     alignment = simulate_alignment(tree, cfg)

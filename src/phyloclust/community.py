@@ -23,42 +23,19 @@ log = logging.getLogger(__name__)
 
 
 class WeightedGraph:
-    """Undirected weighted graph held as an edge list.
+    """Undirected weighted graph on ids, held as an edge list.
 
-    Edge k joins vertices i[k] < j[k] with weight w[k] > 0; the edges run
-    in condensed (row-major) pair order, and each pair appears at most
-    once.  There are no self-loops.
+    Edge k joins vertices i[k] < j[k] with weight w[k] > 0, in condensed
+    (row-major) pair order, each pair at most once and no self-loops; the
+    constructor does not check these rules.
     """
 
-    def __init__(self, dm: DistanceMatrix):
-        """The graph whose edge weights are a COCLUSTER-kind matrix's
-        nonzero values, which must be non-negative numbers.  The matrix is
-        not kept."""
-        if dm.values.size and not dm.values.min() >= 0.0:
-            raise ValueError("edge weights must be non-negative numbers")
-        self.ids = dm.ids
-        self.i, self.j, self.w = dm.nonzero_pairs()
-
-    @classmethod
-    def from_edges(
-        cls, ids: list[str], i: np.ndarray, j: np.ndarray, w: np.ndarray
-    ) -> "WeightedGraph":
-        """The graph on ids with the given edges, which must already follow
-        the edge-list rules above."""
-        g = cls.__new__(cls)
-        g.ids, g.i, g.j, g.w = ids, i, j, w
-        return g
+    def __init__(self, ids: list[str], i: np.ndarray, j: np.ndarray, w: np.ndarray):
+        self.ids, self.i, self.j, self.w = ids, i, j, w
 
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The symmetric n×n weight matrix, built on each access."""
-        out = np.zeros((self.n, self.n))
-        out[self.i, self.j] = out[self.j, self.i] = self.w
-        return out
 
     def degrees(self) -> np.ndarray:
         # each vertex adds its lower neighbours' weights, then its upper ones'
@@ -77,7 +54,11 @@ def cocluster_rows(
     ids[i+1:], 0 for every pair when there are none.
 
     Every partition must assign every id.  Each fraction is an exact count
-    divided once by the number of partitions.
+    divided once by the number of partitions.  This equality kernel stays
+    because it takes the arbitrary partitions that compare passes.  A
+    chain's samples are clade ranges and take the histogram kernel
+    mcmc._cocluster_rows: over 3,704 ids and 1,000 samples of random clade
+    ranges (2 cores), this kernel took 8.2 s and that one 0.06 s.
     """
     k = len(partitions)
     codes = np.empty((k, len(ids)), dtype=np.int32)
@@ -109,7 +90,7 @@ def partition_adjacency(p: Partition) -> WeightedGraph:
         pair for grp in members.values() for pair in itertools.combinations(grp, 2)
     )
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return WeightedGraph.from_edges(ids, i, j, np.ones(len(pairs)))
+    return WeightedGraph(ids, i, j, np.ones(len(pairs)))
 
 
 def modularity(g: WeightedGraph, p: Partition) -> float:

@@ -5,7 +5,7 @@ sites (p) and the two-parameter transition/transversion correction (K80).
 Both use pairwise deletion: a site counts for a pair only when both
 sequences hold a plain A/C/G/T there.  Both derive from one set of pair
 counts (compared sites, mismatches, transitions), which a single
-bit-packed kernel produces for one pair or for all pairs.
+bit-packed kernel produces for the whole triangle or for one block.
 
 Matrices are stored condensed (upper triangle, row major).  NaN encodes an
 undefined entry: an empty site overlap, or a saturated K80 pair whose log
@@ -20,7 +20,6 @@ import logging
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
@@ -29,7 +28,6 @@ import numpy as np
 from .errors import (
     DuplicateId,
     EmptyInput,
-    LengthMismatch,
     MalformedMatrix,
     text_input,
 )
@@ -58,25 +56,12 @@ class MatrixKind(enum.Enum):
     COCLUSTER = "cocluster"
 
 
-@dataclass(frozen=True)
-class PairComparison:
-    """Site counts for one sequence pair under pairwise deletion."""
-
-    compared: int
-    mismatches: int
-    transitions: int
-    transversions: int
-
-
-def encode_sequence(residues: str) -> np.ndarray:
-    """Map a residue string to uint8 codes (255 for non-ACGT symbols)."""
-    raw = np.frombuffer(residues.encode("ascii"), dtype=np.uint8)
-    return _CODE[raw]
-
-
 def encode_alignment(alignment: "Alignment") -> np.ndarray:
-    """Stack an alignment into an (n, sites) uint8 code matrix."""
-    return np.vstack([encode_sequence(r.residues) for r in alignment.records])
+    """Stack an alignment into an (n, sites) uint8 code matrix, 255 for
+    non-ACGT symbols."""
+    raw = b"".join(r.residues.encode("ascii") for r in alignment.records)
+    codes = _CODE[np.frombuffer(raw, dtype=np.uint8)]
+    return codes.reshape(alignment.n, alignment.sites)
 
 
 # Pair counts come from three bit-planes per sequence, 64 sites to a
@@ -159,25 +144,6 @@ def _count_rows(
         hi = lo + n - 1 - i
         _count_against(planes, i, slice(i + 1, n), work, pop, counts[:, lo:hi])
         lo = hi
-
-
-def pair_counts(codes: np.ndarray, transitions: bool = True) -> np.ndarray:
-    """Compared, mismatched and transition site counts of every pair.
-
-    codes is an (n, sites) matrix from encode_alignment.  Returns a
-    (3, n*(n-1)/2) int32 array whose rows hold compared sites,
-    mismatches and transitions in condensed pair order; with
-    transitions=False only the first two rows are counted and returned.
-    build_distance_matrix counts the same pairs run by run and never holds
-    this array.
-    """
-    n = codes.shape[0]
-    planes = _pack_planes(codes)
-    counts = np.empty((3 if transitions else 2, condensed_size(n)), dtype=np.int32)
-    _count_rows(planes, 0, n - 1, *_scratch(planes), counts)
-    if transitions:
-        np.subtract(counts[1], counts[2], out=counts[2])
-    return counts
 
 
 def _p_values(
@@ -298,18 +264,6 @@ def p_block_reader(codes: np.ndarray) -> Callable[[int, int, int, int], np.ndarr
     return read
 
 
-def compare_pair(x: str, y: str) -> PairComparison:
-    """Count compared, differing, transition and transversion sites.
-
-    Raises LengthMismatch when the two strings differ in length.
-    """
-    if len(x) != len(y):
-        raise LengthMismatch(len(x), len(y))
-    codes = np.vstack([encode_sequence(x), encode_sequence(y)])
-    compared, mism, tsc = pair_counts(codes)[:, 0].tolist()
-    return PairComparison(compared, mism, tsc, mism - tsc)
-
-
 def condensed_size(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -345,21 +299,14 @@ class DistanceMatrix:
     """Symmetric pairwise distances over named sequences.
 
     values is the condensed upper triangle (row major, float64); NaN marks
-    an undefined entry.  capped, when present, flags entries that were
-    undefined before a cap policy replaced them.  The condensed layout is
-    private to this module: other modules read it with upper_rows(),
-    nonzero_pairs() or block_reader() and write it with from_upper_rows();
-    phylo's patristic fill and evaluation's average-linkage leaf order
-    (scipy's condensed form, the same layout) place pairs with _row_shift.
+    an undefined entry.  The condensed layout is private to this module:
+    other modules read it with upper_rows() or block_reader() and write it
+    with from_upper_rows(); phylo's patristic fill and evaluation's
+    average-linkage leaf order (scipy's condensed form, the same layout)
+    place pairs with _row_shift.
     """
 
-    def __init__(
-        self,
-        ids: list[str],
-        values: np.ndarray,
-        kind: MatrixKind,
-        capped: np.ndarray | None = None,
-    ):
+    def __init__(self, ids: list[str], values: np.ndarray, kind: MatrixKind):
         n = len(ids)
         if len(set(ids)) != n:
             seen: set[str] = set()
@@ -374,20 +321,11 @@ class DistanceMatrix:
         self.ids = list(ids)
         self.values = values
         self.kind = kind
-        self.capped = capped
         self._index = {ident: k for k, ident in enumerate(self.ids)}
 
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def get(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        return float(self.values[_row_shift(self.n, min(i, j)) + max(i, j)])
-
-    def index_of(self, ident: str) -> int:
-        return self._index[ident]
 
     def num_undefined(self) -> int:
         return int(np.count_nonzero(np.isnan(self.values)))
@@ -449,18 +387,6 @@ class DistanceMatrix:
 
         return read
 
-    def nonzero_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs whose value is not zero (NaN included) as arrays i, j
-        and value, with i < j, in condensed (row-major) order."""
-        pos = np.flatnonzero(self.values)
-        return (*_pair_of(self.n, pos), self.values[pos])
-
-    def values_within(self, idx: Iterable[int]) -> np.ndarray:
-        """Condensed values for all pairs among the given indices."""
-        idx = np.sort(np.fromiter(idx, dtype=np.int64))
-        a, b = (idx[k] for k in np.triu_indices(len(idx), k=1))
-        return self.values[_row_shift(self.n, a) + b]
-
 
 def build_distance_matrix(
     alignment: "Alignment",
@@ -471,7 +397,7 @@ def build_distance_matrix(
     """All-pairs p or K80 distances for an alignment.
 
     cap=None leaves undefined pairs as NaN; a float replaces them with that
-    value and flags them in the capped array.  The rows are counted and
+    value and logs how many it replaced.  The rows are counted and
     transformed in runs of about BLOCK_PAIRS pairs, straight into the
     triangle; threads spreads the runs over a pool of at most
     min(threads, cores, n - 1) workers, and results are identical for any
@@ -510,7 +436,6 @@ def build_distance_matrix(
             for f in futs:
                 f.result()
 
-    capped = None
     if cap is not None:
         undef = np.isnan(values)
         if undef.any():
@@ -521,10 +446,7 @@ def build_distance_matrix(
                 cap,
             )
         values[undef] = cap
-        capped = undef
-    return DistanceMatrix(
-        [r.id for r in alignment.records], values, kind, capped
-    )
+    return DistanceMatrix([r.id for r in alignment.records], values, kind)
 
 
 # ------------------------------------------------------------- serialization
@@ -659,8 +581,9 @@ def read_nonzero_pairs_binary(
     path: str | Path,
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """The ids of write_matrix_binary's file and its pairs whose value is
-    not zero (NaN included), as nonzero_pairs() gives them.  The triangle
-    is read in blocks of BLOCK_PAIRS values and never held whole."""
+    not zero (NaN included), as arrays i, j and value with i < j, in
+    condensed (row-major) order.  The triangle is read in blocks of
+    BLOCK_PAIRS values and never held whole."""
     path = Path(path)
     positions, weights = [np.empty(0, np.int64)], [np.empty(0)]
     with open(path, "rb") as fh:

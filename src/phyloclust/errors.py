@@ -116,13 +116,6 @@ class UnknownStage(DataError):
 # ----------------------------------------------------------------- distance
 
 
-class LengthMismatch(DataError):
-    def __init__(self, len_a: int, len_b: int):
-        super().__init__(f"sequence lengths differ: {len_a} vs {len_b}")
-        self.len_a = len_a
-        self.len_b = len_b
-
-
 class MalformedMatrix(DataError):
     """A distance-matrix file or its id sidecar does not hold a matrix."""
 

@@ -15,7 +15,6 @@ the edge above the node.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DegenerateTree, EmptyInput, TipSetMismatch
@@ -134,29 +133,6 @@ class PhyloTree:
                     m |= masks[id(c)]
                 masks[id(node)] = m
         return masks
-
-
-@dataclass(frozen=True)
-class Clade:
-    """An internal node and the bitset of tips below it."""
-
-    node: Node
-    mask: int
-    size: int
-
-
-def enumerate_clades(
-    tree: PhyloTree, index: dict[str, int] | None = None
-) -> list[Clade]:
-    """All internal-node clades in post-order."""
-    if index is None:
-        index = tree.tip_index()
-    masks = tree.node_masks(index)
-    return [
-        Clade(node, masks[id(node)], bin(masks[id(node)]).count("1"))
-        for node in tree.postorder()
-        if not node.is_tip
-    ]
 
 
 def mask_to_labels(mask: int, labels: list[str]) -> list[str]:

@@ -58,6 +58,8 @@ class SimConfig:
             raise ValueError("mask_fraction must lie in [0, 1]")
         if self.date_range[0] > self.date_range[1]:
             raise ValueError("date_range start must not exceed end")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must not be negative")
         if self.stem_min is None:
             # separability default: stems dominate within-cluster edges
             object.__setattr__(self, "stem_min", 3.0 * self.within_mean)

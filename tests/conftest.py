@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from phyloclust import DistanceMatrix, MatrixKind
+from phyloclust import DistanceMatrix, MatrixKind, distance
 from phyloclust.community import WeightedGraph
 from phyloclust.phylo import Node
 
@@ -27,9 +27,30 @@ def dense(dm):
     return out
 
 
+def pair_counts(codes):
+    """The library kernel's compared, mismatched and transition site counts
+    of every pair of encode_alignment codes, in condensed order."""
+    n = codes.shape[0]
+    planes = distance._pack_planes(codes)
+    counts = np.empty((3, n * (n - 1) // 2), dtype=np.int32)
+    distance._count_rows(planes, 0, n - 1, *distance._scratch(planes), counts)
+    counts[2] = counts[1] - counts[2]  # the kernel counts transversions
+    return counts
+
+
 def weighted_graph(ids, arr):
-    """WeightedGraph whose edge weights are the upper triangle of arr."""
-    return WeightedGraph(square_dm(ids, arr, MatrixKind.COCLUSTER))
+    """WeightedGraph of the nonzero pairs of arr's upper triangle."""
+    i, j = np.triu_indices(len(ids), k=1)
+    w = np.asarray(arr, dtype=np.float64)[i, j]
+    hit = w != 0
+    return WeightedGraph(list(ids), i[hit], j[hit], w[hit])
+
+
+def graph_square(g):
+    """g's symmetric n×n weight matrix with a zero diagonal."""
+    out = np.zeros((g.n, g.n))
+    out[g.i, g.j] = out[g.j, g.i] = g.w
+    return out
 
 
 def blob_matrix(sizes, within, between):

@@ -32,11 +32,11 @@ from phyloclust.gap import GapConfig, gap_cluster
 from phyloclust.growth import growth_report
 from phyloclust.io_formats import parse_fasta
 from phyloclust.mcmc import ChainConfig, run_chain
-from phyloclust.phylo import enumerate_clades, mask_to_labels, patristic_matrix
+from phyloclust.phylo import mask_to_labels, patristic_matrix
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 from phyloclust.threshold import ClusterCriteria, Statistic, threshold_cluster
 
-from conftest import weighted_graph
+from conftest import dense, graph_square, weighted_graph
 
 from test_mcmc import exact_distribution, total_variation
 
@@ -70,7 +70,7 @@ def test_criterion_02_adjacency_worked_example():
     start = time.perf_counter()
     g = partition_adjacency(p)
     elapsed = time.perf_counter() - start
-    w = g.weights
+    w = graph_square(g)
     order = {ident: k for k, ident in enumerate(g.ids)}
     first = [order[i] for i in ids[:3]]
     second = [order[i] for i in ids[3:]]
@@ -127,8 +127,9 @@ ACCEPTANCE_SIZES = (
 )
 
 
-def _max_p_diameter(dm, members):
-    return float(dm.values_within(dm.index_of(m) for m in members).max())
+def _max_p_diameter(sq, pos, members):
+    idx = [pos[m] for m in members]
+    return float(sq[np.ix_(idx, idx)].max())
 
 
 def test_criterion_04_planted_cluster_recovery():
@@ -152,15 +153,16 @@ def test_criterion_04_planted_cluster_recovery():
     # diameters well above the paper's 0.045 cutoff, so the cutoff is the
     # largest planted diameter; it separates the clusters only if every
     # clade that merges two of them is wider still.
+    sq, pos = dense(dm), {ident: k for k, ident in enumerate(dm.ids)}
     cutoff = max(
-        _max_p_diameter(dm, members) for members in planted.clusters().values()
+        _max_p_diameter(sq, pos, members) for members in planted.clusters().values()
     )
-    labels = tree.tip_labels()
+    labels, masks = tree.tip_labels(), tree.node_masks()
     merging = []
-    for clade in enumerate_clades(tree):
-        tips = mask_to_labels(clade.mask, labels)
+    for node in (n for n in tree.postorder() if not n.is_tip):
+        tips = mask_to_labels(masks[id(node)], labels)
         if len({planted.label_of(t) for t in tips}) > 1:
-            merging.append(_max_p_diameter(dm, tips))
+            merging.append(_max_p_diameter(sq, pos, tips))
     assert min(merging) > cutoff, (
         f"planted clusters not separable by max-p: a merging clade has "
         f"diameter {min(merging):.4f} <= largest planted {cutoff:.4f}"
@@ -284,7 +286,7 @@ def test_criterion_07_k80_consistency():
         )
         aln = simulate_alignment(tree, cfg)
         dm = build_distance_matrix(aln, MatrixKind.K80)
-        errors.append(dm.get(0, 1) - 0.10)
+        errors.append(dm.values[0] - 0.10)
         assert abs(errors[-1]) <= 0.005
     elapsed = time.perf_counter() - start
     print(
@@ -360,11 +362,11 @@ def test_criterion_09_patristic_oracle():
     for seed, sizes in ((0, (10,)), (1, (16, 17)), (2, (30, 34)), (3, (64,))):
         tree, _ = simulate_tree(SimConfig(cluster_sizes=sizes, rng_seed=seed))
         labels = tree.tip_labels()  # matrix rows follow traversal order
-        dm = patristic_matrix(tree)
+        sq = dense(patristic_matrix(tree))
         tips = {n.label: n for n in tree.preorder() if n.is_tip}
         for i, j in itertools.combinations(range(len(labels)), 2):
             naive = _naive_patristic(tree, tips[labels[i]], tips[labels[j]])
-            assert abs(dm.get(i, j) - naive) <= 1e-12
+            assert abs(sq[i, j] - naive) <= 1e-12
     elapsed = time.perf_counter() - start
     print(f"criterion 9: trees up to n=64 match path walk, {elapsed:.1f} s")
     assert elapsed < 5.0

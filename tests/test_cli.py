@@ -25,7 +25,10 @@ from phyloclust.distance import (
 from phyloclust.evaluation import adjusted_rand_index
 from phyloclust.gap import GapConfig, gap_cluster
 from phyloclust.io_formats import load_fasta, load_partition
-from phyloclust.mcmc import linkage_estimate, load_chain_summary
+from phyloclust.mcmc import load_chain_summary
+
+from conftest import dense
+from test_community import dense_walktrap
 
 
 def sha(path):
@@ -210,6 +213,7 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
              "--out", str(bad / "s.tsv")]
     growth = ["growth", "--partition", planted, "--metadata", meta,
               "--svg", str(bad / "g.svg"), "--out", str(bad / "g.tsv")]
+    simulate = ["simulate", "--out-dir", str(bad / "sim")]
     for argv in (
         cluster + ["--method", "maxp", "--distance-max", "0"],
         cluster + ["--method", "maxp", "--distance-max", "nan"],
@@ -217,6 +221,13 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
         cluster + ["--method", "gap", "--gap-quantile", "0"],
         mcmc + ["--iterations", "10", "--burn-in", "20"],
         mcmc + ["--thin", "0"],
+        mcmc + ["--iterations", "20", "--burn-in", "-3", "--thin", "5"],
+        mcmc + ["--iterations", "0", "--burn-in", "-1"],
+        mcmc + ["--seed", "-1"],
+        mcmc + ["--seeds=-2,1"],
+        simulate + ["--preset", "demo", "--seed", "-1"],
+        simulate + ["--cluster-sizes", "3,0"],
+        simulate + ["--cluster-sizes", "3,x"],
         sweep + ["--support-grid", "x"],
         sweep + ["--distance-grid", "0"],
         sweep + ["--method", "maxpatristic", "--support-grid", "0.9,1.5"],
@@ -430,12 +441,12 @@ _COMMAND_PROBE = """
 import json, sys
 from phyloclust.cli import main
 
+watched = set(json.loads(sys.argv[2]))
 loaded = []
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
-    roots = {m.split(".")[0] for m in sys.modules}
-    loaded.append([argv[0], sorted(roots & {"numpy", "scipy"})])
+    loaded.append([argv[0], sorted(watched & set(sys.modules))])
 print(json.dumps(loaded))
 """
 
@@ -472,11 +483,25 @@ def test_commands_import_only_what_they_run(cohort, tmp_path):
          "--out", out("cocluster.bin")],
         ["simulate", "--cluster-sizes", "3,2", "--seed", "1", "--out-dir", out("sim")],
     ]
-    printed = fresh_python(_COMMAND_PROBE, json.dumps(text_only + rest))
+    commands = json.dumps(text_only + rest)
+    printed = fresh_python(_COMMAND_PROBE, commands, '["numpy", "scipy"]')
     loaded = json.loads(printed.splitlines()[-1])
     assert [name for name, _ in loaded] == [argv[0] for argv in text_only + rest]
     expect = [[]] * len(text_only) + [["numpy"]] * len(rest)
     assert [modules for _, modules in loaded] == expect
+
+
+def test_chain_leaves_walktrap_unloaded(cohort, tmp_path):
+    """cluster --method mcmc runs no walktrap, so it does not load
+    phyloclust.community; linkage on its chain does."""
+    chain, out = str(tmp_path / "chain"), str(tmp_path / "out.csv")
+    mcmc = ["cluster", "--method", "mcmc", "--tree", str(cohort / "tree.nwk"),
+            "--align", str(cohort / "alignment.fasta"), "--iterations", "300",
+            "--burn-in", "100", "--thin", "100", "--chain-dir", chain, "--out", out]
+    commands = json.dumps([mcmc, ["linkage", "--chain-dir", chain, "--out", out]])
+    printed = fresh_python(_COMMAND_PROBE, commands, '["phyloclust.community"]')
+    assert json.loads(printed.splitlines()[-1]) == [
+        ["cluster", []], ["linkage", ["phyloclust.community"]]]
 
 
 def test_reruns_byte_identical_and_inputs_untouched(cohort, tmp_path):
@@ -555,7 +580,7 @@ def test_linkage_command(cohort, chain, tmp_path):
     assert sorted(part.ids()) == sorted(tree.tip_labels())
     cocluster = read_matrix_binary(chain / "cocluster.bin", MatrixKind.COCLUSTER)
     assert np.count_nonzero(cocluster.values) > 0  # the graph has edges
-    assert part.same_grouping(linkage_estimate(cocluster))
+    assert part.same_grouping(dense_walktrap(dense(cocluster), cocluster.ids))
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from phyloclust import Partition
-from phyloclust import MatrixKind
+from phyloclust import MatrixKind, Partition
 from phyloclust.community import (
     WeightedGraph,
     cocluster_fraction,
@@ -16,7 +15,9 @@ from phyloclust.community import (
     walktrap_communities,
 )
 
-from conftest import dense, weighted_graph
+from phyloclust.distance import read_nonzero_pairs_binary, write_matrix_binary
+
+from conftest import dense, graph_square, weighted_graph
 
 
 def two_cliques(bridge=0.1):
@@ -56,19 +57,11 @@ def naive_modularity(w, groups):
     return q
 
 
-def test_graph_validation():
-    # the DistanceMatrix fixes shape and symmetry; the weights must be
-    # non-negative numbers
-    for bad in (-1.0, np.nan):
-        with pytest.raises(ValueError):
-            weighted_graph(["a", "b", "c"], [[0, 1, bad], [1, 0, 1], [bad, 1, 0]])
-
-
 def test_adjacency_two_blocks():
     p = Partition.from_labels([f"s{i}" for i in range(1, 7)],
                               ["1", "1", "1", "2", "2", "2"])
     g = partition_adjacency(p)
-    w = g.weights
+    w = graph_square(g)
     pos = {ident: k for k, ident in enumerate(g.ids)}
     for a, b in itertools.combinations(range(1, 7), 2):
         i, j = pos[f"s{a}"], pos[f"s{b}"]
@@ -79,7 +72,7 @@ def test_adjacency_two_blocks():
 
 def test_adjacency_singletons_zero():
     p = Partition.from_labels(["a", "b", "c"], ["1", "2", "3"])
-    assert np.all(partition_adjacency(p).weights == 0.0)
+    assert np.all(graph_square(partition_adjacency(p)) == 0.0)
 
 
 def test_adjacency_matches_equality_scan():
@@ -90,10 +83,11 @@ def test_adjacency_matches_equality_scan():
         labels = [str(int(v)) for v in rng.integers(0, 4, n)]
         p = Partition.from_labels(ids, labels)
         g = partition_adjacency(p)
+        w = graph_square(g)
         pos = {ident: k for k, ident in enumerate(g.ids)}
         for a, b in itertools.combinations(ids, 2):
             expect = 1.0 if p.label_of(a) == p.label_of(b) else 0.0
-            assert g.weights[pos[a], pos[b]] == expect
+            assert w[pos[a], pos[b]] == expect
 
 
 def pair_loop_fraction(partitions, ids):
@@ -129,11 +123,12 @@ def test_cocluster_fraction_matches_pair_loop():
 def test_modularity_matches_naive():
     rng = np.random.default_rng(19)
     g = two_cliques()
+    w = graph_square(g)
     for _ in range(20):
         labels = rng.integers(0, 3, 10)
         p = Partition.from_labels(g.ids, [str(int(v)) for v in labels])
         groups = [[i for i in range(10) if labels[i] == v] for v in set(labels)]
-        assert modularity(g, p) == pytest.approx(naive_modularity(g.weights, groups))
+        assert modularity(g, p) == pytest.approx(naive_modularity(w, groups))
 
 
 def test_modularity_edgeless_zero():
@@ -153,7 +148,7 @@ def test_walktrap_matches_exhaustive_max_on_two_cliques():
     """10 vertices is small enough to scan every partition."""
     g = two_cliques(bridge=0.1)
     part = walktrap_communities(g)
-    w = g.weights
+    w = graph_square(g)
     best = max(
         naive_modularity(w, groups) for groups in set_partitions(list(range(10)))
     )
@@ -181,7 +176,7 @@ def test_walktrap_permutation_equivariant():
     for _ in range(5):
         perm = rng.permutation(10)
         ids = [g.ids[k] for k in perm]
-        w = g.weights[np.ix_(perm, perm)]
+        w = graph_square(g)[np.ix_(perm, perm)]
         got = walktrap_communities(weighted_graph(ids, w))
         assert got.same_grouping(base)
 
@@ -317,21 +312,23 @@ def test_walktrap_matches_dense_oracle():
     graphs = [random_cocluster(rng) for _ in range(200)]
     cliques = two_cliques()
     for dm in graphs:
-        got = walktrap_communities(WeightedGraph(dm))
+        got = walktrap_communities(weighted_graph(dm.ids, dense(dm)))
         assert got.same_grouping(dense_walktrap(dense(dm), dm.ids)), dm.ids
     for walk_length in (1, 2, 4, 7):
         got = walktrap_communities(cliques, walk_length)
-        want = dense_walktrap(cliques.weights, cliques.ids, walk_length)
+        want = dense_walktrap(graph_square(cliques), cliques.ids, walk_length)
         assert got.same_grouping(want)
 
 
-def test_graph_is_the_triangles_nonzero_pairs():
+def test_graph_is_the_triangles_nonzero_pairs(tmp_path):
+    """linkage's graph of a written triangle holds the dense square's weights."""
     rng = np.random.default_rng(5)
     for _ in range(20):
         dm = random_cocluster(rng)
-        g = WeightedGraph(dm)
+        write_matrix_binary(dm, tmp_path / "c.bin")
+        g = WeightedGraph(*read_nonzero_pairs_binary(tmp_path / "c.bin"))
         sq = dense(dm)
-        assert g.weights.tobytes() == sq.tobytes()
+        assert g.ids == dm.ids and graph_square(g).tobytes() == sq.tobytes()
         assert np.all(g.w > 0) and np.all(g.i < g.j)
         assert np.allclose(g.degrees(), sq.sum(axis=1), rtol=1e-15, atol=0)
         assert g.total_weight() == pytest.approx(sq.sum() / 2.0, rel=1e-15)

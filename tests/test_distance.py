@@ -19,9 +19,7 @@ from phyloclust import (
 )
 from phyloclust import distance
 from phyloclust.distance import (
-    compare_pair,
     encode_alignment,
-    pair_counts,
     read_matrix_binary,
     read_matrix_phylip,
     read_nonzero_pairs_binary,
@@ -29,12 +27,19 @@ from phyloclust.distance import (
     write_matrix_binary,
     write_matrix_phylip,
 )
-from phyloclust.errors import DataError, LengthMismatch, MalformedMatrix
+from phyloclust.errors import DataError, MalformedMatrix
 
-from conftest import dense
+from conftest import dense, pair_counts
 
-# Single-pair reference distances over compare_pair; the matrix builder
-# must agree with them pair by pair.
+
+def kernel_counts(*seqs):
+    """pair_counts of seqs, pairs in condensed order."""
+    aln = Alignment([SequenceRecord(f"s{i}", s) for i, s in enumerate(seqs)])
+    return pair_counts(encode_alignment(aln))
+
+
+# Single-pair reference distances over the kernel's counts; the matrix
+# builder must agree with them pair by pair.
 
 
 def p_distance(x: str, y: str) -> float:
@@ -42,10 +47,10 @@ def p_distance(x: str, y: str) -> float:
 
     NaN when no site is defined for the pair.
     """
-    pc = compare_pair(x, y)
-    if pc.compared == 0:
+    compared, mismatches, _ = kernel_counts(x, y)[:, 0].tolist()
+    if compared == 0:
         return math.nan
-    return pc.mismatches / pc.compared
+    return mismatches / compared
 
 
 def k80_distance(x: str, y: str) -> float:
@@ -55,11 +60,11 @@ def k80_distance(x: str, y: str) -> float:
     pairwise-defined sites.  NaN when the pair has no defined sites or
     either log argument is not positive (saturation).
     """
-    pc = compare_pair(x, y)
-    if pc.compared == 0:
+    compared, mismatches, transitions = kernel_counts(x, y)[:, 0].tolist()
+    if compared == 0:
         return math.nan
-    p = pc.transitions / pc.compared
-    q = pc.transversions / pc.compared
+    p = transitions / compared
+    q = (mismatches - transitions) / compared
     w1 = 1.0 - 2.0 * p - q
     w2 = 1.0 - 2.0 * q
     if w1 <= 0.0 or w2 <= 0.0:
@@ -75,25 +80,16 @@ def _random_seq(rng, length, alphabet="ACGTN-"):
 
 
 def test_compare_identity():
-    c = compare_pair("ACGT", "ACGT")
-    assert (c.compared, c.mismatches) == (4, 0)
+    assert kernel_counts("ACGT", "ACGT")[:, 0].tolist() == [4, 0, 0]
 
 
 def test_compare_single_transversion():
-    c = compare_pair("ACGT", "ACGA")
-    assert (c.compared, c.mismatches) == (4, 1)
-    assert c.transversions == 1 and c.transitions == 0
+    assert kernel_counts("ACGT", "ACGA")[:, 0].tolist() == [4, 1, 0]
 
 
 def test_compare_pairwise_deletion():
     # R is ambiguous and '-' is a gap: sites 1 and 4 drop out
-    c = compare_pair("ACGT", "RCG-")
-    assert (c.compared, c.mismatches) == (2, 0)
-
-
-def test_compare_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        compare_pair("ACG", "AC")
+    assert kernel_counts("ACGT", "RCG-")[:, 0].tolist() == [2, 0, 0]
 
 
 def test_p_quarter():
@@ -111,17 +107,9 @@ def test_p_matches_site_loop():
         length = int(rng.integers(1, 120))
         x = _random_seq(rng, length)
         y = _random_seq(rng, length)
-        compared = mismatched = 0
-        for a, b in zip(x, y):
-            if a in _BASES and b in _BASES:
-                compared += 1
-                mismatched += a != b
+        compared, mismatched, _ = _oracle_counts(x, y)
         expect = mismatched / compared if compared else math.nan
-        got = p_distance(x, y)
-        if math.isnan(expect):
-            assert math.isnan(got)
-        else:
-            assert got == expect
+        assert np.array_equal(p_distance(x, y), expect, equal_nan=True)
 
 
 # gaps, N, IUPAC ambiguity codes and lowercase bases
@@ -193,13 +181,7 @@ def test_pair_counts_match_site_oracle(sites, n, threads):
     oracle = np.array(
         [_oracle_counts(x, y) for x, y in itertools.combinations(seqs, 2)]
     ).T
-    counts = pair_counts(encode_alignment(aln))
-    assert np.array_equal(counts, oracle)
-    counts = pair_counts(encode_alignment(aln), transitions=False)
-    assert counts.shape == (2, oracle.shape[1])
-    assert np.array_equal(counts, oracle[:2])
-    for (x, y), (c, m, t) in zip(itertools.combinations(seqs, 2), oracle.T):
-        assert compare_pair(x, y) == distance.PairComparison(c, m, t, m - t)
+    assert np.array_equal(pair_counts(encode_alignment(aln)), oracle)
 
     compared, mism, ts = oracle.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -268,7 +250,7 @@ def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
     aln = parse_fasta("".join(f">r{i}\n{s}\n" for i, s in enumerate(seqs)))
     assert len(distance._row_runs(len(seqs), threads)) >= 8
 
-    counts = pair_counts(encode_alignment(aln), kind is MatrixKind.K80)
+    counts = pair_counts(encode_alignment(aln))
     want = _whole_array_values(counts, kind)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -303,7 +285,7 @@ def test_row_runs_tile_the_triangle(monkeypatch, n, workers, block):
 
 
 def test_compare_pair_empty_strings():
-    assert compare_pair("", "") == distance.PairComparison(0, 0, 0, 0)
+    assert kernel_counts("", "")[:, 0].tolist() == [0, 0, 0]
 
 
 class _RecordingPool:
@@ -388,16 +370,15 @@ def test_masking_leaves_remaining_sites_alone():
         for k in np.flatnonzero(hide):
             x[k] = "N"
             y[k] = "N"
-        a = compare_pair("".join(x), "".join(y))
-        b = compare_pair(kept_x, kept_y)
-        assert (a.compared, a.mismatches) == (b.compared, b.mismatches)
+        a = kernel_counts("".join(x), "".join(y))
+        b = kernel_counts(kept_x, kept_y)
+        assert np.array_equal(a, b)
 
 
 def test_matrix_identical_sequences():
     aln = parse_fasta(">a\nACGT\n>b\nACGT\n>c\nACGT\n")
     dm = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
     assert np.all(dm.values == 0.0)
-    assert dm.get(0, 0) == 0.0
 
 
 def test_matrix_symmetry_and_spot_checks():
@@ -412,32 +393,32 @@ def test_matrix_symmetry_and_spot_checks():
         for _ in range(30):
             i, j = rng.integers(0, 12, 2)
             direct = kernel(aln.records[i].residues, aln.records[j].residues)
-            got = dm.get(int(i), int(j))
+            got = sq[i, j]
             if math.isnan(direct):
                 assert math.isnan(got)
             else:
                 assert got == direct
 
 
-def test_matrix_cap_policy():
+def test_matrix_cap_policy(caplog):
     aln = parse_fasta(">a\nNNNN\n>b\nACGT\n>c\nACGA\n")
     plain = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
-    assert math.isnan(plain.get(0, 1))
+    assert np.isnan(plain.values).tolist() == [True, True, False]  # ab, ac, bc
     capped = build_distance_matrix(aln, MatrixKind.P_DISTANCE, cap=0.75)
-    assert capped.get(0, 1) == 0.75
-    assert capped.get(1, 2) == 0.25
-    assert capped.capped is not None
-    assert capped.capped.tolist() == [True, True, False]  # pairs ab, ac, bc
+    assert capped.values.tolist() == [0.75, 0.75, 0.25]
+    assert "capping 2 undefined p distances at 0.75" in caplog.text
 
 
 @pytest.mark.parametrize("idx", [[7, 2, 11, 5], [13, 0], [9], [], [12, 3, 8, 1, 6]])
 def test_values_within_matches_get_loop(idx):
-    """Pairs of the sorted indices, in row-major order, as get(i, j) reads them."""
+    """The block a reader over some of the ids, in any order, gives of
+    them against themselves holds each pair's value as the dense square
+    does."""
     n = 14
     vals = np.random.default_rng(5).random(n * (n - 1) // 2)
     dm = DistanceMatrix([f"t{k}" for k in range(n)], vals, MatrixKind.P_DISTANCE)
-    want = [dm.get(i, j) for i, j in itertools.combinations(sorted(idx), 2)]
-    assert dm.values_within(iter(idx)).tolist() == want
+    block = dm.block_reader([dm.ids[k] for k in idx])(0, len(idx), 0, len(idx))
+    assert block.tobytes() == dense(dm)[np.ix_(idx, idx)].tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 17])
@@ -534,40 +515,45 @@ def _cocluster(n, vals):
                           MatrixKind.COCLUSTER)
 
 
-def test_nonzero_pairs_two_ids():
-    i, j, w = _cocluster(2, [0.25]).nonzero_pairs()
+def _nonzero_pairs(tmp_path, n, vals):
+    """The pairs read_nonzero_pairs_binary gives of the written triangle."""
+    write_matrix_binary(_cocluster(n, vals), tmp_path / "c.bin")
+    return read_nonzero_pairs_binary(tmp_path / "c.bin")[1:]
+
+
+def test_nonzero_pairs_two_ids(tmp_path):
+    i, j, w = _nonzero_pairs(tmp_path, 2, [0.25])
     assert i.tolist() == [0] and j.tolist() == [1] and w.tolist() == [0.25]
-    i, j, w = _cocluster(2, [0.0]).nonzero_pairs()
+    i, j, w = _nonzero_pairs(tmp_path, 2, [0.0])
     assert i.size == j.size == w.size == 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 40])
-def test_nonzero_pairs_all_zero(n):
-    i, j, w = _cocluster(n, np.zeros(n * (n - 1) // 2)).nonzero_pairs()
+def test_nonzero_pairs_all_zero(tmp_path, n):
+    i, j, w = _nonzero_pairs(tmp_path, n, np.zeros(n * (n - 1) // 2))
     assert i.size == j.size == w.size == 0
     assert np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)
 
 
 @pytest.mark.parametrize("n", [3, 4, 9])
-def test_nonzero_pairs_first_and_last(n):
+def test_nonzero_pairs_first_and_last(tmp_path, n):
     vals = np.zeros(n * (n - 1) // 2)
     vals[0], vals[-1] = 0.5, 0.75
-    i, j, w = _cocluster(n, vals).nonzero_pairs()
+    i, j, w = _nonzero_pairs(tmp_path, n, vals)
     assert list(zip(i.tolist(), j.tolist(), w.tolist())) == [
         (0, 1, 0.5), (n - 2, n - 1, 0.75)
     ]
 
 
 @pytest.mark.parametrize("n", [2, 5, 23, 64])
-def test_nonzero_pairs_match_square(n):
+def test_nonzero_pairs_match_square(tmp_path, n):
     """Every pair of a random triangle, NaN included, in condensed order."""
     rng = np.random.default_rng(71 + n)
     vals = rng.random(n * (n - 1) // 2)
     vals[rng.random(vals.shape) < 0.6] = 0.0
     vals[rng.random(vals.shape) < 0.05] = np.nan
-    dm = _cocluster(n, vals)
-    i, j, w = dm.nonzero_pairs()
-    sq = dense(dm)
+    i, j, w = _nonzero_pairs(tmp_path, n, vals)
+    sq = dense(_cocluster(n, vals))
     want = [(a, b) for a, b in itertools.combinations(range(n), 2) if sq[a, b] != 0]
     assert list(zip(i.tolist(), j.tolist())) == want
     assert w.tobytes() == sq[i, j].tobytes()
@@ -628,7 +614,7 @@ def test_binary_roundtrip(tmp_path):
 @pytest.mark.parametrize("block", [1, 3, 7, 65_536])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 23])
 def test_binary_nonzero_reader_matches_nonzero_pairs(tmp_path, monkeypatch, n, block):
-    """Bit for bit nonzero_pairs() of the written triangle, when nonzeros
+    """Bit for bit the nonzero pairs of the written triangle, when nonzeros
     and NaNs straddle the block boundaries."""
     monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
     rng = np.random.default_rng(53 + n)
@@ -639,9 +625,10 @@ def test_binary_nonzero_reader_matches_nonzero_pairs(tmp_path, monkeypatch, n, b
     path = tmp_path / "m.bin"
     write_matrix_binary(dm, path)
     ids, i, j, w = read_nonzero_pairs_binary(path)
-    want = dm.nonzero_pairs()
+    i_all, j_all = np.triu_indices(n, k=1)
+    hit = vals != 0
     assert ids == dm.ids
-    for got, exp in zip((i, j, w), want):
+    for got, exp in zip((i, j, w), (i_all[hit], j_all[hit], vals[hit])):
         assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
 
 

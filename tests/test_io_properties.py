@@ -1,17 +1,25 @@
-"""Property tests of the Newick and FASTA readers.
+"""Property tests of the Newick, FASTA and distance-matrix readers.
 
-Random edits of valid Newick and FASTA texts must parse or raise a
-DataError, never another exception; the writers' output reads back to
-what was written; and a list of trees reads as its trees read one at a
-time.  Every test is derandomized with a fixed example count, so a run
-is repeatable.
+Random edits of valid Newick, FASTA and phylip texts, and of binary
+matrix files and their id sidecars, must parse or raise a DataError,
+never another exception; the writers' output reads back to what was
+written; and a list of trees reads as its trees read one at a time.
+Every test is derandomized with a fixed example count, so a run is
+repeatable.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phyloclust import newick_string, parse_newick, parse_newick_list
 from phyloclust.cli import _PRESETS
+from phyloclust.distance import (
+    DistanceMatrix, MatrixKind, read_matrix_binary, read_matrix_phylip,
+    read_nonzero_pairs_binary, write_matrix_binary,
+)
 from phyloclust.errors import DataError
 from phyloclust.io_formats import fasta_string, parse_fasta
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
@@ -35,6 +43,14 @@ VALID_FASTA = (
 # the header mark, whitespace, residues in both cases, gaps, and
 # characters that are not residues
 FASTA_ALPHABET = ">" + " \t\n\r" + "ACGTUNRYacgtun-." + "xz1?*"
+
+VALID_PHYLIP = ("3\na  0 0.1 0.2\nb  0.1 0 nan\nc  0.2 nan 0\n",
+                "2\ns1  0 1e-05\ns2  1e-05 0\n", "1\nx  0\n")
+
+# number characters, the words nan and inf, id characters and whitespace
+PHYLIP_ALPHABET = "0123456789.-+eE" + "naif" + "bsx" + " \t\n"
+
+BYTES = [bytes([b]) for b in range(256)]
 
 
 def fixed(max_examples):
@@ -134,3 +150,53 @@ def test_simulated_alignment_round_trips(preset, seed):
     cfg = SimConfig(cluster_sizes=_PRESETS[preset]["cluster_sizes"], rng_seed=seed)
     alignment = simulate_alignment(simulate_tree(cfg)[0], cfg)
     assert parse_fasta(fasta_string(alignment)).records == alignment.records
+
+
+@pytest.fixture(scope="module")
+def matrix_path(tmp_path_factory):
+    """The path each example writes its matrix file to."""
+    return tmp_path_factory.mktemp("matrix") / "m.bin"
+
+
+@fixed(1500)
+@given(text=mutants(st.sampled_from(VALID_PHYLIP), PHYLIP_ALPHABET))
+def test_mutated_phylip_parses_or_raises_data_error(matrix_path, text):
+    matrix_path.with_suffix(".phy").write_text(text)
+    _read_or_reject(read_matrix_phylip, matrix_path.with_suffix(".phy"))
+
+
+@fixed(1500)
+@given(sidecar=st.booleans(), data=st.data())
+def test_mutated_binary_matrix_reads_or_raises_data_error(matrix_path, sidecar, data):
+    """A .bin file cut short or with edited bytes, or an edited .ids
+    sidecar, reads or raises a DataError; both readers agree on a file
+    that read_matrix_binary takes."""
+    values = np.array([0.0, 0.5, np.nan, 1.0, 0.0, 0.25])
+    dm = DistanceMatrix(["a", "bb", "c", "d"], values, MatrixKind.COCLUSTER)
+    write_matrix_binary(dm, matrix_path)
+    target = matrix_path.with_name("m.bin.ids") if sidecar else matrix_path
+    data_in = target.read_bytes()
+    cut = st.integers(0, len(data_in)).map(lambda k: data_in[:k])
+    target.write_bytes(data.draw(cut | mutants(st.just(data_in), BYTES)))
+    dm = _read_or_reject(read_matrix_binary, matrix_path)
+    pairs = _read_or_reject(read_nonzero_pairs_binary, matrix_path)
+    if dm is not None:
+        assert pairs[0] == dm.ids
+        assert pairs[3].tobytes() == dm.values[dm.values != 0].tobytes()
+
+
+@fixed(100)
+@given(n=st.integers(0, 12), data=st.data())
+def test_binary_matrix_reads_back_bit_for_bit(matrix_path, n, data):
+    """Any float64 values, over ids drawn from the characters an id may hold."""
+    ids = st.text("abz019_.-|", min_size=1, max_size=6)
+    dm = DistanceMatrix(
+        data.draw(st.lists(ids, min_size=n, max_size=n, unique=True)),
+        data.draw(arrays(np.float64, n * (n - 1) // 2)),
+        MatrixKind.K80,
+    )
+    write_matrix_binary(dm, matrix_path)
+    back = read_matrix_binary(matrix_path, MatrixKind.K80)
+    assert back.ids == dm.ids and back.values.tobytes() == dm.values.tobytes()
+    ids, _, _, w = read_nonzero_pairs_binary(matrix_path)
+    assert ids == dm.ids and w.tobytes() == dm.values[dm.values != 0].tobytes()

@@ -15,6 +15,7 @@ from phyloclust import (
     SequenceRecord,
     parse_fasta,
     parse_newick,
+    walktrap_communities,
 )
 from phyloclust.cli import _PRESETS
 from phyloclust.community import cocluster_fraction, cocluster_rows, modularity
@@ -25,7 +26,6 @@ from phyloclust.mcmc import (
     _clade_nodes_for,
     _cocluster_rows,
     initialize_chain,
-    linkage_estimate,
     load_chain_summary,
     log_posterior,
     run_chain,
@@ -34,7 +34,7 @@ from phyloclust.mcmc import (
 
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
-from conftest import decorate_tree, dense, square_dm, weighted_graph
+from conftest import decorate_tree, dense, weighted_graph
 
 EDGE_FLOOR = 1e-9
 
@@ -372,18 +372,24 @@ def test_exactness_with_walk_moves():
     assert tv <= 0.08, f"total variation {tv:.4f}"
 
 
-def test_chain_summary_invariants():
+def saved_cocluster(summary, directory):
+    """The triangle of the chain directory save_chain_summary writes."""
+    save_chain_summary(summary, directory)
+    return read_matrix_binary(directory / "cocluster.bin", MatrixKind.COCLUSTER)
+
+
+def test_chain_summary_invariants(tmp_path):
     _, cfg, summary = chain_on_six_tips(iterations=40_000, burn_in=5_000, thin=10)
     assert len(summary.retained_samples) == cfg.num_retained
-    assert summary.cocluster.kind is MatrixKind.COCLUSTER
-    c = dense(summary.cocluster)
+    cocluster = saved_cocluster(summary, tmp_path)
+    c = dense(cocluster)
     assert np.all((c >= 0.0) & (c <= 1.0))
     assert summary.map_log_posterior == summary.trace.max()
     assert summary.burn_in == cfg.burn_in
     assert summary.trace.shape == (cfg.iterations - cfg.burn_in,)
     assert summary.retained_samples.dtype == np.int32
     # cocluster frequencies equal a recount over the retained partitions
-    ids = summary.cocluster.ids
+    ids = cocluster.ids
     pos = {ident: k for k, ident in enumerate(ids)}
     m = len(summary.retained_samples)
     for a, b in itertools.combinations(ids[:4], 2):
@@ -393,14 +399,15 @@ def test_chain_summary_invariants():
         assert c[pos[a], pos[b]] == pytest.approx(manual)
 
 
-def test_chain_retaining_nothing_has_identity_cocluster():
+def test_chain_retaining_nothing_has_identity_cocluster(tmp_path):
     tree, cfg, summary = chain_on_six_tips(iterations=3_000, burn_in=1_000, thin=2_001)
     assert cfg.num_retained == 0
     assert summary.retained_samples.shape == (0, len(tree.tip_labels()))
     assert len(summary.trace) == 2_000
     # no pair co-clusters: the identity, less the diagonal the type omits
-    assert summary.cocluster.ids == tree.tip_labels()
-    assert not summary.cocluster.values.any()
+    cocluster = saved_cocluster(summary, tmp_path)
+    assert cocluster.ids == tree.tip_labels()
+    assert not cocluster.values.any()
 
 
 def test_chain_determinism():
@@ -408,7 +415,6 @@ def test_chain_determinism():
     _, _, s2 = chain_on_six_tips(iterations=30_000, burn_in=3_000, thin=9, seed=7)
     assert s1.map_log_posterior == s2.map_log_posterior
     assert np.array_equal(s1.trace, s2.trace)
-    assert np.array_equal(s1.cocluster.values, s2.cocluster.values)
     assert np.array_equal(s1.retained_samples, s2.retained_samples)
     _, _, s3 = chain_on_six_tips(iterations=30_000, burn_in=3_000, thin=9, seed=8)
     assert not np.array_equal(s3.trace, s1.trace)
@@ -428,9 +434,6 @@ def test_summary_roundtrip(tmp_path):
     assert back.map_log_posterior == summary.map_log_posterior
     assert back.map_partition.same_grouping(summary.map_partition)
     assert back.ids == summary.ids
-    written = read_matrix_binary(tmp_path / "cocluster.bin", MatrixKind.COCLUSTER)
-    assert written.ids == summary.ids
-    assert written.values.tobytes() == summary.cocluster.values.tobytes()
     assert back.burn_in == summary.burn_in
     assert back.trace.tobytes() == summary.trace.tobytes()
     assert back.retained_samples.dtype == np.int32
@@ -565,13 +568,13 @@ def constant_cocluster(ids, labels):
         for j, b in enumerate(ids):
             if p.label_of(a) == p.label_of(b):
                 c[i, j] = 1.0
-    return square_dm(ids, c, MatrixKind.COCLUSTER)
+    return weighted_graph(ids, c)
 
 
 def test_linkage_constant_chain():
     ids = [f"s{i}" for i in range(6)]
     labels = ["1", "1", "2", "2", "2", "3"]
-    estimate = linkage_estimate(constant_cocluster(ids, labels))
+    estimate = walktrap_communities(constant_cocluster(ids, labels))
     assert estimate.same_grouping(Partition(dict(zip(ids, labels))))
 
 
@@ -581,7 +584,7 @@ def test_linkage_two_blobs():
     c[:10, :10] = 1.0
     c[10:, 10:] = 1.0
     np.fill_diagonal(c, 1.0)
-    estimate = linkage_estimate(square_dm(ids, c, MatrixKind.COCLUSTER))
+    estimate = walktrap_communities(weighted_graph(ids, c))
     groups = sorted(sorted(g) for g in estimate.clusters().values())
     assert groups == [sorted(ids[:10]), sorted(ids[10:])]
     # the returned split's modularity matches a direct evaluation on the

@@ -8,7 +8,6 @@ import pytest
 from phyloclust import parse_newick, newick_string
 from phyloclust.phylo import (
     annotate_support,
-    enumerate_clades,
     majority_consensus,
     mask_to_labels,
     patristic_matrix,
@@ -56,7 +55,7 @@ def test_traversal_orders():
 def test_patristic_cherry():
     tree = parse_newick("(a:0.1,b:0.2);")
     dm = patristic_matrix(tree)
-    assert dm.get(0, 1) == pytest.approx(0.3)
+    assert dm.values.tolist() == [pytest.approx(0.3)]
 
 
 def test_patristic_zero_star():
@@ -69,10 +68,10 @@ def test_patristic_matches_naive_walk():
     for seed in range(8):
         tree, _ = simulate_tree(SimConfig(cluster_sizes=(9, 5, 2), rng_seed=seed))
         dm = patristic_matrix(tree)
-        labels = dm.ids
+        labels, sq = dm.ids, dense(dm)
         for i, j in itertools.combinations(range(len(labels)), 2):
             expect = _naive_patristic(tree, labels[i], labels[j])
-            assert abs(dm.get(i, j) - expect) <= 1e-12
+            assert abs(sq[i, j] - expect) <= 1e-12
 
 
 def test_patristic_matches_naive_walk_through_unary_nodes():
@@ -80,9 +79,10 @@ def test_patristic_matches_naive_walk_through_unary_nodes():
         tree, _ = simulate_tree(SimConfig(cluster_sizes=(6, 4, 3), rng_seed=seed))
         decorate_tree(tree, np.random.default_rng(seed), unary_rate=0.3)
         dm = patristic_matrix(tree)
+        sq = dense(dm)
         for i, j in itertools.combinations(range(dm.n), 2):
             expect = _naive_patristic(tree, dm.ids[i], dm.ids[j])
-            assert abs(dm.get(i, j) - expect) <= 1e-12
+            assert abs(sq[i, j] - expect) <= 1e-12
 
 
 def test_patristic_metric_properties():
@@ -95,10 +95,15 @@ def test_patristic_metric_properties():
         assert sq[i, j] <= sq[i, k] + sq[k, j] + 1e-12
 
 
+def _internal_spans(tree):
+    """The tip range of each internal node; a clade within one tree."""
+    spans = tree.tip_spans()
+    return [spans[id(n)] for n in tree.postorder() if not n.is_tip]
+
+
 def test_clades_cherry_plus_tip():
     tree = parse_newick("((a:1,b:1):1,c:1);")
-    clades = enumerate_clades(tree)
-    assert len(clades) == 2  # the cherry and the root
+    assert _internal_spans(tree) == [(0, 2), (0, 3)]  # the cherry and the root
 
 
 def test_clades_balanced_eight():
@@ -106,7 +111,7 @@ def test_clades_balanced_eight():
         "((((a:1,b:1):1,(c:1,d:1):1):1,((e:1,f:1):1,(g:1,h:1):1):1));"
     )
     # the outer parens add a unary root holder; count true internals
-    internal = {c.mask for c in enumerate_clades(tree)}
+    internal = set(_internal_spans(tree))
     assert len(internal) == 7
 
 

@@ -15,6 +15,8 @@ from phyloclust.simulate import (
     simulate_tree,
 )
 
+from conftest import pair_counts
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -169,13 +171,13 @@ def test_k80_estimator_consistency():
                         rng_seed=seed)
         aln = simulate_alignment(tree, cfg)
         dm = build_distance_matrix(aln, MatrixKind.K80)
-        assert abs(dm.get(0, 1) - 0.10) <= 0.005
+        assert abs(dm.values[0] - 0.10) <= 0.005
 
 
 def test_transition_transversion_balance():
     """Substitution counts over a long branch follow the kappa=2 kernel."""
     from phyloclust import parse_newick
-    from phyloclust.distance import compare_pair
+    from phyloclust.distance import encode_alignment
 
     d, kappa = 0.5, 2.0
     beta = 1.0 / (kappa + 2.0)
@@ -189,9 +191,9 @@ def test_transition_transversion_balance():
     cfg = SimConfig(cluster_sizes=(2,), seq_length=200_000, kappa=kappa,
                     rng_seed=11, within_mean=0.25, between_mean=0.5)
     aln = simulate_alignment(tree, cfg)
-    pc = compare_pair(aln.records[0].residues, aln.records[1].residues)
-    ts_frac = pc.transitions / pc.compared
-    tv_frac = pc.transversions / pc.compared
+    compared, mismatches, transitions = pair_counts(encode_alignment(aln))[:, 0]
+    ts_frac = transitions / compared
+    tv_frac = (mismatches - transitions) / compared
     assert abs(ts_frac / tv_frac - p_ts / p_tv) / (p_ts / p_tv) <= 0.10
 
 

@@ -212,6 +212,7 @@ def test_criteria_validation():
 def _pair_values(tree, dm):
     """Each node's explicit list of within-clade pair values, by id(node)."""
     out = {}
+    sq, pos = dense(dm), {ident: k for k, ident in enumerate(dm.ids)}
 
     def tips(node):
         if node.is_tip:
@@ -222,10 +223,7 @@ def _pair_values(tree, dm):
         members = tips(node)
         out[id(node)] = (
             members,
-            [
-                dm.get(dm.index_of(a), dm.index_of(b))
-                for a, b in itertools.combinations(members, 2)
-            ],
+            [sq[pos[a], pos[b]] for a, b in itertools.combinations(members, 2)],
         )
     return out
 

@@ -1,4 +1,5 @@
-"""No module-level import in the library or the tests goes unused."""
+"""No module-level import in the library or the tests goes unused, and
+every error type in errors.py is raised somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -6,9 +7,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "phyloclust"
 FILES = sorted(
     p
-    for p in [*(ROOT / "src" / "phyloclust").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for p in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
 )
 
@@ -56,3 +58,33 @@ def test_no_unused_module_imports(path):
         f"{name} (line {line})" for name, line in _imported(tree.body) if name not in used
     ]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _unraised(errors_module, modules):
+    """The DataError subclasses of errors_module, direct or not, that no
+    raise statement in modules names."""
+    errors = {"DataError"}
+    for node in errors_module.body:
+        if isinstance(node, ast.ClassDef) and errors & {
+            getattr(base, "id", None) for base in node.bases
+        }:
+            errors.add(node.name)
+    for node in (n for tree in modules for n in ast.walk(tree)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = getattr(node.exc, "func", node.exc)  # the class of a call
+            errors.discard(getattr(exc, "id", getattr(exc, "attr", None)))
+    return errors - {"DataError"}
+
+
+def test_checker_flags_an_unraised_error_type():
+    tree = ast.parse(
+        "class DataError(Exception): pass\nclass A(DataError): pass\n"
+        "class B(A): pass\nclass C(DataError): pass\nraise A('x')\nraise errors.B\n"
+    )
+    assert _unraised(tree, [tree]) == {"C"}
+
+
+def test_every_error_type_has_a_raiser():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    unraised = _unraised(errors, [ast.parse(p.read_text()) for p in SRC.glob("*.py")])
+    assert not unraised, f"never raised: {sorted(unraised)}"
