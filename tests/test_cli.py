@@ -228,6 +228,7 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
         simulate + ["--preset", "demo", "--seed", "-1"],
         simulate + ["--cluster-sizes", "3,0"],
         simulate + ["--cluster-sizes", "3,x"],
+        simulate + ["--preset", "demo", "--seq-length", "0"],
         sweep + ["--support-grid", "x"],
         sweep + ["--distance-grid", "0"],
         sweep + ["--method", "maxpatristic", "--support-grid", "0.9,1.5"],
