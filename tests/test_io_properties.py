@@ -172,12 +172,12 @@ def test_mutated_binary_matrix_reads_or_raises_data_error(matrix_path, sidecar, 
     sidecar, reads or raises a DataError; both readers agree on a file
     that read_matrix_binary takes."""
     values = np.array([0.0, 0.5, np.nan, 1.0, 0.0, 0.25])
-    dm = DistanceMatrix(["a", "bb", "c", "d"], values, MatrixKind.COCLUSTER)
-    write_matrix_binary(dm, matrix_path)
+    matrix = DistanceMatrix(["a", "bb", "c", "d"], values, MatrixKind.COCLUSTER)
+    write_matrix_binary(matrix, matrix_path)
     target = matrix_path.with_name("m.bin.ids") if sidecar else matrix_path
-    data_in = target.read_bytes()
-    cut = st.integers(0, len(data_in)).map(lambda k: data_in[:k])
-    target.write_bytes(data.draw(cut | mutants(st.just(data_in), BYTES)))
+    original = target.read_bytes()
+    cut = st.integers(0, len(original)).map(lambda k: original[:k])
+    target.write_bytes(data.draw(cut | mutants(st.just(original), BYTES)))
     dm = _read_or_reject(read_matrix_binary, matrix_path)
     pairs = _read_or_reject(read_nonzero_pairs_binary, matrix_path)
     if dm is not None:
