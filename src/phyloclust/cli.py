@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -44,13 +45,26 @@ class _UsageError(Exception):
 
 
 @contextmanager
-def _flag_values():
+def _flag_values(*fields: str, **flags: str):
     """Report a ValueError raised while flag values become a config
-    object, a date or a grid as a usage error."""
+    object, a date or a grid as a usage error, which names each config
+    field by its flag: --field-name, or the flag given as field=flag."""
+    flags.update({f: "--" + f.replace("_", "-") for f in fields})
     try:
         yield
     except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        message = str(exc)
+        for field, flag in flags.items():
+            message = re.sub(rf"\b{field}\b", flag, message)
+        raise _UsageError(message) from None
+
+
+def _parse_list(flag: str, text: str, kind: type) -> tuple:
+    """A flag's comma-separated values, each converted by kind."""
+    try:
+        return tuple(kind(tok) for tok in text.split(","))
+    except ValueError:
+        raise _UsageError(f"bad {flag} value {text!r}") from None
 
 
 _PRESETS: dict[str, dict] = {
@@ -179,12 +193,7 @@ def _cmd_dist(args) -> None:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"bad --seeds value {text!r}") from None
-    if not seeds:
-        raise _UsageError("--seeds needs at least one integer")
+    seeds = list(_parse_list("--seeds", text, int))
     if len(set(seeds)) != len(seeds):
         raise _UsageError("--seeds entries must be distinct")
     return seeds
@@ -205,7 +214,7 @@ def _cmd_cluster(args) -> None:
     if args.seeds and args.method != "mcmc":
         raise _UsageError("--seeds applies only to --method mcmc")
     if args.method == "gap":
-        with _flag_values():
+        with _flag_values(search_quantile="--gap-quantile"):
             config = GapConfig(search_quantile=args.gap_quantile)
         dm = _cluster_distance_source(args, inputs)
         part = gap_cluster(dm, config)
@@ -214,7 +223,8 @@ def _cmd_cluster(args) -> None:
         if not args.tree or not args.align:
             raise _UsageError("--method mcmc needs --tree and --align")
         seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
-        with _flag_values():
+        seed_flag = "--seeds" if args.seeds else "--seed"
+        with _flag_values("iterations", "burn_in", "thin", rng_seed=seed_flag):
             configs = [
                 ChainConfig(
                     iterations=args.iterations,
@@ -260,7 +270,7 @@ def _cmd_cluster(args) -> None:
             raise _UsageError(f"--method {args.method} needs --tree")
         if args.matrix and statistic is not Statistic.MAX_PAIRWISE_P:
             raise _UsageError("--matrix is for maxp and gap; patristic is from --tree")
-        with _flag_values():
+        with _flag_values("support_min", "distance_max"):
             criteria = ClusterCriteria(args.support_min, args.distance_max, statistic)
         tree = load_newick(args.tree)
         inputs.append(args.tree)
@@ -322,35 +332,26 @@ def _cmd_consensus(args) -> None:
 def _cmd_sweep(args) -> None:
     from .evaluation import ClusterCriteria, ReferenceSet, cutpoint_sweep
     from .io_formats import load_fasta, load_newick, load_partition
-    from .threshold import threshold_cluster, tip_p_matrix
+    from .threshold import threshold_runner
 
     started = time.monotonic()
     statistic = _STATISTIC_BY_METHOD[args.method]
-    with _flag_values():
-        support_grid = [float(x) for x in args.support_grid.split(",")]
-        distance_grid = [float(x) for x in args.distance_grid.split(",")]
-        for s in support_grid:
-            for d in distance_grid:
-                ClusterCriteria(s, d, statistic)
+    supports = _parse_list("--support-grid", args.support_grid, float)
+    distances = _parse_list("--distance-grid", args.distance_grid, float)
+    with _flag_values(support_min="--support-grid", distance_max="--distance-grid"):
+        points = [ClusterCriteria(s, d, statistic) for s in supports for d in distances]
+    if statistic is Statistic.MAX_PAIRWISE_P and not args.align:
+        raise _UsageError("--method maxp needs --align")
     tree = load_newick(args.tree)
     reference = load_partition(args.ref)
     inputs: list[str | Path] = [args.tree, args.ref]
-    labels = tree.tip_labels()
-    ref = ReferenceSet(reference, tuple(labels))
-    # one p-matrix serves every maxp grid point, and maxp without --align
-    # leaves threshold_cluster to report the missing sequences; the
-    # patristic statistics sum path lengths from the tree alone
-    source = None
-    if statistic is Statistic.MAX_PAIRWISE_P and args.align:
+    ref = ReferenceSet(reference, tuple(tree.tip_labels()))
+    source = None  # patristic distances come from the tree
+    if statistic is Statistic.MAX_PAIRWISE_P:
+        source = load_fasta(args.align)
         inputs.append(args.align)
-        source = tip_p_matrix(load_fasta(args.align), labels, _resolve_threads(args))
-
-    def runner(criteria: ClusterCriteria):
-        return threshold_cluster(tree, source, criteria)
-
-    best, best_ari, grid = cutpoint_sweep(
-        runner, ref, support_grid, distance_grid, statistic
-    )
+    runner = threshold_runner(tree, source, points)
+    best, best_ari, grid = cutpoint_sweep(runner, ref, supports, distances, statistic)
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("support_min\tdistance_max\tari\n")
@@ -464,7 +465,7 @@ def _cmd_simulate(args) -> None:
     base = dict(_PRESETS[args.preset]) if args.preset else {}
     if not (args.cluster_sizes or args.preset):
         raise DataError("simulate needs --preset or --cluster-sizes")
-    for key in (
+    fields = (
         "within_mean",
         "between_mean",
         "stem_min",
@@ -472,15 +473,14 @@ def _cmd_simulate(args) -> None:
         "kappa",
         "phi_fraction",
         "mask_fraction",
-    ):
+    )
+    for key in fields:
         value = getattr(args, key)
         if value is not None:
             base[key] = value
-    with _flag_values():
-        if args.cluster_sizes:
-            base["cluster_sizes"] = tuple(
-                int(x) for x in args.cluster_sizes.split(",")
-            )
+    if args.cluster_sizes:
+        base["cluster_sizes"] = _parse_list("--cluster-sizes", args.cluster_sizes, int)
+    with _flag_values(*fields, rng_seed="--seed"):
         cfg = SimConfig(rng_seed=args.seed, **base)
 
     tree, planted = simulate_tree(cfg)
@@ -510,7 +510,7 @@ def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
         type=int,
         default=None,
         help="worker threads for a whole p/K80 matrix build (dist, and gap "
-        "or sweep from --align), clamped to the cores and the rows "
+        "from --align), clamped to the cores and the rows "
         "(default: PHYLOCLUST_THREADS or all cores)",
     )
     parser.add_argument(

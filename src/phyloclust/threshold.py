@@ -7,9 +7,10 @@ usual desiderata: maximum pairwise p-distance, and median or maximum
 within-clade patristic distance.
 
 Every clade's diameter (its largest within-clade distance) and, for the
-median, its number of pairs at or under the cutoff come from one
-postorder pass, which reads each pair once, at its tips' lowest common
-ancestor, as a block between one child's tips and its earlier siblings'.
+median, its number of pairs at or under the cutoff come from a postorder
+pass (one per grid for the maximums, one per cutoff for the median),
+which reads each pair once, at its tips' lowest common ancestor, as a
+block between one child's tips and its earlier siblings'.
 The blocks are read in row chunks: for max-p, a matrix's block_reader
 gathers them from its condensed triangle and an alignment's
 p_block_reader computes them on demand; a patristic block sums the
@@ -31,7 +32,6 @@ import numpy as np
 from .distance import (
     DistanceMatrix,
     MatrixKind,
-    build_distance_matrix,
     encode_alignment,
     p_block_reader,
     row_chunks,
@@ -47,7 +47,17 @@ def threshold_cluster(
     source: Alignment | DistanceMatrix | None,
     criteria: ClusterCriteria,
 ) -> Partition:
-    """Cluster tree tips by thresholding clade support and spread.
+    """Cluster tree tips by clade support and spread; see threshold_runner."""
+    return threshold_runner(tree, source, [criteria])(criteria)
+
+
+def threshold_runner(
+    tree: PhyloTree,
+    source: Alignment | DistanceMatrix | None,
+    grid: list[ClusterCriteria],
+) -> Callable[[ClusterCriteria], Partition]:
+    """run(criteria): the partition at any point of grid, whose criteria
+    share one statistic, from diameter passes made once.
 
     For MAX_PAIRWISE_P, source supplies the p-distances: an Alignment,
     whose p-distances are computed just for the clades the search reads,
@@ -59,17 +69,16 @@ def threshold_cluster(
     labels = tree.tip_labels()
     if len(labels) != len(set(labels)):
         raise TipSetMismatch("duplicate tip labels")
-    if criteria.support_min > 0.0:
+    if any(c.support_min > 0.0 for c in grid):
         for node in tree.preorder():
             if node.parent is not None and node.children and node.support is None:
                 raise UnannotatedSupport(
                     "support_min > 0 but an internal node has no support"
                 )
-
-    cutoff = criteria.distance_max
-    median = criteria.statistic is Statistic.MEDIAN_PATRISTIC
+    (statistic,) = {c.statistic for c in grid}  # a grid takes one statistic
+    median = statistic is Statistic.MEDIAN_PATRISTIC
     h = None
-    if criteria.statistic is Statistic.MAX_PAIRWISE_P:
+    if statistic is Statistic.MAX_PAIRWISE_P:
         read = _block_reader(source, labels)
     elif source is None:
         h = np.zeros(len(labels), dtype=np.float64)
@@ -77,22 +86,36 @@ def threshold_cluster(
     else:
         raise ValueError("patristic statistics are summed from the tree; pass None")
     spans = tree.tip_spans()
-    stats = _diameters(tree, spans, read, h, cutoff, median)
+    # a maximum's pass at the largest cutoff decides every smaller one
+    cutoffs = sorted({c.distance_max for c in grid})
+    passes = {}
+    for cutoff in cutoffs if median else cutoffs[-1:]:
+        if h is not None:
+            h.fill(0.0)
+        passes[cutoff] = _diameters(tree, spans, read, h, cutoff, median)
+    medians: dict[int, float] | None = {} if median else None
 
-    clusters: list[list[str]] = []
-    stack: list[Node] = [tree.root]
-    while stack:
-        node = stack.pop()
-        lo, hi = spans[id(node)]
-        support = 1.0 if node is tree.root else (node.support or 0.0)
-        if hi - lo < 2 or (
-            support >= criteria.support_min
-            and _clade_passes(node, lo, hi, *stats[id(node)], cutoff, median)
-        ):
-            clusters.append(labels[lo:hi])
-        else:
-            stack.extend(node.children)
-    return Partition.from_clusters(clusters)
+    def run(criteria: ClusterCriteria) -> Partition:
+        if criteria not in grid:
+            raise ValueError(f"{criteria} is not a point of the prepared grid")
+        cutoff = criteria.distance_max
+        stats = passes[cutoff if median else cutoffs[-1]]
+        clusters: list[list[str]] = []
+        stack: list[Node] = [tree.root]
+        while stack:
+            node = stack.pop()
+            lo, hi = spans[id(node)]
+            support = 1.0 if node is tree.root else (node.support or 0.0)
+            if hi - lo < 2 or (
+                support >= criteria.support_min
+                and _clade_passes(node, lo, hi, *stats[id(node)], cutoff, medians)
+            ):
+                clusters.append(labels[lo:hi])
+            else:
+                stack.extend(node.children)
+        return Partition.from_clusters(clusters)
+
+    return run
 
 
 def _diameters(
@@ -158,45 +181,26 @@ def _clade_passes(
     diameter: float,
     under: int,
     cutoff: float,
-    median: bool,
+    medians: dict[int, float] | None,
 ) -> bool:
     """Whether the pairs among node's tips [lo, hi) pass the cutoff.
 
     A clade passes whose diameter is at most the cutoff; a NaN diameter
     fails it.  For the median, under (the pairs at or under the cutoff)
-    decides, and the median is computed only when its two middle values
-    straddle the cutoff.
+    decides, and the median is computed, into medians by id(node), only
+    when its two middle values straddle the cutoff.
     """
     if diameter <= cutoff:
         return True
-    if not median or diameter != diameter:
+    if medians is None or diameter != diameter:
         return False
     m = hi - lo
     pairs = m * (m - 1) // 2
     if 2 * under != pairs:
         return 2 * under > pairs
-    return float(np.median(patristic_matrix(PhyloTree(node)).values)) <= cutoff
-
-
-def tip_p_matrix(
-    alignment: Alignment, labels: list[str], threads: int = 1
-) -> DistanceMatrix:
-    """p-distances among the named tips, rows in label order.
-
-    Raises MissingSequence for a tip the alignment lacks.
-    """
-    return build_distance_matrix(
-        _tip_alignment(alignment, labels), MatrixKind.P_DISTANCE, threads=threads
-    )
-
-
-def _tip_alignment(alignment: Alignment, labels: list[str]) -> Alignment:
-    """The tips' sequences in label order; MissingSequence for a tip the
-    alignment lacks."""
-    for lab in labels:
-        if lab not in alignment:
-            raise MissingSequence(lab)
-    return alignment.subset(labels)
+    if id(node) not in medians:
+        medians[id(node)] = float(np.median(patristic_matrix(PhyloTree(node)).values))
+    return medians[id(node)] <= cutoff
 
 
 def _block_reader(
@@ -204,7 +208,10 @@ def _block_reader(
 ) -> Callable[[int, int, int, int], np.ndarray]:
     """The p-distances among the tips, in label order."""
     if isinstance(source, Alignment):
-        return p_block_reader(encode_alignment(_tip_alignment(source, labels)))
+        for lab in labels:
+            if lab not in source:
+                raise MissingSequence(lab)
+        return p_block_reader(encode_alignment(source.subset(labels)))
     if not isinstance(source, DistanceMatrix):
         raise MissingSequence("an alignment or p-distance matrix is required")
     if source.kind is not MatrixKind.P_DISTANCE:

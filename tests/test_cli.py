@@ -246,6 +246,33 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
         assert not any(bad.iterdir()), argv
 
 
+_NAMED_FLAGS = [
+    ("--seed", "simulate --preset demo --seed -1"),
+    ("--cluster-sizes", "simulate --cluster-sizes 3,x"),
+    ("--burn-in", "cluster --method mcmc --tree {d}/tree.nwk"
+     " --align {d}/alignment.fasta --iterations 20 --burn-in -3 --thin 5"),
+    ("--seeds", "cluster --method mcmc --tree {d}/tree.nwk"
+     " --align {d}/alignment.fasta --seeds=-2,1"),
+    ("--gap-quantile", "cluster --method gap --align {d}/alignment.fasta"
+     " --gap-quantile 0"),
+    ("--support-min", "cluster --method maxpatristic --tree {d}/tree.nwk"
+     " --support-min 1.5"),
+    ("--distance-grid", "sweep --tree {d}/tree.nwk --align {d}/alignment.fasta"
+     " --ref {d}/planted.csv --distance-grid 0,0.1"),
+    ("--support-grid", "sweep --tree {d}/tree.nwk --align {d}/alignment.fasta"
+     " --ref {d}/planted.csv --support-grid x"),
+]
+
+
+@pytest.mark.parametrize("named, flags", _NAMED_FLAGS, ids=[n for n, _ in _NAMED_FLAGS])
+def test_usage_error_names_the_flag(cohort, tmp_path, capsys, named, flags):
+    out = ["--out-dir" if flags.startswith("simulate") else "--out", str(tmp_path / "o")]
+    assert main(flags.format(d=cohort).split() + out) == 2
+    message = capsys.readouterr().err.splitlines()[0]
+    assert message.startswith("usage error:") and named in message, message
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_flag_exits_two(cohort, tmp_path):
     out = tmp_path / "nope.csv"
     with pytest.raises(SystemExit) as exc:
@@ -815,23 +842,24 @@ def test_malformed_phylip_count_exits_one(cohort, tmp_path, capsys):
 
 
 @pytest.fixture
-def build_threads(monkeypatch):
-    """The threads argument of every whole-matrix build from an alignment."""
-    from phyloclust import distance, threshold
+def matrix_builds(monkeypatch):
+    """The row runs of every whole p/K80 matrix build, however the caller
+    imported build_distance_matrix."""
+    from phyloclust import distance
 
     calls = []
-    real = distance.build_distance_matrix
+    real = distance._fill_runs
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("threads"))
-        return real(*args, **kwargs)
+    def counted(planes, runs, *rest):
+        calls.append(runs)
+        return real(planes, runs, *rest)
 
-    for module in (distance, threshold):
-        monkeypatch.setattr(module, "build_distance_matrix", counted)
+    monkeypatch.setattr(distance, "_fill_runs", counted)
     return calls
 
 
-def test_sweep_maxp_builds_one_matrix(cohort, tmp_path, build_threads):
+def test_sweep_maxp_builds_no_matrix(cohort, tmp_path, matrix_builds):
+    """The grid's one pass reads only the p-distances its clades need."""
     rc = main(
         ["--threads", "2", "sweep", "--tree", str(cohort / "tree.nwk"),
          "--align", str(cohort / "alignment.fasta"),
@@ -841,10 +869,56 @@ def test_sweep_maxp_builds_one_matrix(cohort, tmp_path, build_threads):
          "--out", str(tmp_path / "sweep.tsv")]
     )
     assert rc == 0
-    assert build_threads == [2]
+    assert matrix_builds == []
 
 
-def test_mcmc_seeds_build_no_matrix(cohort, tmp_path, build_threads):
+def test_sweep_maxp_without_align_exits_two(cohort, tmp_path, capsys):
+    out = tmp_path / "s.tsv"
+    rc = main(["sweep", "--tree", str(cohort / "tree.nwk"),
+               "--ref", str(cohort / "planted.csv"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "usage error: --method maxp needs --align" in err
+    assert not any(tmp_path.iterdir())
+
+
+# four tips whose six pairs split three (0.01) and three (0.1) at every
+# default cutoff, so that the clade's median must be computed
+_STRADDLED = "((a:0.005,b:0.005,c:0.005,d:0.095)0.99:0.2,(e:0.01,f:0.01)0.99:0.2);"
+
+
+@pytest.mark.parametrize(
+    "method, passes", [("maxp", 1), ("maxpatristic", 1), ("medianpatristic", 5)]
+)
+def test_sweep_prepares_each_pass_once(tmp_path, monkeypatch, method, passes):
+    """A 3 x 5 sweep makes one diameter pass per distinct cutoff for the
+    median and one for a maximum, and computes a straddled median once."""
+    from phyloclust import threshold
+
+    (tmp_path / "tree.nwk").write_text(_STRADDLED)
+    (tmp_path / "aln.fasta").write_text(
+        "".join(f">{t}\n{'ACGT' * 25}\n" for t in "abcdef")
+    )
+    (tmp_path / "ref.csv").write_text("id,label\na,1\nb,1\nc,1\nd,1\ne,2\nf,2\n")
+    cutoffs, medians = [], []
+    diameters, patristic = threshold._diameters, threshold.patristic_matrix
+    monkeypatch.setattr(
+        threshold, "_diameters", lambda *a: cutoffs.append(a[4]) or diameters(*a)
+    )
+    monkeypatch.setattr(
+        threshold, "patristic_matrix", lambda t: medians.append(t.root) or patristic(t)
+    )
+    rc = main(
+        ["sweep", "--method", method, "--tree", str(tmp_path / "tree.nwk"),
+         "--align", str(tmp_path / "aln.fasta"), "--ref", str(tmp_path / "ref.csv"),
+         "--out", str(tmp_path / "s.tsv")]
+    )
+    assert rc == 0
+    assert len(cutoffs) == passes and len(set(cutoffs)) == passes
+    assert len(medians) == (1 if method == "medianpatristic" else 0)
+
+
+def test_mcmc_seeds_build_no_matrix(cohort, tmp_path, matrix_builds):
     """Each chain's start computes only the p-distances its clades need."""
     rc = main(
         ["--threads", "2", "cluster", "--method", "mcmc",
@@ -854,10 +928,10 @@ def test_mcmc_seeds_build_no_matrix(cohort, tmp_path, build_threads):
          "--seeds", "1,2", "--out", str(tmp_path / "mcmc.csv")]
     )
     assert rc == 0
-    assert build_threads == []
+    assert matrix_builds == []
 
 
-def test_cluster_maxp_align_builds_no_matrix(cohort, tmp_path, build_threads):
+def test_cluster_maxp_align_builds_no_matrix(cohort, tmp_path, matrix_builds):
     rc = main(
         ["--threads", "2", "cluster", "--method", "maxp",
          "--tree", str(cohort / "tree.nwk"),
@@ -865,7 +939,7 @@ def test_cluster_maxp_align_builds_no_matrix(cohort, tmp_path, build_threads):
          "--out", str(tmp_path / "maxp.csv")]
     )
     assert rc == 0
-    assert build_threads == []
+    assert matrix_builds == []
 
 
 @pytest.mark.parametrize("method", ["maxpatristic", "medianpatristic"])

@@ -23,6 +23,7 @@ from phyloclust.threshold import (
     ClusterCriteria,
     Statistic,
     threshold_cluster,
+    threshold_runner,
 )
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
@@ -268,7 +269,8 @@ def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
     sequences, and patristic distances summed from the tree.  Odd seeds
     read every block in row chunks of a few pairs; in half the seeds the
     branch lengths lie on a grid of 0.01 steps, zero included, so that
-    many path lengths tie with the cutoffs."""
+    many path lengths tie with the cutoffs.  Each case's whole grid also
+    runs on one threshold_runner."""
     if seed % 2:
         monkeypatch.setattr(distance, "BLOCK_PAIRS", 3)
     rng = np.random.default_rng(seed)
@@ -321,11 +323,31 @@ def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
             vals = sorted(clades[k][1])
             if len(vals) >= 2 and not math.isnan(vals[-1]):
                 cutoffs += [vals[(len(vals) - 1) // 2], statistics.median(vals)]
-        for cut in [c for c in cutoffs if c > 0]:
-            for support in (0.0, 0.7, 0.95):
-                crit = ClusterCriteria(support, float(cut), stat)
-                got = _clusters(threshold_cluster(tree, source, crit))
-                assert got == _oracle(tree, pair_values, crit), (stat, cut, support)
+        grid = [
+            ClusterCriteria(support, float(cut), stat)
+            for cut in cutoffs
+            if cut > 0
+            for support in (0.0, 0.7, 0.95)
+        ]
+        run = threshold_runner(tree, source, grid)
+        for crit in grid:
+            want = _oracle(tree, pair_values, crit)
+            assert _clusters(threshold_cluster(tree, source, crit)) == want, crit
+            assert _clusters(run(crit)) == want, crit
+
+
+def test_runner_answers_only_its_grid():
+    """A max pass at the grid's largest cutoff cannot answer a larger one,
+    and a grid takes one statistic."""
+    tree = parse_newick(TWO_CHERRIES)
+    grid = [ClusterCriteria(0.7, d, Statistic.MAX_PATRISTIC) for d in (0.01, 0.05)]
+    run = threshold_runner(tree, None, grid)
+    assert [run(c).num_clusters() for c in grid] == [2, 2]
+    with pytest.raises(ValueError):
+        run(ClusterCriteria(0.7, 0.5, Statistic.MAX_PATRISTIC))
+    median = ClusterCriteria(0.7, 0.05, Statistic.MEDIAN_PATRISTIC)
+    with pytest.raises(ValueError):
+        threshold_runner(tree, None, grid + [median])
 
 
 @pytest.mark.parametrize("left", [True, False])
