@@ -213,7 +213,7 @@ def _block_reader(
                 raise MissingSequence(lab)
         return p_block_reader(encode_alignment(source.subset(labels)))
     if not isinstance(source, DistanceMatrix):
-        raise MissingSequence("an alignment or p-distance matrix is required")
+        raise MissingSequence(labels[0])  # no sequences at all
     if source.kind is not MatrixKind.P_DISTANCE:
         raise ValueError(f"max-p needs p-distances, got {source.kind.value}")
     have = set(source.ids)

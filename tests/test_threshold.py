@@ -83,7 +83,7 @@ def test_unannotated_support_rejected():
 
 def test_max_p_requires_sequences():
     tree = parse_newick(TWO_CHERRIES)
-    with pytest.raises(MissingSequence):
+    with pytest.raises(MissingSequence, match="tree tip 'a' has no aligned"):
         threshold_cluster(
             tree, None, ClusterCriteria(0.70, 0.045, Statistic.MAX_PAIRWISE_P)
         )
