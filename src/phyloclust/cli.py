@@ -22,7 +22,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .errors import DataError
@@ -59,12 +59,17 @@ def _flag_values(*fields: str, **flags: str):
         raise _UsageError(message) from None
 
 
-def _parse_list(flag: str, text: str, kind: type) -> tuple:
-    """A flag's comma-separated values, each converted by kind."""
+def _parse_value(flag: str, text: str, kind: Callable):
+    """A flag's value converted by kind."""
     try:
-        return tuple(kind(tok) for tok in text.split(","))
+        return kind(text)
     except ValueError:
         raise _UsageError(f"bad {flag} value {text!r}") from None
+
+
+def _parse_list(flag: str, text: str, kind: type) -> tuple:
+    """A flag's comma-separated values, each converted by kind."""
+    return _parse_value(flag, text, lambda t: tuple(map(kind, t.split(","))))
 
 
 _PRESETS: dict[str, dict] = {
@@ -351,7 +356,7 @@ def _cmd_sweep(args) -> None:
         source = load_fasta(args.align)
         inputs.append(args.align)
     runner = threshold_runner(tree, source, points)
-    best, best_ari, grid = cutpoint_sweep(runner, ref, supports, distances, statistic)
+    best, best_ari, grid = cutpoint_sweep(runner, ref, points)
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("support_min\tdistance_max\tari\n")
@@ -433,11 +438,12 @@ def _cmd_growth(args) -> None:
     started = time.monotonic()
     if args.top_k < 1:
         raise _UsageError(f"--top-k must be a positive integer, got {args.top_k}")
+    date = datetime.date.fromisoformat
     with _flag_values():
         window = GrowthWindow(
-            window_start=datetime.date.fromisoformat(args.window_start),
-            phi_reliable_start=datetime.date.fromisoformat(args.phi_start),
-            window_end=datetime.date.fromisoformat(args.window_end),
+            window_start=_parse_value("--window-start", args.window_start, date),
+            phi_reliable_start=_parse_value("--phi-start", args.phi_start, date),
+            window_end=_parse_value("--window-end", args.window_end, date),
         )
     part = load_partition(args.partition)
     meta = load_metadata(args.metadata)

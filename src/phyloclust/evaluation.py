@@ -20,10 +20,6 @@ if TYPE_CHECKING:
 
     from .distance import DistanceMatrix
 
-DEFAULT_SUPPORT_GRID = (0.70, 0.90, 0.95)
-DEFAULT_DISTANCE_GRID = (0.015, 0.03, 0.045, 0.068, 0.077)
-
-
 class Statistic(enum.Enum):
     MAX_PAIRWISE_P = "max-p"
     MEDIAN_PATRISTIC = "median-patristic"
@@ -148,35 +144,21 @@ def reference_ari(candidate: Partition, ref: ReferenceSet) -> float:
 def cutpoint_sweep(
     runner: Callable[[ClusterCriteria], Partition],
     ref: ReferenceSet,
-    support_grid: Sequence[float] = DEFAULT_SUPPORT_GRID,
-    distance_grid: Sequence[float] = DEFAULT_DISTANCE_GRID,
-    statistic: Statistic = Statistic.MAX_PAIRWISE_P,
+    points: Sequence[ClusterCriteria],
 ) -> tuple[ClusterCriteria, float, dict[tuple[float, float], float]]:
-    """Evaluate a clustering runner over a support x distance grid.
+    """Evaluate a clustering runner at each point of a grid.
 
-    Scores are partial-reference adjusted Rand indices.  Ties go to the
-    smallest distance_max, then the largest support_min, so the winner
-    does not depend on grid ordering.
+    Scores are partial-reference adjusted Rand indices, keyed by
+    (support_min, distance_max).  Ties go to the smallest distance_max,
+    then the largest support_min, so the winner does not depend on grid
+    ordering.
     """
-    if not support_grid or not distance_grid:
+    if not points:
         raise EmptyList("empty sweep grid")
-    grid: dict[tuple[float, float], float] = {}
-    best: tuple[float, float] | None = None
-    best_ari = -math.inf
-    for s in support_grid:
-        for d in distance_grid:
-            ari = reference_ari(runner(ClusterCriteria(s, d, statistic)), ref)
-            grid[(s, d)] = ari
-            if (
-                best is None
-                or ari > best_ari
-                or (ari == best_ari and (d, -s) < (best[1], -best[0]))
-            ):
-                best = (s, d)
-                best_ari = ari
-    assert best is not None
-    criteria = ClusterCriteria(best[0], best[1], statistic)
-    return criteria, float(best_ari), grid
+    scores = {c: reference_ari(runner(c), ref) for c in points}
+    best = max(scores, key=lambda c: (scores[c], -c.distance_max, c.support_min))
+    grid = {(c.support_min, c.distance_max): ari for c, ari in scores.items()}
+    return best, float(scores[best]), grid
 
 
 def method_cocluster_matrix(

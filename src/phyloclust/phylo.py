@@ -154,9 +154,10 @@ def lift_path_lengths(h, node: Node, spans: dict[int, tuple[int, int]]) -> None:
 def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
     """Sum of branch lengths along the path between every tip pair.
 
-    Missing lengths count as zero.  One postorder pass fills each internal
-    node's cross-child blocks, in row chunks: every pair is written once,
-    at its lowest common ancestor.
+    Missing lengths count as zero.  One postorder pass fills, at each
+    internal node, the block between each child's earlier siblings' tips
+    and its own, in row chunks: every pair is written once, at its lowest
+    common ancestor.
     """
     import numpy as np
 
@@ -174,12 +175,12 @@ def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
         if node.is_tip:
             continue
         lift_path_lengths(h, node, spans)
-        kids = [spans[id(c)] for c in node.children]
-        for a, (alo, ahi) in enumerate(kids):
-            for blo, bhi in kids[a + 1 :]:
-                for r0, r1 in row_chunks(alo, ahi, bhi - blo):
-                    at = shift[r0:r1, None] + np.arange(blo, bhi)
-                    values[at] = h[r0:r1, None] + h[blo:bhi]
+        lo = spans[id(node)][0]
+        for child in node.children[1:]:
+            clo, chi = spans[id(child)]
+            for r0, r1 in row_chunks(lo, clo, chi - clo):
+                at = shift[r0:r1, None] + np.arange(clo, chi)
+                values[at] = h[r0:r1, None] + h[clo:chi]
     return DistanceMatrix(labels, values, MatrixKind.PATRISTIC)
 
 

@@ -7,10 +7,10 @@ usual desiderata: maximum pairwise p-distance, and median or maximum
 within-clade patristic distance.
 
 Every clade's diameter (its largest within-clade distance) and, for the
-median, its number of pairs at or under the cutoff come from a postorder
-pass (one per grid for the maximums, one per cutoff for the median),
-which reads each pair once, at its tips' lowest common ancestor, as a
-block between one child's tips and its earlier siblings'.
+median, its number of pairs at or under each cutoff of the grid come from
+one postorder pass per grid, which reads each pair once, at its tips'
+lowest common ancestor, as a block between one child's tips and its
+earlier siblings'.
 The blocks are read in row chunks: for max-p, a matrix's block_reader
 gathers them from its condensed triangle and an alignment's
 p_block_reader computes them on demand; a patristic block sums the
@@ -75,7 +75,10 @@ def threshold_runner(
                 raise UnannotatedSupport(
                     "support_min > 0 but an internal node has no support"
                 )
-    (statistic,) = {c.statistic for c in grid}  # a grid takes one statistic
+    statistics = {c.statistic for c in grid}
+    if len(statistics) != 1:
+        raise ValueError("a grid takes one statistic" if statistics else "empty grid")
+    (statistic,) = statistics
     median = statistic is Statistic.MEDIAN_PATRISTIC
     h = None
     if statistic is Statistic.MAX_PAIRWISE_P:
@@ -86,20 +89,15 @@ def threshold_runner(
     else:
         raise ValueError("patristic statistics are summed from the tree; pass None")
     spans = tree.tip_spans()
-    # a maximum's pass at the largest cutoff decides every smaller one
     cutoffs = sorted({c.distance_max for c in grid})
-    passes = {}
-    for cutoff in cutoffs if median else cutoffs[-1:]:
-        if h is not None:
-            h.fill(0.0)
-        passes[cutoff] = _diameters(tree, spans, read, h, cutoff, median)
+    stats = _diameters(tree, spans, read, h, cutoffs, median)
     medians: dict[int, float] | None = {} if median else None
 
     def run(criteria: ClusterCriteria) -> Partition:
         if criteria not in grid:
             raise ValueError(f"{criteria} is not a point of the prepared grid")
         cutoff = criteria.distance_max
-        stats = passes[cutoff if median else cutoffs[-1]]
+        k = cutoffs.index(cutoff)
         clusters: list[list[str]] = []
         stack: list[Node] = [tree.root]
         while stack:
@@ -108,7 +106,7 @@ def threshold_runner(
             support = 1.0 if node is tree.root else (node.support or 0.0)
             if hi - lo < 2 or (
                 support >= criteria.support_min
-                and _clade_passes(node, lo, hi, *stats[id(node)], cutoff, medians)
+                and _clade_passes(node, lo, hi, *stats[id(node)], k, cutoff, medians)
             ):
                 clusters.append(labels[lo:hi])
             else:
@@ -123,54 +121,58 @@ def _diameters(
     spans: dict[int, tuple[int, int]],
     read: Callable[[int, int, int, int], np.ndarray],
     h: np.ndarray | None,
-    cutoff: float,
+    cutoffs: list[float],
     median: bool,
-) -> dict[int, tuple[float, int]]:
-    """Each node's diameter and, for the median, its number of tip pairs at
-    or under cutoff (0 otherwise), by id(node).  The diameter is the
-    largest distance among the node's tips: -inf for a tip and NaN for a
-    clade holding an undefined pair, which never counts as under the
-    cutoff.
+) -> dict[int, tuple[float, tuple[int, ...]]]:
+    """Each node's diameter and, for the median, its numbers of tip pairs
+    at or under each of the sorted cutoffs (an empty tuple otherwise), by
+    id(node).  The diameter is the largest distance among the node's tips:
+    -inf for a tip and NaN for a clade holding an undefined pair, which
+    never counts as under a cutoff.
 
     A node's statistics combine its children's with the blocks between
     each child and the children before it, so each pair is read once:
     read(clo, chi, lo, clo) returns the distances of tips [clo, chi) to
     tips [lo, clo), in row chunks; a patristic read sums h, the tips' path
     lengths, lifted to each node first.  NaN is kept explicitly: `max` is
-    order-dependent on it.  For the max statistics a clade fails as soon
-    as one child or chunk does, and its blocks are read (and h lifted)
-    only when every child passes; a failed clade records a failing lower
-    bound of its diameter, or NaN.
+    order-dependent on it.  The median reads every block and records exact
+    diameters.  The max statistics test the largest cutoff, which decides
+    every smaller one: a clade fails as soon as one child or chunk does,
+    and its blocks are read (and h lifted) only when every child passes;
+    a failed clade records a failing lower bound of its diameter, or NaN.
     """
-    stats: dict[int, tuple[float, int]] = {}
+    top = cutoffs[-1]
+    zeros = (0,) * len(cutoffs) if median else ()
+    stats: dict[int, tuple[float, tuple[int, ...]]] = {}
     for node in tree.postorder():
         if node.is_tip:
-            stats[id(node)] = (-math.inf, 0)
+            stats[id(node)] = (-math.inf, zeros)
             continue
         kids = [stats[id(child)] for child in node.children]
         if not median:
-            failed = next((s for s in kids if not s[0] <= cutoff), None)
+            failed = next((s for s in kids if not s[0] <= top), None)
             if failed is not None:
                 stats[id(node)] = failed
                 continue
         if h is not None:
             lift_path_lengths(h, node, spans)
         lo = spans[id(node)][0]
-        d, under = kids[0]
+        d, under = kids[0][0], list(kids[0][1])
         for child, (child_d, child_under) in zip(node.children[1:], kids[1:]):
             clo, chi = spans[id(child)]
-            under += child_under
+            for k, count in enumerate(child_under):
+                under[k] += count
             # a NaN d stays, and a NaN from a child or a block wins
             d = d if d != d or child_d <= d else child_d
             for r0, r1 in row_chunks(clo, chi, clo - lo):
-                if not (median or d <= cutoff):
+                if not (median or d <= top):
                     break
                 b = read(r0, r1, lo, clo)
-                if median:
-                    under += int(np.count_nonzero(b <= cutoff))
+                for k, cutoff in enumerate(cutoffs if median else ()):
+                    under[k] += int(np.count_nonzero(b <= cutoff))
                 m = float(b.max())
                 d = d if d != d or m <= d else m
-        stats[id(node)] = (d, under)
+        stats[id(node)] = (d, tuple(under))
     return stats
 
 
@@ -179,14 +181,16 @@ def _clade_passes(
     lo: int,
     hi: int,
     diameter: float,
-    under: int,
+    under: tuple[int, ...],
+    k: int,
     cutoff: float,
     medians: dict[int, float] | None,
 ) -> bool:
-    """Whether the pairs among node's tips [lo, hi) pass the cutoff.
+    """Whether the pairs among node's tips [lo, hi) pass cutoff, the k-th
+    of the grid's.
 
     A clade passes whose diameter is at most the cutoff; a NaN diameter
-    fails it.  For the median, under (the pairs at or under the cutoff)
+    fails it.  For the median, under[k] (the pairs at or under the cutoff)
     decides, and the median is computed, into medians by id(node), only
     when its two middle values straddle the cutoff.
     """
@@ -196,8 +200,8 @@ def _clade_passes(
         return False
     m = hi - lo
     pairs = m * (m - 1) // 2
-    if 2 * under != pairs:
-        return 2 * under > pairs
+    if 2 * under[k] != pairs:
+        return 2 * under[k] > pairs
     if id(node) not in medians:
         medians[id(node)] = float(np.median(patristic_matrix(PhyloTree(node)).values))
     return medians[id(node)] <= cutoff

@@ -261,6 +261,10 @@ _NAMED_FLAGS = [
      " --ref {d}/planted.csv --distance-grid 0,0.1"),
     ("--support-grid", "sweep --tree {d}/tree.nwk --align {d}/alignment.fasta"
      " --ref {d}/planted.csv --support-grid x"),
+] + [
+    (flag, "growth --partition {d}/planted.csv --metadata {d}/metadata.csv"
+     f" {flag} bogus")
+    for flag in ("--window-start", "--phi-start", "--window-end")
 ]
 
 
@@ -268,8 +272,10 @@ _NAMED_FLAGS = [
 def test_usage_error_names_the_flag(cohort, tmp_path, capsys, named, flags):
     out = ["--out-dir" if flags.startswith("simulate") else "--out", str(tmp_path / "o")]
     assert main(flags.format(d=cohort).split() + out) == 2
-    message = capsys.readouterr().err.splitlines()[0]
+    err = capsys.readouterr().err
+    message = err.splitlines()[0]
     assert message.startswith("usage error:") and named in message, message
+    assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 
@@ -887,12 +893,10 @@ def test_sweep_maxp_without_align_exits_two(cohort, tmp_path, capsys):
 _STRADDLED = "((a:0.005,b:0.005,c:0.005,d:0.095)0.99:0.2,(e:0.01,f:0.01)0.99:0.2);"
 
 
-@pytest.mark.parametrize(
-    "method, passes", [("maxp", 1), ("maxpatristic", 1), ("medianpatristic", 5)]
-)
-def test_sweep_prepares_each_pass_once(tmp_path, monkeypatch, method, passes):
-    """A 3 x 5 sweep makes one diameter pass per distinct cutoff for the
-    median and one for a maximum, and computes a straddled median once."""
+@pytest.mark.parametrize("method", ["maxp", "maxpatristic", "medianpatristic"])
+def test_sweep_prepares_each_pass_once(tmp_path, monkeypatch, method):
+    """A 3 x 5 sweep makes one diameter pass over all five cutoffs,
+    whatever the statistic, and computes a straddled median once."""
     from phyloclust import threshold
 
     (tmp_path / "tree.nwk").write_text(_STRADDLED)
@@ -900,10 +904,10 @@ def test_sweep_prepares_each_pass_once(tmp_path, monkeypatch, method, passes):
         "".join(f">{t}\n{'ACGT' * 25}\n" for t in "abcdef")
     )
     (tmp_path / "ref.csv").write_text("id,label\na,1\nb,1\nc,1\nd,1\ne,2\nf,2\n")
-    cutoffs, medians = [], []
+    passes, medians = [], []
     diameters, patristic = threshold._diameters, threshold.patristic_matrix
     monkeypatch.setattr(
-        threshold, "_diameters", lambda *a: cutoffs.append(a[4]) or diameters(*a)
+        threshold, "_diameters", lambda *a: passes.append(list(a[4])) or diameters(*a)
     )
     monkeypatch.setattr(
         threshold, "patristic_matrix", lambda t: medians.append(t.root) or patristic(t)
@@ -914,7 +918,7 @@ def test_sweep_prepares_each_pass_once(tmp_path, monkeypatch, method, passes):
          "--out", str(tmp_path / "s.tsv")]
     )
     assert rc == 0
-    assert len(cutoffs) == passes and len(set(cutoffs)) == passes
+    assert passes == [[0.015, 0.03, 0.045, 0.068, 0.077]]
     assert len(medians) == (1 if method == "medianpatristic" else 0)
 
 

@@ -9,6 +9,7 @@ from phyloclust import Partition
 from phyloclust.errors import IdSetMismatch
 from phyloclust.evaluation import (
     ReferenceSet,
+    Statistic,
     _average_leaf_order,
     adjusted_rand_index,
     cutpoint_sweep,
@@ -164,6 +165,18 @@ def test_reference_validation():
         )
 
 
+def _points(supports, distances):
+    return [
+        ClusterCriteria(s, d, Statistic.MAX_PAIRWISE_P)
+        for s in supports
+        for d in distances
+    ]
+
+
+# the sweep command's default grid
+CLI_POINTS = _points((0.70, 0.90, 0.95), (0.015, 0.03, 0.045, 0.068, 0.077))
+
+
 def _table_runner(table, gold):
     """Sweep runner that plays back canned partitions per grid cell."""
 
@@ -188,7 +201,7 @@ def test_sweep_unique_max_found():
         for d in (0.015, 0.03, 0.045, 0.068, 0.077):
             table[(s, d)] = noise
     table[(0.70, 0.077)] = gold_like
-    best, score, grid = cutpoint_sweep(_table_runner(table, noise), ref)
+    best, score, grid = cutpoint_sweep(_table_runner(table, noise), ref, CLI_POINTS)
     assert (best.support_min, best.distance_max) == (0.70, 0.077)
     assert score == 1.0
     assert len(grid) == 15
@@ -203,7 +216,7 @@ def test_sweep_tie_prefers_smaller_distance_then_larger_support():
     gold_like = Partition.from_labels(
         ids, ["1", "1", "1", "2", "2", "2", "7", "7", "7", "7"]
     )
-    best, _, _ = cutpoint_sweep(_table_runner({}, gold_like), ref)
+    best, _, _ = cutpoint_sweep(_table_runner({}, gold_like), ref, CLI_POINTS)
     # every cell ties at 1.0: smallest distance wins, then largest support
     assert best.distance_max == 0.015
     assert best.support_min == 0.95
@@ -215,14 +228,12 @@ def test_sweep_grid_order_invariant():
     rng = np.random.default_rng(23)
     table = {}
     parts = [random_partition(rng, S1_IDS) for _ in range(6)]
-    support_grid = (0.70, 0.90)
-    distance_grid = (0.01, 0.02, 0.03)
-    cells = [(s, d) for s in support_grid for d in distance_grid]
-    for cell, part in zip(cells, parts):
-        table[cell] = part
+    points = _points((0.70, 0.90), (0.01, 0.02, 0.03))
+    for c, part in zip(points, parts):
+        table[(c.support_min, c.distance_max)] = part
     runner = _table_runner(table, parts[0])
-    a = cutpoint_sweep(runner, ref, support_grid, distance_grid)
-    b = cutpoint_sweep(runner, ref, support_grid[::-1], distance_grid[::-1])
+    a = cutpoint_sweep(runner, ref, points)
+    b = cutpoint_sweep(runner, ref, points[::-1])
     assert (a[0].support_min, a[0].distance_max) == (b[0].support_min, b[0].distance_max)
     assert a[1] == b[1]
 
@@ -230,9 +241,8 @@ def test_sweep_grid_order_invariant():
 def test_sweep_single_cell():
     ref = s1_reference()
     part = Partition.from_labels(S1_IDS, ["1"] * 10)
-    best, score, grid = cutpoint_sweep(
-        _table_runner({}, part), ref, (0.8,), (0.02,)
-    )
+    runner = _table_runner({}, part)
+    best, score, grid = cutpoint_sweep(runner, ref, _points((0.8,), (0.02,)))
     assert (best.support_min, best.distance_max) == (0.8, 0.02)
     assert list(grid) == [(0.8, 0.02)]
 

@@ -338,16 +338,18 @@ def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
 
 def test_runner_answers_only_its_grid():
     """A max pass at the grid's largest cutoff cannot answer a larger one,
-    and a grid takes one statistic."""
+    and a grid takes one statistic and at least one point."""
     tree = parse_newick(TWO_CHERRIES)
     grid = [ClusterCriteria(0.7, d, Statistic.MAX_PATRISTIC) for d in (0.01, 0.05)]
     run = threshold_runner(tree, None, grid)
     assert [run(c).num_clusters() for c in grid] == [2, 2]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a point of the prepared grid"):
         run(ClusterCriteria(0.7, 0.5, Statistic.MAX_PATRISTIC))
     median = ClusterCriteria(0.7, 0.05, Statistic.MEDIAN_PATRISTIC)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a grid takes one statistic"):
         threshold_runner(tree, None, grid + [median])
+    with pytest.raises(ValueError, match="empty grid"):
+        threshold_runner(tree, None, [])
 
 
 @pytest.mark.parametrize("left", [True, False])
