@@ -57,7 +57,7 @@ def threshold_runner(
     grid: list[ClusterCriteria],
 ) -> Callable[[ClusterCriteria], Partition]:
     """run(criteria): the partition at any point of grid, whose criteria
-    share one statistic, from diameter passes made once.
+    share one statistic, from one diameter pass over the whole grid.
 
     For MAX_PAIRWISE_P, source supplies the p-distances: an Alignment,
     whose p-distances are computed just for the clades the search reads,
