@@ -392,7 +392,6 @@ def _cmd_ari(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    from .distance import write_matrix_binary
     from .evaluation import method_cocluster_matrix
     from .io_formats import load_partition
 
@@ -400,7 +399,7 @@ def _cmd_compare(args) -> None:
     partitions = [load_partition(p) for p in args.partitions]
     universe = partitions[0].ids()
     out = Path(args.out)
-    write_matrix_binary(method_cocluster_matrix(partitions, universe), out)
+    method_cocluster_matrix(partitions, universe, out)
     _write_manifest(args, out, list(args.partitions), started)
 
 

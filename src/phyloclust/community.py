@@ -15,7 +15,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distance import DistanceMatrix, MatrixKind
 from .errors import EmptyInput
 from .io_formats import Partition
 
@@ -67,15 +66,6 @@ def cocluster_rows(
         row[:] = [labels.setdefault(p.assignment[i], len(labels)) for i in ids]
     for i in range(len(ids) - 1):
         yield (codes[:, i + 1 :] == codes[:, i, None]).sum(axis=0) / max(k, 1)
-
-
-def cocluster_fraction(
-    partitions: Sequence[Partition], ids: Sequence[str]
-) -> DistanceMatrix:
-    """The COCLUSTER matrix whose rows cocluster_rows gives."""
-    return DistanceMatrix.from_upper_rows(
-        list(ids), cocluster_rows(partitions, ids), MatrixKind.COCLUSTER
-    )
 
 
 def partition_adjacency(p: Partition) -> WeightedGraph:

@@ -19,6 +19,9 @@ import enum
 import logging
 import os
 import struct
+import sys
+import tempfile
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
@@ -47,6 +50,7 @@ for _i, _c in enumerate(b"ACGT"):
 
 _BINARY_MAGIC = b"PCDM"
 _BINARY_VERSION = 1
+_HEADER = 13  # magic, version u8, n u64; the float64 values follow
 
 
 class MatrixKind(enum.Enum):
@@ -216,26 +220,43 @@ def _row_runs(n: int, workers: int) -> list[tuple[int, int, int, int]]:
 def _fill_runs(
     planes: np.ndarray,
     runs: list[tuple[int, int, int, int]],
-    values: np.ndarray,
+    fd: int,
+    cap: float | None,
     work: np.ndarray,
     pop: np.ndarray,
     counts: np.ndarray,
+    values: np.ndarray,
     undefined: np.ndarray,
     w1: np.ndarray | None,
     w2: np.ndarray | None,
-) -> None:
-    # Counts each run into counts and writes its distances into
-    # values[lo:hi]: K80 when the float buffers w1 and w2 are given, else
-    # p.  Every buffer comes from the caller, so a worker thread allocates
-    # nothing.
+) -> int:
+    # Counts each run into counts, turns it into distances in values, K80
+    # when the float buffers w1 and w2 are given, else p, and writes them
+    # at the run's place in the .bin-layout file open as fd.  With a cap,
+    # undefined values become cap first; returns how many did.  Every
+    # buffer comes from the caller, so a worker thread allocates nothing.
+    capped = 0
     for r0, r1, lo, hi in runs:
         m = hi - lo
-        run, out, bad = counts[:, :m], values[lo:hi], undefined[:m]
+        run, out, bad = counts[:, :m], values[:m], undefined[:m]
         _count_rows(planes, r0, r1, work, pop, run)
         if w1 is None:
             _p_values(run[0], run[1], out, bad)
         else:
             _k80_values(run, out, w1[:m], w2[:m], bad)
+        if cap is not None:
+            np.isnan(out, out=bad)
+            capped += int(np.count_nonzero(bad))
+            np.copyto(out, cap, where=bad)
+        _pwrite_all(fd, np.ascontiguousarray(out, dtype="<f8"), _HEADER + 8 * lo)
+    return capped
+
+
+def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
 
 
 def p_block_reader(codes: np.ndarray) -> Callable[[int, int, int, int], np.ndarray]:
@@ -295,18 +316,57 @@ def _pair_of(n: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, pos - shift[i]
 
 
+class _TriangleFile:
+    """The condensed values of a file in write_matrix_binary's layout, read
+    as they are asked for: a slice is one os.preadv into a new array, and
+    an integer index array gathers through a read-only mapping of the
+    file whose pages are dropped after each read, so neither keeps the
+    triangle resident.  The file stays open while this lives."""
+
+    def __init__(self, fh: BinaryIO, size: int):
+        self.size, self.shape = size, (size,)
+        self._fd = fh.fileno()
+        self._flat: np.ndarray | None = None
+        weakref.finalize(self, fh.close)
+
+    def read_into(self, lo: int, out: np.ndarray) -> None:
+        """Values lo, lo + 1, ... into the contiguous float64 array out."""
+        if os.preadv(self._fd, [out], _HEADER + 8 * lo) != out.nbytes:
+            raise MalformedMatrix("matrix file was cut short while open")
+        if sys.byteorder == "big":
+            out.byteswap(inplace=True)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            lo, hi, _ = key.indices(self.size)
+            out = np.empty(max(hi - lo, 0))
+            self.read_into(lo, out)
+            return out
+        import mmap  # only a command that gathers from a file loads it
+
+        if self._flat is None:
+            self._map = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)
+            self._flat = np.frombuffer(self._map, "<f8", self.size, _HEADER)
+        out = self._flat[key].astype(np.float64, copy=False)
+        self._map.madvise(mmap.MADV_DONTNEED)
+        return out
+
+
 class DistanceMatrix:
     """Symmetric pairwise distances over named sequences.
 
     values is the condensed upper triangle (row major, float64); NaN marks
-    an undefined entry.  The condensed layout is private to this module:
-    other modules read it with upper_rows() or block_reader() and write it
-    with from_upper_rows(); phylo's patristic fill and evaluation's
-    average-linkage leaf order (scipy's condensed form, the same layout)
-    place pairs with _row_shift.
+    an undefined entry.  It is an array for phylip reads and patristic
+    matrices, and a _TriangleFile for p and K80 matrices, which live in
+    a .bin-layout file; either answers a slice and an index-array gather.
+    The condensed layout is private to this module: other modules read it
+    with strips() or block_reader(), and phylo's patristic fill places
+    pairs with _row_shift.
     """
 
-    def __init__(self, ids: list[str], values: np.ndarray, kind: MatrixKind):
+    def __init__(
+        self, ids: list[str], values: np.ndarray | _TriangleFile, kind: MatrixKind
+    ):
         n = len(ids)
         if len(set(ids)) != n:
             seen: set[str] = set()
@@ -328,7 +388,7 @@ class DistanceMatrix:
         return len(self.ids)
 
     def num_undefined(self) -> int:
-        return int(np.count_nonzero(np.isnan(self.values)))
+        return sum(int(np.isnan(block).sum()) for _, block in _blocks(self.values))
 
     @classmethod
     def from_upper_rows(
@@ -349,12 +409,42 @@ class DistanceMatrix:
         return cls(ids, values, kind)
 
     def upper_rows(self) -> Iterator[np.ndarray]:
-        """Row i's distances to sequences i+1.., for i = 0 .. n-2 (views)."""
+        """Row i's distances to sequences i+1.., for i = 0 .. n-2: views of
+        an in-memory triangle, one read each from a file."""
         lo = 0
         for i in range(self.n - 1):
             hi = lo + self.n - 1 - i
             yield self.values[lo:hi]
             lo = hi
+
+    def strips(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(a, rows): the full symmetric rows a..b-1, 0 on the diagonal, in
+        strips of BLOCK_PAIRS * 8 // n rows, or n // 8 when fewer, so a
+        strip stays a small part of the matrix it comes from.  Every strip
+        is a view of one buffer: use it before asking for the next.  A
+        strip's columns before a are one read per earlier row; its own
+        rows are one read each."""
+        n, values = self.n, self.values
+        height = max(1, min(BLOCK_PAIRS * 8 // max(n, 1), n // 8))
+        if isinstance(values, _TriangleFile):
+            fill = values.read_into
+        else:
+            def fill(lo: int, out: np.ndarray) -> None:
+                out[:] = values[lo : lo + out.size]
+        # column major: row r < a holds its pairs with a..b-1 side by
+        # side, and they fill column r of the strip in one read
+        buf = np.empty((n, min(height, n))).T
+        for a in range(0, n, height):
+            b = min(a + height, n)
+            strip = buf[: b - a]
+            for r, at in enumerate((_row_shift(n, np.arange(a)) + a).tolist()):
+                fill(at, strip[:, r])
+            for k, i in enumerate(range(a, b)):
+                lo = _row_shift(n, i) + i + 1
+                strip[k, a:i] = strip[:k, i]
+                strip[k, i] = 0.0
+                strip[k, i + 1 :] = values[lo : lo + n - 1 - i]
+            yield a, strip
 
     def block_reader(
         self, ids: list[str]
@@ -388,6 +478,12 @@ class DistanceMatrix:
         return read
 
 
+def _blocks(values: np.ndarray | _TriangleFile) -> Iterator[tuple[int, np.ndarray]]:
+    # (lo, values[lo:lo + BLOCK_PAIRS]) over the whole triangle
+    for lo in range(0, values.size, BLOCK_PAIRS):
+        yield lo, values[lo : lo + BLOCK_PAIRS]
+
+
 def build_distance_matrix(
     alignment: "Alignment",
     kind: MatrixKind,
@@ -398,10 +494,12 @@ def build_distance_matrix(
 
     cap=None leaves undefined pairs as NaN; a float replaces them with that
     value and logs how many it replaced.  The rows are counted and
-    transformed in runs of about BLOCK_PAIRS pairs, straight into the
-    triangle; threads spreads the runs over a pool of at most
-    min(threads, cores, n - 1) workers, and results are identical for any
-    thread count.
+    transformed in runs of about BLOCK_PAIRS pairs, each written as it is
+    done into an unnamed temporary file (under TMPDIR) in
+    write_matrix_binary's layout, which the matrix then reads; the file
+    is gone once the matrix is.  threads spreads the runs over a pool of
+    at most min(threads, cores, n - 1) workers, and results are identical
+    for any thread count.
     """
     if kind is MatrixKind.PATRISTIC:
         raise ValueError("patristic matrices are built from a tree")
@@ -409,7 +507,11 @@ def build_distance_matrix(
         raise EmptyInput("need at least two sequences")
     planes = _pack_planes(encode_alignment(alignment))
     n = planes.shape[2]
-    values = np.empty(condensed_size(n), dtype=np.float64)
+    fh = tempfile.TemporaryFile()
+    fd = fh.fileno()
+    os.pwrite(fd, _binary_header(n), 0)
+    os.ftruncate(fd, _HEADER + 8 * condensed_size(n))
+    values = _TriangleFile(fh, condensed_size(n))
     workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))
     runs = _row_runs(n, workers)
     width = max(hi - lo for _, _, lo, hi in runs)
@@ -420,32 +522,23 @@ def build_distance_matrix(
         (
             *_scratch(planes),
             np.empty((3 if k80 else 2, width), dtype=np.int32),
+            np.empty(width),
             np.empty(width, dtype=bool),
             *((np.empty(width), np.empty(width)) if k80 else (None, None)),
         )
         for _ in range(workers)
     ]
     if workers == 1:
-        _fill_runs(planes, runs, values, *buffers[0])
+        capped = _fill_runs(planes, runs, fd, cap, *buffers[0])
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futs = [
-                pool.submit(_fill_runs, planes, runs[w::workers], values, *buffers[w])
+                pool.submit(_fill_runs, planes, runs[w::workers], fd, cap, *buffers[w])
                 for w in range(workers)
             ]
-            for f in futs:
-                f.result()
-
-    if cap is not None:
-        undef = np.isnan(values)
-        if undef.any():
-            log.warning(
-                "capping %d undefined %s distances at %g",
-                int(undef.sum()),
-                kind.value,
-                cap,
-            )
-        values[undef] = cap
+            capped = sum(f.result() for f in futs)
+    if capped:
+        log.warning("capping %d undefined %s distances at %g", capped, kind.value, cap)
     return DistanceMatrix([r.id for r in alignment.records], values, kind)
 
 
@@ -454,14 +547,12 @@ def build_distance_matrix(
 
 def write_matrix_phylip(dm: DistanceMatrix, path: str | Path) -> None:
     """Square whitespace-separated matrix with a leading count line."""
-    read = dm.block_reader(dm.ids)
     cells = " ".join(["%.10g"] * dm.n)  # "nan" for an undefined cell
     with open(path, "w") as fh:
         fh.write(f"{dm.n}\n")
-        # row i: its column of the triangle, gathered, 0, then its slice
-        for i, (ident, right) in enumerate(zip(dm.ids, [*dm.upper_rows(), []])):
-            row = np.concatenate([read(i, i + 1, 0, i)[0], [0.0], right])
-            fh.write(f"{ident}  {cells % tuple(row.tolist())}\n")
+        for a, strip in dm.strips():
+            for ident, row in zip(dm.ids[a:], strip):
+                fh.write(f"{ident}  {cells % tuple(row.tolist())}\n")
 
 
 def read_matrix_phylip(
@@ -510,9 +601,28 @@ def write_matrix_binary(dm: DistanceMatrix, path: str | Path) -> None:
     """Compact triangle: magic, version u8, n u64 LE, float64 LE values.
 
     Sequence ids are not part of the binary layout; they are written to a
-    sidecar text file <path>.ids, one id per line.
+    sidecar text file <path>.ids, one id per line.  A matrix that lives in
+    such a file is copied from it byte for byte.
     """
-    write_binary_rows(dm.ids, dm.upper_rows(), path)
+    store = dm.values
+    if not isinstance(store, _TriangleFile):
+        write_binary_rows(dm.ids, dm.upper_rows(), path)
+        return
+    path = Path(path)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        # the file itself is already written; a copy onto it would empty it
+        if not os.path.sameopenfile(fd, store._fd):
+            os.ftruncate(fd, 0)
+            done, size = 0, _HEADER + 8 * store.size
+            while done < size:
+                sent = os.sendfile(fd, store._fd, done, size - done)
+                if not sent:
+                    raise MalformedMatrix("matrix file was cut short while open")
+                done += sent
+    finally:
+        os.close(fd)
+    _write_ids(dm.ids, path)
 
 
 def write_binary_rows(
@@ -525,33 +635,40 @@ def write_binary_rows(
     n = len(ids)
     written = 0
     with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC + struct.pack("<BQ", _BINARY_VERSION, n))
+        fh.write(_binary_header(n))
         for _, row in zip(range(n - 1), rows):
             # a view of row on a little-endian host, a byte-swapped copy elsewhere
             fh.write(np.ascontiguousarray(row, dtype="<f8"))
             written += len(row)
     if written != condensed_size(n):
         raise ValueError(f"rows fill {written} of {condensed_size(n)} condensed values")
+    _write_ids(ids, path)
+
+
+def _binary_header(n: int) -> bytes:
+    return _BINARY_MAGIC + struct.pack("<BQ", _BINARY_VERSION, n)
+
+
+def _write_ids(ids: list[str], path: Path) -> None:
     with open(path.with_name(path.name + ".ids"), "w") as fh:
         fh.write("".join(f"{ident}\n" for ident in ids))
 
 
 def _binary_ids(path: Path, fh: BinaryIO) -> list[str]:
     # Checks the header, size and id sidecar of write_matrix_binary's file
-    # open at its start as fh, leaves fh at the first value and returns
-    # the ids.
+    # open at its start as fh, and returns the ids.
     size = os.fstat(fh.fileno()).st_size
-    head = fh.read(13)
+    head = fh.read(_HEADER)
     if head[:4] != _BINARY_MAGIC:
         raise MalformedMatrix(f"{path} is not a distance-matrix file")
-    if len(head) < 13:
+    if len(head) < _HEADER:
         raise MalformedMatrix(f"{path}: header is cut short")
     version, n = struct.unpack_from("<BQ", head, 4)
     if version != _BINARY_VERSION:
         raise MalformedMatrix(f"{path}: unsupported matrix version {version}")
-    if size != 13 + 8 * condensed_size(n):
+    if size != _HEADER + 8 * condensed_size(n):
         raise MalformedMatrix(
-            f"{path}: {size - 13} value bytes for n={n}, "
+            f"{path}: {size - _HEADER} value bytes for n={n}, "
             f"expected {8 * condensed_size(n)}"
         )
     sidecar = path.with_name(path.name + ".ids")
@@ -565,16 +682,25 @@ def _binary_ids(path: Path, fh: BinaryIO) -> list[str]:
     return ids
 
 
+def _open_binary(path: str | Path) -> tuple[list[str], _TriangleFile]:
+    # The ids and values of write_matrix_binary's file, once its header,
+    # size and id sidecar check out.
+    path = Path(path)
+    fh = open(path, "rb")
+    try:
+        ids = _binary_ids(path, fh)
+    except BaseException:
+        fh.close()
+        raise
+    return ids, _TriangleFile(fh, condensed_size(len(ids)))
+
+
 def read_matrix_binary(
     path: str | Path, kind: MatrixKind = MatrixKind.P_DISTANCE
 ) -> DistanceMatrix:
-    """Read write_matrix_binary's triangle and its <path>.ids sidecar."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        ids = _binary_ids(path, fh)
-        # straight into the array; astype copies only on a big-endian host
-        vals = np.fromfile(fh, "<f8", condensed_size(len(ids)))
-    return DistanceMatrix(ids, vals.astype(np.float64, copy=False), kind)
+    """Open write_matrix_binary's triangle and its <path>.ids sidecar; the
+    values stay in the file and are read as they are asked for."""
+    return DistanceMatrix(*_open_binary(path), kind)
 
 
 def read_nonzero_pairs_binary(
@@ -584,15 +710,11 @@ def read_nonzero_pairs_binary(
     not zero (NaN included), as arrays i, j and value with i < j, in
     condensed (row-major) order.  The triangle is read in blocks of
     BLOCK_PAIRS values and never held whole."""
-    path = Path(path)
+    ids, values = _open_binary(path)
     positions, weights = [np.empty(0, np.int64)], [np.empty(0)]
-    with open(path, "rb") as fh:
-        ids = _binary_ids(path, fh)
-        total = condensed_size(len(ids))
-        for lo in range(0, total, BLOCK_PAIRS):
-            block = np.fromfile(fh, "<f8", min(BLOCK_PAIRS, total - lo))
-            hit = np.flatnonzero(block)
-            positions.append(hit + lo)
-            weights.append(block[hit].astype(np.float64, copy=False))
+    for lo, block in _blocks(values):
+        hit = np.flatnonzero(block)
+        positions.append(hit + lo)
+        weights.append(block[hit])
     pos = np.concatenate(positions)
     return (ids, *_pair_of(len(ids), pos), np.concatenate(weights))

@@ -7,7 +7,6 @@ numpy is imported only where it runs, so scoring partitions loads none.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -16,9 +15,8 @@ from .errors import EmptyList, IdSetMismatch
 from .io_formats import Partition
 
 if TYPE_CHECKING:
-    import numpy as np
+    from pathlib import Path
 
-    from .distance import DistanceMatrix
 
 class Statistic(enum.Enum):
     MAX_PAIRWISE_P = "max-p"
@@ -162,20 +160,18 @@ def cutpoint_sweep(
 
 
 def method_cocluster_matrix(
-    partitions: list[Partition],
-    ids: Sequence[str],
-) -> DistanceMatrix:
-    """Fraction of partitions co-clustering each pair of ids.
+    partitions: list[Partition], ids: Sequence[str], path: str | Path
+) -> None:
+    """Write the fraction of partitions co-clustering each pair of ids to
+    path, in write_matrix_binary's layout (COCLUSTER values).
 
     Only ids that are non-singleton in at least one partition appear.
-    Rows are ordered by the leaf order of average-linkage clustering on
-    1 - frequency, which groups mutually agreeing ids together.
-    Returns a COCLUSTER-kind DistanceMatrix whose ids are the kept ids in
-    that order and whose values are the pair fractions.
+    They are ordered by their labels in partition 1, ..., k, then by id,
+    so each run of ids that every partition co-clusters is contiguous.
+    The triangle is written a row at a time and never held whole.
     """
-    import numpy as np
-
-    from .community import cocluster_fraction
+    from .community import cocluster_rows
+    from .distance import write_binary_rows
 
     if not partitions:
         raise EmptyList("no partitions to compare")
@@ -186,112 +182,5 @@ def method_cocluster_matrix(
     keep: set[str] = set()
     for p in partitions:
         keep |= p.restrict(ids).multi_member_ids()
-    kept = sorted(keep)
-    freq = cocluster_fraction(partitions, kept)
-    if len(kept) < 3:
-        return freq
-    dissent = np.subtract(1.0, freq.values, out=freq.values)
-    order = _average_leaf_order(dissent, len(kept))
-    del freq, dissent  # freed before the result triangle is built
-    return cocluster_fraction(partitions, [kept[k] for k in order])
-
-
-def _average_leaf_order(dissent: np.ndarray, n: int) -> list[int]:
-    """Leaf order of average-linkage clustering of a condensed triangle.
-
-    The nearest-neighbour chain (Müllner 2011, arXiv:1109.2378) step for
-    step as scipy runs it, so the order equals scipy's
-    `leaves_list(linkage(dissent, "average"))`, ties included: a chain
-    step keeps the chain's previous element unless another cluster is
-    strictly nearer, and otherwise takes the lowest index; the lower of
-    two merged clusters x < y drops out and y holds the merge, at
-    `(nx * d_xi + ny * d_yi) / (nx + ny)`; the merges are stable-sorted
-    by height and relabelled by union-find with the smaller root on the
-    left; the leaves are read in preorder.  `dissent` is the upper
-    triangle of n ids in row-major order, every value finite, and is
-    overwritten.
-    """
-    import numpy as np
-
-    from .distance import _row_shift
-
-    rows = np.arange(n)
-    # the pair (i, j), i < j, sits at base[i] + j
-    base = _row_shift(n, rows)
-    # ids of the clusters not yet merged away, ascending; in a live row,
-    # the columns of merged-away clusters hold inf
-    live = rows
-    live_base = base
-    size = [1] * n
-    chain: list[int] = []
-    merges: list[tuple[float, int, int]] = []
-    for _ in range(n - 1):
-        if not chain:
-            chain.append(int(live[0]))
-        while True:
-            x = chain[-1]
-            k = int(np.searchsorted(live, x))
-            above = dissent[base[x] + x + 1 : base[x] + n]
-            y, nearest = -1, math.inf
-            if x < n - 1:
-                y = x + 1 + int(above.argmin())
-                nearest = above[y - x - 1]
-            if k:
-                below = dissent[live_base[:k] + x]
-                i = int(below.argmin())
-                if below[i] <= nearest:
-                    y, nearest = int(live[i]), below[i]
-            if len(chain) > 1:
-                prev = chain[-2]
-                to_prev = dissent[base[min(x, prev)] + max(x, prev)]
-                if not nearest < to_prev:
-                    y, nearest = prev, to_prev
-                    break
-            chain.append(y)
-        del chain[-2:]
-        x, y = min(x, y), max(x, y)
-        nx, ny = size[x], size[y]
-        merges.append((float(nearest), x, y))
-        size[x], size[y] = 0, nx + ny
-        kx = int(np.searchsorted(live, x))
-        ky = int(np.searchsorted(live, y))
-        # live i < x: columns x and y; x's column becomes inf
-        at_x = live_base[:kx] + x
-        at_y = live_base[:kx] + y
-        dissent[at_y] = (nx * dissent[at_x] + ny * dissent[at_y]) / (nx + ny)
-        dissent[at_x] = math.inf
-        # live x < i < y: row x and column y
-        at_x = base[x] + live[kx + 1 : ky]
-        at_y = live_base[kx + 1 : ky] + y
-        dissent[at_y] = (nx * dissent[at_x] + ny * dissent[at_y]) / (nx + ny)
-        # every i > y: rows x and y, where inf stays inf
-        row_x = dissent[base[x] + y + 1 : base[x] + n]
-        row_y = dissent[base[y] + y + 1 : base[y] + n]
-        row_y[:] = (nx * row_x + ny * row_y) / (nx + ny)
-        live = np.delete(live, kx)
-        live_base = np.delete(live_base, kx)
-
-    parent = list(range(2 * n - 1))
-
-    def root(k: int) -> int:
-        top = k
-        while parent[top] != top:
-            top = parent[top]
-        while parent[k] != top:
-            parent[k], k = top, parent[k]
-        return top
-
-    children: list[tuple[int, int]] = []
-    for _, x, y in sorted(merges, key=lambda m: m[0]):
-        a, b = root(x), root(y)
-        parent[a] = parent[b] = n + len(children)
-        children.append((min(a, b), max(a, b)))
-    order: list[int] = []
-    stack = [2 * n - 2]
-    while stack:
-        node = stack.pop()
-        if node < n:
-            order.append(node)
-        else:
-            stack += reversed(children[node - n])
-    return order
+    order = sorted(keep, key=lambda i: (*(p.assignment[i] for p in partitions), i))
+    write_binary_rows(order, cocluster_rows(partitions, order), path)

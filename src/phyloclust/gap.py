@@ -76,19 +76,18 @@ def gap_cluster(dm: DistanceMatrix, config: GapConfig = GapConfig()) -> Partitio
         if ra != rb:
             parent[rb] = ra
 
-    read = dm.block_reader(dm.ids)
-    # row i's distances to the others: its column of the triangle, gathered,
-    # then its slice of the triangle
-    for i, right in enumerate([*dm.upper_rows(), []]):
-        row = np.concatenate([read(i, i + 1, 0, i)[0], right])
-        ordered = np.sort(row)
-        if ordered[-1] != ordered[-1]:  # NaN sorts last; no earlier row had one
-            j = i + 1 + int(np.argmax(np.isnan(right)))
-            raise UndefinedDistance(dm.ids[i], dm.ids[j])
-        # a pair is linked when either end counts the other as a friend
-        cut = _row_cut(ordered, config.search_quantile)
-        for k in np.flatnonzero(row <= cut).tolist():
-            union(i, k + (k >= i))
+    # each full row, a strip at a time; the row's own 0 is left out of the
+    # sort, and at most links the id to itself
+    for a, strip in dm.strips():
+        for i, full in enumerate(strip, a):
+            ordered = np.sort(np.concatenate([full[:i], full[i + 1 :]]))
+            if ordered[-1] != ordered[-1]:  # NaN sorts last; no earlier row had one
+                j = i + 1 + int(np.argmax(np.isnan(full[i + 1 :])))
+                raise UndefinedDistance(dm.ids[i], dm.ids[j])
+            # a pair is linked when either end counts the other as a friend
+            cut = _row_cut(ordered, config.search_quantile)
+            for k in np.flatnonzero(full <= cut).tolist():
+                union(i, k)
 
     groups: dict[int, list[str]] = {}
     for i in range(n):

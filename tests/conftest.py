@@ -3,7 +3,7 @@
 import numpy as np
 
 from phyloclust import DistanceMatrix, MatrixKind, distance
-from phyloclust.community import WeightedGraph
+from phyloclust.community import WeightedGraph, cocluster_rows
 from phyloclust.phylo import Node
 
 
@@ -16,15 +16,28 @@ def square_dm(ids, arr, kind=MatrixKind.P_DISTANCE):
     return DistanceMatrix(list(ids), arr[iu].copy(), kind)
 
 
+def condensed(dm):
+    """dm's condensed upper triangle as one float64 array, bit for bit,
+    read a row at a time whether dm lives in memory or in a file."""
+    return np.concatenate([np.empty(0), *dm.upper_rows()])
+
+
 def dense(dm):
     """dm as its full symmetric n×n array with a zero diagonal, the
     reference that tests hold the condensed readers to."""
     n = dm.n
     out = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
-    out[iu] = dm.values
-    out.T[iu] = dm.values
+    out[iu] = out.T[iu] = condensed(dm)
     return out
+
+
+def cocluster_fraction(partitions, ids):
+    """The COCLUSTER matrix whose rows community.cocluster_rows gives, in
+    memory."""
+    return DistanceMatrix.from_upper_rows(
+        list(ids), cocluster_rows(partitions, ids), MatrixKind.COCLUSTER
+    )
 
 
 def pair_counts(codes):

@@ -27,7 +27,7 @@ from phyloclust.gap import GapConfig, gap_cluster
 from phyloclust.io_formats import load_fasta, load_partition
 from phyloclust.mcmc import load_chain_summary
 
-from conftest import dense
+from conftest import condensed, dense
 from test_community import dense_walktrap
 
 
@@ -79,7 +79,7 @@ def test_dist_phylip_matches_library(cohort, tmp_path):
         load_fasta(cohort / "alignment.fasta"), MatrixKind.P_DISTANCE
     )
     assert dm.ids == direct.ids
-    assert np.allclose(dm.values, direct.values, atol=1e-9, equal_nan=True)
+    assert np.allclose(dm.values, condensed(direct), atol=1e-9, equal_nan=True)
     manifest = json.loads((tmp_path / "dm.phy.manifest.json").read_text())
     assert manifest["inputs"][str(cohort / "alignment.fasta")] == sha(
         cohort / "alignment.fasta"
@@ -96,7 +96,7 @@ def test_dist_binary_roundtrip(cohort, tmp_path):
     direct = build_distance_matrix(
         load_fasta(cohort / "alignment.fasta"), MatrixKind.K80
     )
-    assert np.array_equal(dm.values, direct.values, equal_nan=True)
+    assert condensed(dm).tobytes() == condensed(direct).tobytes()
     assert (tmp_path / "dm.bin.ids").exists()
 
 
@@ -613,7 +613,7 @@ def test_linkage_command(cohort, chain, tmp_path):
     tree = parse_newick((cohort / "tree.nwk").read_text())
     assert sorted(part.ids()) == sorted(tree.tip_labels())
     cocluster = read_matrix_binary(chain / "cocluster.bin", MatrixKind.COCLUSTER)
-    assert np.count_nonzero(cocluster.values) > 0  # the graph has edges
+    assert np.count_nonzero(condensed(cocluster)) > 0  # the graph has edges
     assert part.same_grouping(dense_walktrap(dense(cocluster), cocluster.ids))
 
 
@@ -658,14 +658,17 @@ def big_cohort(tmp_path_factory):
 
 
 # each matrix command, and the bytes per n² it may hold: under the n×n
-# square's 8, of which the condensed triangle takes 4; a p-matrix built
-# from the alignment holds no more, its pair counts are made per row run.
-# The patristic commands sum path lengths from the tree and stay under
-# the triangle itself.
+# square's 8, of which the condensed triangle takes 4.  A p or K80 matrix
+# lives in a file, which max-p reads in blocks and gap and the phylip
+# writer in strips, and compare writes its triangle a row at a time, so
+# these commands stay under 4 on top of what they hold; a build's run
+# buffers grow with its workers, so the builds run on two.  A phylip
+# read holds the triangle.  The patristic commands sum path lengths from
+# the tree and stay under the triangle itself.
 _MATRIX_COMMANDS = {
-    "gap-bin": ("cluster --method gap --matrix {d}/p.bin", 8),
+    "gap-bin": ("cluster --method gap --matrix {d}/p.bin", 3),
     "gap-phy": ("cluster --method gap --matrix {d}/p.phy", 8),
-    "maxp-bin": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.bin", 8),
+    "maxp-bin": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.bin", 3.5),
     "maxp-phy": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.phy", 8),
     "medianpatristic": ("cluster --method medianpatristic --tree {d}/tree.nwk", 4),
     "maxpatristic": ("cluster --method maxpatristic --tree {d}/tree.nwk", 4),
@@ -681,8 +684,17 @@ _MATRIX_COMMANDS = {
         "sweep --tree {d}/tree.nwk --ref {d}/planted.csv --align {d}/alignment.fasta",
         8,
     ),
-    "gap-align": ("cluster --method gap --align {d}/alignment.fasta", 8),
-    "dist-phylip": ("dist --align {d}/alignment.fasta", 8),
+    "gap-align": ("--threads 2 cluster --method gap --align {d}/alignment.fasta", 4),
+    "dist-phylip": ("--threads 2 dist --align {d}/alignment.fasta", 4),
+    "dist-binary": ("--threads 2 dist --align {d}/alignment.fasta --binary", 4),
+    "dist-binary-k80-cap": (
+        "--threads 2 dist --align {d}/alignment.fasta --kind k80 --binary --cap 1.0",
+        6.5,
+    ),
+    "compare": (
+        "compare --partitions {d}/planted.csv {d}/mcmc.csv {d}/chain/map_partition.csv",
+        2,
+    ),
     "linkage": ("linkage --chain-dir {d}/chain", 8),
     "chain": (
         "cluster --method mcmc --tree {d}/tree.nwk --align {d}/alignment.fasta "
@@ -738,7 +750,7 @@ def test_compare_command(cohort, tmp_path):
     out = tmp_path / "cocluster.bin"
     assert main(["compare", "--partitions", str(a), str(b), "--out", str(out)]) == 0
     dm = read_matrix_binary(out, MatrixKind.COCLUSTER)
-    assert set(np.unique(dm.values)) <= {0.0, 0.5, 1.0}
+    assert set(np.unique(condensed(dm))) <= {0.0, 0.5, 1.0}
     assert sorted(dm.ids) == sorted(load_partition(a).ids())
 
 
@@ -822,20 +834,34 @@ def _cut_header(path):
     path.write_bytes(path.read_bytes()[:9])
 
 
+def _cut_values(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
 def _drop_sidecar(path):
     Path(str(path) + ".ids").unlink()
 
 
-@pytest.mark.parametrize("corrupt", [_cut_header, _drop_sidecar])
+def _short_sidecar(path):
+    ids = Path(str(path) + ".ids")
+    ids.write_text("".join(ids.read_text().splitlines(keepends=True)[:-1]))
+
+
+@pytest.mark.parametrize("corrupt", [_cut_header, _cut_values, _drop_sidecar, _short_sidecar])
 def test_malformed_binary_matrix_exits_one(cohort, tmp_path, capsys, corrupt):
+    """A .bin file cut short or a missing or short sidecar stops both
+    methods that read one, before any value is read."""
     dm = tmp_path / "dm.bin"
     main(["dist", "--align", str(cohort / "alignment.fasta"), "--binary",
           "--out", str(dm)])
     corrupt(dm)
-    rc = main(["cluster", "--method", "gap", "--matrix", str(dm),
-               "--out", str(tmp_path / "o.csv")])
-    assert rc == 1
-    assert "MalformedMatrix" in capsys.readouterr().err
+    for method in (["gap"], ["maxp", "--tree", str(cohort / "tree.nwk")]):
+        rc = main(["cluster", "--method", *method, "--matrix", str(dm),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "MalformedMatrix" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_malformed_phylip_count_exits_one(cohort, tmp_path, capsys):

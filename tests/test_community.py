@@ -9,7 +9,6 @@ import pytest
 from phyloclust import MatrixKind, Partition
 from phyloclust.community import (
     WeightedGraph,
-    cocluster_fraction,
     modularity,
     partition_adjacency,
     walktrap_communities,
@@ -17,7 +16,7 @@ from phyloclust.community import (
 
 from phyloclust.distance import read_nonzero_pairs_binary, write_matrix_binary
 
-from conftest import dense, graph_square, weighted_graph
+from conftest import cocluster_fraction, dense, graph_square, weighted_graph
 
 
 def two_cliques(bridge=0.1):

@@ -29,7 +29,7 @@ from phyloclust.distance import (
 )
 from phyloclust.errors import DataError, MalformedMatrix
 
-from conftest import dense, pair_counts
+from conftest import condensed, dense, pair_counts
 
 
 def kernel_counts(*seqs):
@@ -196,8 +196,8 @@ def test_pair_counts_match_site_oracle(sites, n, threads):
     k80[bad] = np.nan
     got_p = build_distance_matrix(aln, MatrixKind.P_DISTANCE, threads=threads)
     got_k80 = build_distance_matrix(aln, MatrixKind.K80, threads=threads)
-    assert np.array_equal(got_p.values, p, equal_nan=True)
-    assert np.array_equal(got_k80.values, k80, equal_nan=True)
+    assert np.array_equal(condensed(got_p), p, equal_nan=True)
+    assert np.array_equal(condensed(got_k80), k80, equal_nan=True)
 
 
 def _whole_array_values(counts, kind):
@@ -258,7 +258,7 @@ def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
         got = build_distance_matrix(aln, kind, threads=threads)
     finally:
         sys.setswitchinterval(interval)
-    assert got.values.tobytes() == want.tobytes()
+    assert condensed(got).tobytes() == want.tobytes()
     assert np.count_nonzero(want == 0.0) and np.isnan(want).any()
     if kind is MatrixKind.K80:
         assert np.count_nonzero(np.isnan(want)) > np.count_nonzero(counts[0] == 0)
@@ -326,7 +326,7 @@ def test_thread_pool_clamped_to_cores_and_rows(monkeypatch, cores, n, threads, e
     _RecordingPool.created.clear()
     pooled = build_distance_matrix(aln, MatrixKind.K80, threads=threads)
     assert _RecordingPool.created == ([] if expect is None else [expect])
-    assert np.array_equal(serial.values, pooled.values, equal_nan=True)
+    assert np.array_equal(condensed(serial), condensed(pooled), equal_nan=True)
 
 
 def test_k80_identical_is_zero():
@@ -378,7 +378,7 @@ def test_masking_leaves_remaining_sites_alone():
 def test_matrix_identical_sequences():
     aln = parse_fasta(">a\nACGT\n>b\nACGT\n>c\nACGT\n")
     dm = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
-    assert np.all(dm.values == 0.0)
+    assert np.all(condensed(dm) == 0.0)
 
 
 def test_matrix_symmetry_and_spot_checks():
@@ -400,12 +400,30 @@ def test_matrix_symmetry_and_spot_checks():
                 assert got == direct
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_leaves_no_file_behind(monkeypatch, tmp_path, threads):
+    """The matrix's file has no name in the temporary directory, and is
+    gone once the matrix is."""
+    import gc
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    aln = parse_fasta(">a\nACGT\n>b\nACGA\n>c\nNNNN\n")
+    opened = len(os.listdir("/proc/self/fd"))
+    dm = build_distance_matrix(aln, MatrixKind.K80, cap=1.0, threads=threads)
+    assert condensed(dm)[1:].tolist() == [1.0, 1.0]  # a and b against all-N c
+    assert list(tmp_path.iterdir()) == []
+    del dm
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == opened
+
+
 def test_matrix_cap_policy(caplog):
     aln = parse_fasta(">a\nNNNN\n>b\nACGT\n>c\nACGA\n")
     plain = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
-    assert np.isnan(plain.values).tolist() == [True, True, False]  # ab, ac, bc
+    assert np.isnan(condensed(plain)).tolist() == [True, True, False]  # ab, ac, bc
     capped = build_distance_matrix(aln, MatrixKind.P_DISTANCE, cap=0.75)
-    assert capped.values.tolist() == [0.75, 0.75, 0.25]
+    assert condensed(capped).tolist() == [0.75, 0.75, 0.25]
     assert "capping 2 undefined p distances at 0.75" in caplog.text
 
 
@@ -476,7 +494,7 @@ def test_upper_rows_of_the_read_square_invert_it_bit_for_bit():
         sq = dm.block_reader(dm.ids)(0, dm.n, 0, dm.n)
         rows = (row[i + 1 :] for i, row in enumerate(sq))
         back = DistanceMatrix.from_upper_rows(dm.ids, rows, kind)
-        assert back.values.tobytes() == dm.values.tobytes()
+        assert back.values.tobytes() == condensed(dm).tobytes()
 
 
 @pytest.mark.parametrize("permuted", [False, True])
@@ -565,7 +583,7 @@ def test_threads_do_not_change_values():
     aln = parse_fasta("".join(rows))
     one = build_distance_matrix(aln, MatrixKind.K80, threads=1)
     four = build_distance_matrix(aln, MatrixKind.K80, threads=4)
-    assert np.array_equal(one.values, four.values, equal_nan=True)
+    assert np.array_equal(condensed(one), condensed(four), equal_nan=True)
 
 
 _BLOCKS = [(0, 3, 3, 37), (5, 37, 0, 5), (9, 10, 10, 37), (0, 30, 30, 31), (0, 37, 0, 37)]
@@ -599,6 +617,26 @@ def test_p_blocks_bit_equal_matrix(reader, r0, r1, c0, c1):
     assert want[off].tobytes() == block[off].tobytes()
 
 
+@pytest.mark.parametrize("block", [1, 5, 40, 65_536])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 17, 64])
+def test_strips_tile_the_dense_square(tmp_path, monkeypatch, n, block):
+    """Strips, whatever their height, cover rows 0..n-1 in order and equal
+    the dense square bit for bit, NaN included, from memory and from a
+    .bin file alike."""
+    monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
+    rng = np.random.default_rng(7 * n + block)
+    vals = rng.random(n * (n - 1) // 2)
+    vals[rng.random(vals.shape) < 0.2] = np.nan
+    held = DistanceMatrix([f"t{k}" for k in range(n)], vals, MatrixKind.P_DISTANCE)
+    write_matrix_binary(held, tmp_path / "m.bin")
+    want = dense(held)
+    for dm in (held, read_matrix_binary(tmp_path / "m.bin")):
+        got = [(a, strip.copy()) for a, strip in dm.strips()]
+        assert [a for a, _ in got] == list(range(0, n, len(got[0][1]) if got else 1))
+        square = np.concatenate([strip for _, strip in got]) if got else np.zeros((0, 0))
+        assert square.tobytes() == want.tobytes()
+
+
 def test_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(31)
     vals = rng.random(10 * 9 // 2)
@@ -608,7 +646,21 @@ def test_binary_roundtrip(tmp_path):
     write_matrix_binary(dm, path)
     back = read_matrix_binary(path, MatrixKind.K80)
     assert back.ids == dm.ids
-    assert np.array_equal(back.values, dm.values, equal_nan=True)
+    assert condensed(back).tobytes() == dm.values.tobytes()
+
+
+def test_binary_copy_onto_its_own_file_keeps_it(tmp_path):
+    """Writing a matrix read from a .bin file back to that file leaves its
+    values in place; a built matrix is copied byte for byte."""
+    aln = parse_fasta(">a\nACGT\n>b\nACGA\n>c\nNNNN\n")
+    built = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
+    path = tmp_path / "m.bin"
+    write_matrix_binary(built, path)
+    want = condensed(built).tobytes()
+    back = read_matrix_binary(path)
+    write_matrix_binary(back, path)
+    assert condensed(read_matrix_binary(path)).tobytes() == want
+    assert path.stat().st_size == 13 + 8 * 3
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 65_536])
@@ -728,10 +780,17 @@ def test_binary_nonzero_reader_checks_the_sidecar(tmp_path):
         read_nonzero_pairs_binary(path)
 
 
-def test_binary_read_is_writable_float64(tmp_path):
-    back = read_matrix_binary(_write_bin(tmp_path))
-    assert back.values.dtype == np.float64 and back.values.flags.writeable
-    back.values[0] = 0.5
+def test_binary_reads_are_fresh_float64_arrays(tmp_path):
+    """A strip and a block read from a .bin file are writable float64
+    arrays of their own: writing to them leaves the file alone."""
+    path = _write_bin(tmp_path)
+    back = read_matrix_binary(path)
+    _, strip = next(back.strips())
+    block = back.block_reader(back.ids)(0, 1, 1, 3)
+    for got in (strip, block):
+        assert got.dtype == np.float64 and got.flags.writeable
+        got[0] = 0.5
+    assert condensed(read_matrix_binary(path)).tolist() == [0.1, 0.2, 0.3]
 
 
 def test_binary_without_sidecar_is_data_error(tmp_path):

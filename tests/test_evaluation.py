@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from phyloclust import Partition
+from phyloclust import MatrixKind, Partition
+from phyloclust.distance import read_matrix_binary
 from phyloclust.errors import IdSetMismatch
 from phyloclust.evaluation import (
     ReferenceSet,
     Statistic,
-    _average_leaf_order,
     adjusted_rand_index,
     cutpoint_sweep,
     method_cocluster_matrix,
@@ -19,7 +19,7 @@ from phyloclust.evaluation import (
 )
 from phyloclust.threshold import ClusterCriteria
 
-from conftest import dense
+from conftest import condensed, dense
 
 
 def pair_counting_ari(p, q):
@@ -247,10 +247,16 @@ def test_sweep_single_cell():
     assert list(grid) == [(0.8, 0.02)]
 
 
-def test_cocluster_identical_partitions():
+def cocluster_matrix(partitions, ids, path):
+    """method_cocluster_matrix's file, read back."""
+    method_cocluster_matrix(partitions, ids, path)
+    return read_matrix_binary(path, MatrixKind.COCLUSTER)
+
+
+def test_cocluster_identical_partitions(tmp_path):
     ids = [f"s{i}" for i in range(6)]
     p = Partition.from_labels(ids, ["1", "1", "1", "2", "2", "2"])
-    dm = method_cocluster_matrix([p] * 6, ids)
+    dm = cocluster_matrix([p] * 6, ids, tmp_path / "c.bin")
     sq = dense(dm)
     pos = {ident: k for k, ident in enumerate(dm.ids)}
     assert sorted(dm.ids) == sorted(ids)
@@ -259,19 +265,19 @@ def test_cocluster_identical_partitions():
         assert sq[pos[a], pos[b]] == expect
 
 
-def test_cocluster_drops_universal_singletons():
+def test_cocluster_drops_universal_singletons(tmp_path):
     ids = ["a", "b", "c"]
     p = Partition.from_labels(ids, ["1", "1", "2"])
     q = Partition.from_labels(ids, ["1", "1", "3"])
-    dm = method_cocluster_matrix([p, q], ids)
+    dm = cocluster_matrix([p, q], ids, tmp_path / "c.bin")
     assert set(dm.ids) == {"a", "b"}
 
 
-def test_cocluster_matches_manual_counts():
+def test_cocluster_matches_manual_counts(tmp_path):
     rng = np.random.default_rng(29)
     ids = [f"s{i}" for i in range(15)]
     parts = [random_partition(rng, ids) for _ in range(3)]
-    dm = method_cocluster_matrix(parts, ids)
+    dm = cocluster_matrix(parts, ids, tmp_path / "c.bin")
     sq = dense(dm)
     pos = {ident: k for k, ident in enumerate(dm.ids)}
     for a, b in itertools.combinations(dm.ids, 2):
@@ -283,9 +289,7 @@ def test_cocluster_matches_manual_counts():
 def square_and_permute_cocluster(partitions, ids):
     """The square-then-permute construction: an n x n equality sum over
     the ids that are non-singleton somewhere, permuted in place into the
-    average-linkage leaf order of 1 - fraction."""
-    from scipy.cluster.hierarchy import leaves_list, linkage
-
+    order of their label tuples (then ids)."""
     keep = set()
     for p in partitions:
         keep |= p.restrict(ids).multi_member_ids()
@@ -297,9 +301,7 @@ def square_and_permute_cocluster(partitions, ids):
         vec = np.array([codes.setdefault(p.assignment[i], len(codes)) for i in kept])
         freq += vec[:, None] == vec[None, :]
     freq /= len(partitions)
-    if n < 3:
-        return kept, freq[np.triu_indices(n, k=1)]
-    order = leaves_list(linkage(1.0 - freq[np.triu_indices(n, k=1)], method="average"))
+    order = sorted(range(n), key=lambda k: ([p.assignment[kept[k]] for p in partitions], kept[k]))
     for col in freq.T:
         col[:] = col[order]
     for row in freq:
@@ -307,42 +309,23 @@ def square_and_permute_cocluster(partitions, ids):
     return [kept[k] for k in order], freq[np.triu_indices(n, k=1)]
 
 
-def test_cocluster_matches_square_and_permute_reference():
+def test_cocluster_matches_square_and_permute_reference(tmp_path):
     rng = np.random.default_rng(61)
     for trial in range(30):
         n = int(rng.integers(1, 30))
         ids = [f"s{i}" for i in range(n)]
         parts = [random_partition(rng, ids) for _ in range(int(rng.integers(1, 6)))]
-        dm = method_cocluster_matrix(parts, ids)
+        dm = cocluster_matrix(parts, ids, tmp_path / "c.bin")
         ref_ids, ref_vals = square_and_permute_cocluster(parts, ids)
         assert dm.ids == ref_ids, trial
-        assert dm.values.tobytes() == ref_vals.tobytes(), trial
+        assert condensed(dm).tobytes() == ref_vals.tobytes(), trial
 
 
-def cocluster_dissent(rng, n, k):
-    """1 - co-clustering fraction of k random partitions over n ids, as a
-    condensed triangle: few distinct values, so full of ties."""
-    labels = [rng.integers(0, rng.integers(1, n + 1), n) for _ in range(k)]
-    same = sum(lab[:, None] == lab[None, :] for lab in labels)
-    return 1.0 - same[np.triu_indices(n, k=1)] / k
-
-
-def test_average_leaf_order_matches_scipy():
-    """Same leaf order as scipy's average linkage, ties included."""
-    from scipy.cluster.hierarchy import leaves_list, linkage
-
-    rng = np.random.default_rng(67)
-    cases = []
-    for trial in range(240):
-        n = int(rng.integers(3, 61))
-        if trial % 3 == 0:
-            y = cocluster_dissent(rng, n, trial % 4 + 1)
-        elif trial % 3 == 1:
-            y = np.round(rng.random(n * (n - 1) // 2), trial % 2 + 1)
-        else:
-            y = np.full(n * (n - 1) // 2, 0.5)
-        cases.append((n, y))
-    cases.append((503, cocluster_dissent(rng, 503, 3)))
-    for trial, (n, y) in enumerate(cases):
-        expect = leaves_list(linkage(y, method="average")).tolist()
-        assert _average_leaf_order(y.copy(), n) == expect, (trial, n)
+def test_cocluster_rows_group_ids_every_partition_joins(tmp_path):
+    """Ids that every partition puts together are adjacent rows, whatever
+    their names."""
+    ids = ["z", "a", "m", "b", "y", "c"]
+    p = Partition.from_labels(ids, ["1", "2", "1", "2", "1", "3"])
+    q = Partition.from_labels(ids, ["7", "5", "7", "5", "7", "5"])
+    dm = cocluster_matrix([p, q], ids, tmp_path / "c.bin")
+    assert dm.ids == ["m", "y", "z", "a", "b", "c"]

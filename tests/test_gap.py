@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from phyloclust import MatrixKind, Partition
+from phyloclust import MatrixKind, Partition, read_matrix_binary, write_matrix_binary
 from phyloclust.errors import UndefinedDistance
 from phyloclust.gap import GapConfig, _row_cut, gap_cluster
 
@@ -149,6 +149,25 @@ def test_undefined_distance_names_first_pair():
     with pytest.raises(UndefinedDistance) as err:
         gap_cluster(square_dm(["a", "b", "c", "d"], arr))
     assert (err.value.i, err.value.j) == ("a", "d")
+
+
+def test_undefined_distance_in_a_binary_file_names_its_pair(tmp_path):
+    """A NaN pair read from a .bin file in strips stops gap as one held in
+    memory does; 300 ids take several strips, and the pair lies in a
+    later one."""
+    rng = np.random.default_rng(83)
+    n = 300
+    arr = rng.random((n, n))
+    arr = arr + arr.T
+    np.fill_diagonal(arr, 0.0)
+    arr[250, 290] = arr[290, 250] = np.nan
+    ids = [f"t{k}" for k in range(n)]
+    write_matrix_binary(square_dm(ids, arr), tmp_path / "p.bin")
+    dm = read_matrix_binary(tmp_path / "p.bin")
+    assert len(list(dm.strips())) > 1
+    with pytest.raises(UndefinedDistance) as err:
+        gap_cluster(dm)
+    assert (err.value.i, err.value.j) == ("t250", "t290")
 
 
 def test_scale_invariance():

@@ -6,11 +6,14 @@ output updates its digest here and says in CHANGES.md why it moved.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from phyloclust import newick_string
+from phyloclust import MatrixKind, newick_string, read_matrix_binary
 from phyloclust.cli import _PRESETS, main
 from phyloclust.simulate import SimConfig, simulate_tree
+
+from conftest import dense
 
 GOLDEN = {
     "maxp.csv": "c284d2495d2e11a4612af1088150be445010725e860c3934b0cdf1d822c1caa4",
@@ -30,8 +33,12 @@ GOLDEN = {
     "k80.phy": "2f157ff6e116ce39d4cf27df75ba70beaf92dd91db80f6a053aff8c2905da12f",
     "p.bin": "174259ba4f6958f819c5147b7bdbf3448236b2b092d61366e69e48f8b094fe65",
     "p.bin.ids": "af4f2eea9a005cc73e8e70591548a337a3a7fa17cac8a24b6fcdccaeb0a9e8ab",
-    "compare.bin": "40495551b2da17f53f994b27383ba7bb7a2bf1f2128167ff6004fee441da70b9",
-    "compare.bin.ids": "f54679e7fd6c92994128a70032f113fcdf07fa70bf40016d590923b21d86cd2e",
+    "k80cap.bin": "2764f66758c51f1e095dda3db9dc231787780eee3e01a96d441e60b1cde91f12",
+    "k80cap.bin.ids": "af4f2eea9a005cc73e8e70591548a337a3a7fa17cac8a24b6fcdccaeb0a9e8ab",
+    "maxp-bin.csv": "c284d2495d2e11a4612af1088150be445010725e860c3934b0cdf1d822c1caa4",
+    "gap-bin.csv": "51f325fa8a2d5ba600d3cd6cd461455e4c691be53d4ed85917cbb6a0507b49e2",
+    "compare.bin": "b181b9cdc4a1aeec5e58e2893a00d24f4114c1c83cc5c939b74bc0a252b7d224",
+    "compare.bin.ids": "eb370df1f458620eb9b43c167716ff7f9a2aeceeebd3e311e962f3b39ef0baf5",
     "support.nwk": "581684d32266cf1a2c045bf2dd83a57b50dbef93fc13f5cbc6a2165014fb1696",
     "consensus.nwk": "7a3ae9934f4402861fefc7dae8342b40291dc20b242c23cecfca8211b8bce4e9",
 }
@@ -59,9 +66,14 @@ def outputs(tmp_path_factory):
     run("dist", "--align", align, "--out", d / "p.phy")
     run("dist", "--align", align, "--kind", "k80", "--out", d / "k80.phy")
     run("dist", "--align", align, "--binary", "--out", d / "p.bin")
+    run("dist", "--align", align, "--kind", "k80", "--binary", "--cap", "1.0",
+        "--out", d / "k80cap.bin")
     run("cluster", "--method", "maxp", "--tree", tree, "--matrix", d / "p.phy",
         "--out", d / "maxp.csv")
     run("cluster", "--method", "gap", "--matrix", d / "p.phy", "--out", d / "gap.csv")
+    run("cluster", "--method", "maxp", "--tree", tree, "--matrix", d / "p.bin",
+        "--out", d / "maxp-bin.csv")
+    run("cluster", "--method", "gap", "--matrix", d / "p.bin", "--out", d / "gap-bin.csv")
     for method in ("medianpatristic", "maxpatristic"):
         run("cluster", "--method", method, "--tree", tree, "--out", d / f"{method}.csv")
     run("compare", "--partitions", d / "maxp.csv", d / "gap.csv",
@@ -80,3 +92,19 @@ def outputs(tmp_path_factory):
 def test_golden_digest(outputs, name):
     digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+# compare.bin with its ids sorted: the co-clustering fraction of every
+# pair, whatever order compare writes the rows in
+COMPARE_PAIRS = "50d417eedcba2b526a835e9c0391414c2124e5180e9e28e935d429dd4fc7884a"
+
+
+def test_compare_pairs_keep_their_values(outputs):
+    """Each pair's fraction is the one compare wrote when it ordered its
+    rows by average linkage; only the order of the rows moved."""
+    dm = read_matrix_binary(outputs / "compare.bin", MatrixKind.COCLUSTER)
+    order = np.argsort(dm.ids)
+    square = dense(dm)[np.ix_(order, order)]
+    ids = "".join(f"{dm.ids[k]}\n" for k in order).encode()
+    values = square[np.triu_indices(dm.n, k=1)].astype("<f8").tobytes()
+    assert hashlib.sha256(ids + values).hexdigest() == COMPARE_PAIRS

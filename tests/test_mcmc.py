@@ -18,7 +18,7 @@ from phyloclust import (
     walktrap_communities,
 )
 from phyloclust.cli import _PRESETS
-from phyloclust.community import cocluster_fraction, cocluster_rows, modularity
+from phyloclust.community import cocluster_rows, modularity
 from phyloclust.distance import read_matrix_binary, write_matrix_binary
 from phyloclust.errors import DegenerateTree, MalformedRow
 from phyloclust.mcmc import (
@@ -34,7 +34,7 @@ from phyloclust.mcmc import (
 
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
-from conftest import decorate_tree, dense, weighted_graph
+from conftest import cocluster_fraction, condensed, decorate_tree, dense, weighted_graph
 
 EDGE_FLOOR = 1e-9
 
@@ -407,7 +407,7 @@ def test_chain_retaining_nothing_has_identity_cocluster(tmp_path):
     # no pair co-clusters: the identity, less the diagonal the type omits
     cocluster = saved_cocluster(summary, tmp_path)
     assert cocluster.ids == tree.tip_labels()
-    assert not cocluster.values.any()
+    assert not condensed(cocluster).any()
 
 
 def test_chain_determinism():

@@ -27,7 +27,7 @@ from phyloclust.threshold import (
 )
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
-from conftest import decorate_tree, dense, square_dm
+from conftest import condensed, decorate_tree, dense, square_dm
 
 TWO_CHERRIES = "((a:0.005,b:0.005)1.0:0.15,(c:0.005,d:0.005)1.0:0.15);"
 
@@ -314,7 +314,8 @@ def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
     ]
     for stat, source, dm in cases:
         pair_values = _pair_values(tree, dm)
-        finite = dm.values[~np.isnan(dm.values)]
+        vals = condensed(dm)
+        finite = vals[~np.isnan(vals)]
         cutoffs = list(np.quantile(finite, [0.05, 0.3, 0.7]))
         # a clade's median and its lower middle value put the cutoff on
         # either side of a median whose two middle values straddle it
