@@ -7,15 +7,18 @@ sequences hold a plain A/C/G/T there.  Both derive from one set of pair
 counts (compared sites, mismatches, transitions), which a single
 bit-packed kernel produces for the whole triangle or for one block.
 
-Matrices are stored condensed (upper triangle, row major).  NaN encodes an
-undefined entry: an empty site overlap, or a saturated K80 pair whose log
-argument is not positive.
+A matrix is stored condensed (upper triangle, row major) in a file in
+write_matrix_binary's layout: an unnamed temporary file for a built
+matrix and for a phylip read, the .bin file itself for a binary read.
+NaN encodes an undefined entry: an empty site overlap, or a saturated K80
+pair whose log argument is not positive.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 import logging
 import os
 import struct
@@ -316,57 +319,24 @@ def _pair_of(n: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, pos - shift[i]
 
 
-class _TriangleFile:
-    """The condensed values of a file in write_matrix_binary's layout, read
-    as they are asked for: a slice is one os.preadv into a new array, and
-    an integer index array gathers through a read-only mapping of the
-    file whose pages are dropped after each read, so neither keeps the
-    triangle resident.  The file stays open while this lives."""
-
-    def __init__(self, fh: BinaryIO, size: int):
-        self.size, self.shape = size, (size,)
-        self._fd = fh.fileno()
-        self._flat: np.ndarray | None = None
-        weakref.finalize(self, fh.close)
-
-    def read_into(self, lo: int, out: np.ndarray) -> None:
-        """Values lo, lo + 1, ... into the contiguous float64 array out."""
-        if os.preadv(self._fd, [out], _HEADER + 8 * lo) != out.nbytes:
-            raise MalformedMatrix("matrix file was cut short while open")
-        if sys.byteorder == "big":
-            out.byteswap(inplace=True)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            lo, hi, _ = key.indices(self.size)
-            out = np.empty(max(hi - lo, 0))
-            self.read_into(lo, out)
-            return out
-        import mmap  # only a command that gathers from a file loads it
-
-        if self._flat is None:
-            self._map = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)
-            self._flat = np.frombuffer(self._map, "<f8", self.size, _HEADER)
-        out = self._flat[key].astype(np.float64, copy=False)
-        self._map.madvise(mmap.MADV_DONTNEED)
-        return out
-
-
 class DistanceMatrix:
     """Symmetric pairwise distances over named sequences.
 
-    values is the condensed upper triangle (row major, float64); NaN marks
-    an undefined entry.  It is an array for phylip reads and patristic
-    matrices, and a _TriangleFile for p and K80 matrices, which live in
-    a .bin-layout file; either answers a slice and an index-array gather.
-    The condensed layout is private to this module: other modules read it
-    with strips() or block_reader(), and phylo's patristic fill places
-    pairs with _row_shift.
+    The values live in a file in write_matrix_binary's layout, open as fh:
+    the condensed upper triangle (row major, float64) after a header, NaN
+    marking an undefined entry.  A built matrix and a phylip read write
+    theirs to an unnamed temporary file, and read_matrix_binary opens the
+    .bin file itself.  The values are read as they are asked for: a slice
+    is one os.preadv into a new array, and an integer index array gathers
+    through a read-only mapping of the file whose pages are dropped after
+    each read, so neither keeps the triangle resident.  The file stays
+    open while the matrix lives.  Other modules read the values with
+    strips() or block_reader(), and phylo's patristic fill places pairs
+    with _row_shift.
     """
 
-    def __init__(
-        self, ids: list[str], values: np.ndarray | _TriangleFile, kind: MatrixKind
-    ):
+    def __init__(self, ids: list[str], fh: BinaryIO, kind: MatrixKind):
+        weakref.finalize(self, fh.close)
         n = len(ids)
         if len(set(ids)) != n:
             seen: set[str] = set()
@@ -374,48 +344,46 @@ class DistanceMatrix:
                 if ident in seen:
                     raise DuplicateId(ident)
                 seen.add(ident)
-        if values.shape != (condensed_size(n),):
-            raise ValueError(
-                f"condensed length {values.shape} does not match n={n}"
-            )
         self.ids = list(ids)
-        self.values = values
         self.kind = kind
         self._index = {ident: k for k, ident in enumerate(self.ids)}
+        self._size = condensed_size(n)
+        self._fd = fh.fileno()
+        self._flat: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
     def num_undefined(self) -> int:
-        return sum(int(np.isnan(block).sum()) for _, block in _blocks(self.values))
+        return sum(int(np.isnan(block).sum()) for _, block in self._blocks())
 
-    @classmethod
-    def from_upper_rows(
-        cls, ids: list[str], rows: Iterable[np.ndarray], kind: MatrixKind
-    ) -> "DistanceMatrix":
-        """Fill a triangle from row i's distances to sequences i+1.., for
-        i = 0 .. n-2, as upper_rows() yields them; rows past n-2 are not
-        read."""
-        n = len(ids)
-        values = np.empty(condensed_size(n), dtype=np.float64)
-        lo = 0
-        for i, row in zip(range(n - 1), rows):
-            hi = lo + n - 1 - i
-            values[lo:hi] = row
-            lo = hi
-        if lo != values.size:
-            raise ValueError(f"rows fill {lo} of {values.size} condensed values")
-        return cls(ids, values, kind)
+    def _read_into(self, lo: int, out: np.ndarray) -> None:
+        # values lo, lo + 1, ... into the contiguous float64 array out
+        if os.preadv(self._fd, [out], _HEADER + 8 * lo) != out.nbytes:
+            raise MalformedMatrix("matrix file was cut short while open")
+        if sys.byteorder == "big":
+            out.byteswap(inplace=True)
 
-    def upper_rows(self) -> Iterator[np.ndarray]:
-        """Row i's distances to sequences i+1.., for i = 0 .. n-2: views of
-        an in-memory triangle, one read each from a file."""
-        lo = 0
-        for i in range(self.n - 1):
-            hi = lo + self.n - 1 - i
-            yield self.values[lo:hi]
-            lo = hi
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        out = np.empty(hi - lo)
+        self._read_into(lo, out)
+        return out
+
+    def _gather(self, pos: np.ndarray) -> np.ndarray:
+        import mmap  # only a command that gathers from a file loads it
+
+        if self._flat is None:
+            self._map = mmap.mmap(self._fd, 0, access=mmap.ACCESS_READ)
+            self._flat = np.frombuffer(self._map, "<f8", self._size, _HEADER)
+        out = self._flat[pos].astype(np.float64, copy=False)
+        self._map.madvise(mmap.MADV_DONTNEED)
+        return out
+
+    def _blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        # (lo, values lo .. lo + BLOCK_PAIRS - 1) over the whole triangle
+        for lo in range(0, self._size, BLOCK_PAIRS):
+            yield lo, self._read(lo, min(lo + BLOCK_PAIRS, self._size))
 
     def strips(self) -> Iterator[tuple[int, np.ndarray]]:
         """(a, rows): the full symmetric rows a..b-1, 0 on the diagonal, in
@@ -424,13 +392,8 @@ class DistanceMatrix:
         is a view of one buffer: use it before asking for the next.  A
         strip's columns before a are one read per earlier row; its own
         rows are one read each."""
-        n, values = self.n, self.values
+        n = self.n
         height = max(1, min(BLOCK_PAIRS * 8 // max(n, 1), n // 8))
-        if isinstance(values, _TriangleFile):
-            fill = values.read_into
-        else:
-            def fill(lo: int, out: np.ndarray) -> None:
-                out[:] = values[lo : lo + out.size]
         # column major: row r < a holds its pairs with a..b-1 side by
         # side, and they fill column r of the strip in one read
         buf = np.empty((n, min(height, n))).T
@@ -438,12 +401,12 @@ class DistanceMatrix:
             b = min(a + height, n)
             strip = buf[: b - a]
             for r, at in enumerate((_row_shift(n, np.arange(a)) + a).tolist()):
-                fill(at, strip[:, r])
+                self._read_into(at, strip[:, r])
             for k, i in enumerate(range(a, b)):
                 lo = _row_shift(n, i) + i + 1
                 strip[k, a:i] = strip[:k, i]
                 strip[k, i] = 0.0
-                strip[k, i + 1 :] = values[lo : lo + n - 1 - i]
+                strip[k, i + 1 :] = self._read(lo, lo + n - 1 - i)
             yield a, strip
 
     def block_reader(
@@ -457,7 +420,7 @@ class DistanceMatrix:
         its gather takes a few integer arrays of its size: read a large
         block in row_chunks.
         """
-        n, values = self.n, self.values
+        n = self.n
         order = np.array([self._index[i] for i in ids], dtype=np.int64)
         shift = _row_shift(n, order)
         ascending = bool(np.all(order[1:] > order[:-1]))
@@ -465,23 +428,40 @@ class DistanceMatrix:
         def read(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
             a, b = order[c0:c1, None], order[r0:r1]
             if ascending and c1 <= r0:  # every column id before every row id
-                return values[shift[c0:c1, None] + b].T
+                return self._gather(shift[c0:c1, None] + b).T
             if ascending and r1 <= c0:
-                return values[shift[r0:r1] + a].T
+                return self._gather(shift[r0:r1] + a).T
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             # a cell of an id against itself reads a stand-in, then 0
             pos = _row_shift(n, lo) + hi
-            out = values[pos] if values.size else np.zeros(pos.shape)
+            out = self._gather(pos) if self._size else np.zeros(pos.shape)
             out[lo == hi] = 0.0
             return out.T
 
         return read
 
 
-def _blocks(values: np.ndarray | _TriangleFile) -> Iterator[tuple[int, np.ndarray]]:
-    # (lo, values[lo:lo + BLOCK_PAIRS]) over the whole triangle
-    for lo in range(0, values.size, BLOCK_PAIRS):
-        yield lo, values[lo : lo + BLOCK_PAIRS]
+def _matrix_file(n: int) -> BinaryIO:
+    # An unnamed temporary file (under TMPDIR) in write_matrix_binary's
+    # layout for n ids, its values still to be written; it is gone once
+    # closed.
+    fh = tempfile.TemporaryFile()
+    os.pwrite(fh.fileno(), _binary_header(n), 0)
+    os.ftruncate(fh.fileno(), _HEADER + 8 * condensed_size(n))
+    return fh
+
+
+def _write_rows(fd: int, rows: Iterable[np.ndarray]) -> int:
+    # Writes rows one after another into the file open as fd, from the
+    # first value's place in write_matrix_binary's layout; returns how
+    # many values they hold.
+    at = _HEADER
+    for row in rows:
+        # a view of row on a little-endian host, a byte-swapped copy elsewhere
+        data = np.ascontiguousarray(row, dtype="<f8")
+        _pwrite_all(fd, data, at)
+        at += data.nbytes
+    return (at - _HEADER) // 8
 
 
 def build_distance_matrix(
@@ -507,11 +487,7 @@ def build_distance_matrix(
         raise EmptyInput("need at least two sequences")
     planes = _pack_planes(encode_alignment(alignment))
     n = planes.shape[2]
-    fh = tempfile.TemporaryFile()
-    fd = fh.fileno()
-    os.pwrite(fd, _binary_header(n), 0)
-    os.ftruncate(fd, _HEADER + 8 * condensed_size(n))
-    values = _TriangleFile(fh, condensed_size(n))
+    dm = DistanceMatrix([r.id for r in alignment.records], _matrix_file(n), kind)
     workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))
     runs = _row_runs(n, workers)
     width = max(hi - lo for _, _, lo, hi in runs)
@@ -529,17 +505,19 @@ def build_distance_matrix(
         for _ in range(workers)
     ]
     if workers == 1:
-        capped = _fill_runs(planes, runs, fd, cap, *buffers[0])
+        capped = _fill_runs(planes, runs, dm._fd, cap, *buffers[0])
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futs = [
-                pool.submit(_fill_runs, planes, runs[w::workers], fd, cap, *buffers[w])
+                pool.submit(
+                    _fill_runs, planes, runs[w::workers], dm._fd, cap, *buffers[w]
+                )
                 for w in range(workers)
             ]
             capped = sum(f.result() for f in futs)
     if capped:
         log.warning("capping %d undefined %s distances at %g", capped, kind.value, cap)
-    return DistanceMatrix([r.id for r in alignment.records], values, kind)
+    return dm
 
 
 # ------------------------------------------------------------- serialization
@@ -558,8 +536,12 @@ def write_matrix_phylip(dm: DistanceMatrix, path: str | Path) -> None:
 def read_matrix_phylip(
     path: str | Path, kind: MatrixKind = MatrixKind.P_DISTANCE
 ) -> DistanceMatrix:
-    with text_input(path), open(path) as fh:
-        header = fh.readline().split()
+    """write_matrix_phylip's square.  Each row's cells right of the
+    diagonal are written, as the row is read, into an unnamed temporary
+    file (under TMPDIR) in write_matrix_binary's layout, which the matrix
+    then reads; the file is gone once the matrix is."""
+    with text_input(path), open(path) as lines:
+        header = lines.readline().split()
         if not header:
             raise EmptyInput(str(path))
         try:
@@ -569,54 +551,61 @@ def read_matrix_phylip(
                 f"{path}: count line {header[0]!r} is not an integer"
             ) from None
         ids: list[str] = []
-        values = np.empty(0, dtype=np.float64)
-        lo = 0
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != n + 1:
-                raise MalformedMatrix(
-                    f"{path}: row {parts[0]!r} has {len(parts) - 1} cells, "
-                    f"expected {n}"
-                )
-            try:
-                row = np.array(parts[1:], dtype=np.float64)
-            except ValueError:
-                raise MalformedMatrix(
-                    f"{path}: row {parts[0]!r} holds a non-numeric cell"
-                ) from None
-            if not ids:  # allocated once a row of n cells backs the count
-                values = np.empty(condensed_size(n), dtype=np.float64)
-            right = row[len(ids) + 1 :]  # the cells right of the diagonal
-            values[lo : lo + right.size] = right
-            lo += right.size
-            ids.append(parts[0])
-    if len(ids) != n:
-        raise MalformedMatrix(f"{path}: expected {n} rows, found {len(ids)}")
-    return DistanceMatrix(ids, values, kind)
+        rows = _phylip_rows(path, lines, n, ids)
+        # the file is made once a row of n cells backs the count; with no
+        # row, the count is 0 or an error follows
+        head = list(itertools.islice(rows, 1))
+        fh = _matrix_file(n if head else 0)
+        try:
+            _write_rows(fh.fileno(), itertools.chain(head, rows))
+            if len(ids) != n:
+                raise MalformedMatrix(f"{path}: expected {n} rows, found {len(ids)}")
+        except BaseException:
+            fh.close()
+            raise
+    return DistanceMatrix(ids, fh, kind)
+
+
+def _phylip_rows(
+    path: str | Path, lines: Iterable[str], n: int, ids: list[str]
+) -> Iterator[np.ndarray]:
+    # The cells right of the diagonal of each row of n cells in lines,
+    # appending the row's id to ids; blank lines are skipped.
+    for line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != n + 1:
+            raise MalformedMatrix(
+                f"{path}: row {parts[0]!r} has {len(parts) - 1} cells, "
+                f"expected {n}"
+            )
+        try:
+            row = np.array(parts[1:], dtype=np.float64)
+        except ValueError:
+            raise MalformedMatrix(
+                f"{path}: row {parts[0]!r} holds a non-numeric cell"
+            ) from None
+        ids.append(parts[0])
+        yield row[len(ids) :]
 
 
 def write_matrix_binary(dm: DistanceMatrix, path: str | Path) -> None:
     """Compact triangle: magic, version u8, n u64 LE, float64 LE values.
 
     Sequence ids are not part of the binary layout; they are written to a
-    sidecar text file <path>.ids, one id per line.  A matrix that lives in
-    such a file is copied from it byte for byte.
+    sidecar text file <path>.ids, one id per line.  The matrix's own file
+    is copied byte for byte.
     """
-    store = dm.values
-    if not isinstance(store, _TriangleFile):
-        write_binary_rows(dm.ids, dm.upper_rows(), path)
-        return
     path = Path(path)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         # the file itself is already written; a copy onto it would empty it
-        if not os.path.sameopenfile(fd, store._fd):
+        if not os.path.sameopenfile(fd, dm._fd):
             os.ftruncate(fd, 0)
-            done, size = 0, _HEADER + 8 * store.size
+            done, size = 0, _HEADER + 8 * dm._size
             while done < size:
-                sent = os.sendfile(fd, store._fd, done, size - done)
+                sent = os.sendfile(fd, dm._fd, done, size - done)
                 if not sent:
                     raise MalformedMatrix("matrix file was cut short while open")
                 done += sent
@@ -629,17 +618,13 @@ def write_binary_rows(
     ids: list[str], rows: Iterable[np.ndarray], path: str | Path
 ) -> None:
     """write_matrix_binary's file from row i's values to ids i+1.., for
-    i = 0 .. n-2, as upper_rows() yields them; one row is held at a time
-    and rows past n-2 are not read."""
+    i = 0 .. n-2; one row is held at a time and rows past n-2 are not
+    read."""
     path = Path(path)
     n = len(ids)
-    written = 0
     with open(path, "wb") as fh:
-        fh.write(_binary_header(n))
-        for _, row in zip(range(n - 1), rows):
-            # a view of row on a little-endian host, a byte-swapped copy elsewhere
-            fh.write(np.ascontiguousarray(row, dtype="<f8"))
-            written += len(row)
+        os.pwrite(fh.fileno(), _binary_header(n), 0)
+        written = _write_rows(fh.fileno(), (row for _, row in zip(range(n - 1), rows)))
     if written != condensed_size(n):
         raise ValueError(f"rows fill {written} of {condensed_size(n)} condensed values")
     _write_ids(ids, path)
@@ -682,9 +667,12 @@ def _binary_ids(path: Path, fh: BinaryIO) -> list[str]:
     return ids
 
 
-def _open_binary(path: str | Path) -> tuple[list[str], _TriangleFile]:
-    # The ids and values of write_matrix_binary's file, once its header,
-    # size and id sidecar check out.
+def read_matrix_binary(
+    path: str | Path, kind: MatrixKind = MatrixKind.P_DISTANCE
+) -> DistanceMatrix:
+    """Open write_matrix_binary's triangle and its <path>.ids sidecar, once
+    its header, size and sidecar check out; the values stay in the file
+    and are read as they are asked for."""
     path = Path(path)
     fh = open(path, "rb")
     try:
@@ -692,15 +680,7 @@ def _open_binary(path: str | Path) -> tuple[list[str], _TriangleFile]:
     except BaseException:
         fh.close()
         raise
-    return ids, _TriangleFile(fh, condensed_size(len(ids)))
-
-
-def read_matrix_binary(
-    path: str | Path, kind: MatrixKind = MatrixKind.P_DISTANCE
-) -> DistanceMatrix:
-    """Open write_matrix_binary's triangle and its <path>.ids sidecar; the
-    values stay in the file and are read as they are asked for."""
-    return DistanceMatrix(*_open_binary(path), kind)
+    return DistanceMatrix(ids, fh, kind)
 
 
 def read_nonzero_pairs_binary(
@@ -710,11 +690,11 @@ def read_nonzero_pairs_binary(
     not zero (NaN included), as arrays i, j and value with i < j, in
     condensed (row-major) order.  The triangle is read in blocks of
     BLOCK_PAIRS values and never held whole."""
-    ids, values = _open_binary(path)
+    dm = read_matrix_binary(path, MatrixKind.COCLUSTER)
     positions, weights = [np.empty(0, np.int64)], [np.empty(0)]
-    for lo, block in _blocks(values):
+    for lo, block in dm._blocks():
         hit = np.flatnonzero(block)
         positions.append(hit + lo)
         weights.append(block[hit])
     pos = np.concatenate(positions)
-    return (ids, *_pair_of(len(ids), pos), np.concatenate(weights))
+    return (dm.ids, *_pair_of(dm.n, pos), np.concatenate(weights))

@@ -217,6 +217,10 @@ class Partition:
 
 def parse_fasta(text: str) -> Alignment:
     """Parse FASTA text; the id is the first whitespace token of a header."""
+    return _parse_fasta_lines(text.splitlines())
+
+
+def _parse_fasta_lines(lines: Iterable[str]) -> Alignment:
     records: list[SequenceRecord] = []
     ident: str | None = None
     chunks: list[str] = []
@@ -227,7 +231,7 @@ def parse_fasta(text: str) -> Alignment:
         residues = _normalize_residues("".join(chunks), ident)
         records.append(SequenceRecord(ident, residues))
 
-    for line in text.splitlines():
+    for line in lines:
         line = line.strip()
         if not line:
             continue
@@ -271,7 +275,10 @@ def _read_text(path: str | Path) -> str:
 
 
 def load_fasta(path: str | Path) -> Alignment:
-    return parse_fasta(_read_text(path))
+    """parse_fasta of the file at path, read a line at a time."""
+    with text_input(path), open(path) as fh:
+        # str.splitlines breaks lines at more characters than a file does
+        return _parse_fasta_lines(line for chunk in fh for line in chunk.splitlines())
 
 
 def write_fasta(alignment: Alignment, path: str | Path) -> None:

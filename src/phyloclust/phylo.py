@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterator
 from .errors import DegenerateTree, EmptyInput, TipSetMismatch
 
 if TYPE_CHECKING:
-    from .distance import DistanceMatrix
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -151,8 +151,9 @@ def lift_path_lengths(h, node: Node, spans: dict[int, tuple[int, int]]) -> None:
         h[lo:hi] += child.length or 0.0
 
 
-def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
-    """Sum of branch lengths along the path between every tip pair.
+def patristic_matrix(tree: PhyloTree) -> np.ndarray:
+    """Sum of branch lengths along the path between every tip pair, as the
+    condensed upper triangle (row major, float64) over tree.tip_labels().
 
     Missing lengths count as zero.  One postorder pass fills, at each
     internal node, the block between each child's earlier siblings' tips
@@ -161,7 +162,7 @@ def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
     """
     import numpy as np
 
-    from .distance import DistanceMatrix, MatrixKind, _row_shift, row_chunks
+    from .distance import _row_shift, row_chunks
 
     labels = tree.tip_labels()
     n = len(labels)
@@ -181,7 +182,7 @@ def patristic_matrix(tree: PhyloTree) -> DistanceMatrix:
             for r0, r1 in row_chunks(lo, clo, chi - clo):
                 at = shift[r0:r1, None] + np.arange(clo, chi)
                 values[at] = h[r0:r1, None] + h[clo:chi]
-    return DistanceMatrix(labels, values, MatrixKind.PATRISTIC)
+    return values
 
 
 # ---------------------------------------------------------- support values

@@ -203,7 +203,7 @@ def _clade_passes(
     if 2 * under[k] != pairs:
         return 2 * under[k] > pairs
     if id(node) not in medians:
-        medians[id(node)] = float(np.median(patristic_matrix(PhyloTree(node)).values))
+        medians[id(node)] = float(np.median(patristic_matrix(PhyloTree(node))))
     return medians[id(node)] <= cutoff
 
 

@@ -1,10 +1,23 @@
 """Shared helpers for the test suite."""
 
+import tempfile
+
 import numpy as np
 
 from phyloclust import DistanceMatrix, MatrixKind, distance
 from phyloclust.community import WeightedGraph, cocluster_rows
-from phyloclust.phylo import Node
+from phyloclust.phylo import Node, patristic_matrix
+
+
+def condensed_dm(ids, values, kind=MatrixKind.P_DISTANCE):
+    """DistanceMatrix over ids whose file holds the condensed values."""
+    n = len(ids)
+    values = np.asarray(values, dtype="<f8")
+    assert values.shape == (n * (n - 1) // 2,)
+    fh = tempfile.TemporaryFile()
+    fh.write(distance._binary_header(n) + values.tobytes())
+    fh.flush()
+    return DistanceMatrix(list(ids), fh, kind)
 
 
 def square_dm(ids, arr, kind=MatrixKind.P_DISTANCE):
@@ -12,14 +25,19 @@ def square_dm(ids, arr, kind=MatrixKind.P_DISTANCE):
     arr = np.asarray(arr, dtype=np.float64)
     n = len(ids)
     assert arr.shape == (n, n)
-    iu = np.triu_indices(n, k=1)
-    return DistanceMatrix(list(ids), arr[iu].copy(), kind)
+    return condensed_dm(ids, arr[np.triu_indices(n, k=1)], kind)
+
+
+def patristic_dm(tree):
+    """The PATRISTIC DistanceMatrix of patristic_matrix(tree), over the
+    tree's tip labels."""
+    return condensed_dm(tree.tip_labels(), patristic_matrix(tree), MatrixKind.PATRISTIC)
 
 
 def condensed(dm):
-    """dm's condensed upper triangle as one float64 array, bit for bit,
-    read a row at a time whether dm lives in memory or in a file."""
-    return np.concatenate([np.empty(0), *dm.upper_rows()])
+    """dm's condensed upper triangle as one float64 array, bit for bit, in
+    one read of its whole file."""
+    return dm._read(0, dm.n * (dm.n - 1) // 2)
 
 
 def dense(dm):
@@ -33,11 +51,9 @@ def dense(dm):
 
 
 def cocluster_fraction(partitions, ids):
-    """The COCLUSTER matrix whose rows community.cocluster_rows gives, in
-    memory."""
-    return DistanceMatrix.from_upper_rows(
-        list(ids), cocluster_rows(partitions, ids), MatrixKind.COCLUSTER
-    )
+    """The COCLUSTER matrix whose rows community.cocluster_rows gives."""
+    rows = [np.empty(0), *cocluster_rows(partitions, ids)]
+    return condensed_dm(ids, np.concatenate(rows), MatrixKind.COCLUSTER)
 
 
 def pair_counts(codes):

@@ -32,11 +32,11 @@ from phyloclust.gap import GapConfig, gap_cluster
 from phyloclust.growth import growth_report
 from phyloclust.io_formats import parse_fasta
 from phyloclust.mcmc import ChainConfig, run_chain
-from phyloclust.phylo import mask_to_labels, patristic_matrix
+from phyloclust.phylo import mask_to_labels
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 from phyloclust.threshold import ClusterCriteria, Statistic, threshold_cluster
 
-from conftest import dense, graph_square, weighted_graph
+from conftest import condensed, dense, graph_square, patristic_dm, weighted_graph
 
 from test_mcmc import exact_distribution, total_variation
 
@@ -286,7 +286,7 @@ def test_criterion_07_k80_consistency():
         )
         aln = simulate_alignment(tree, cfg)
         dm = build_distance_matrix(aln, MatrixKind.K80)
-        errors.append(dm.values[0] - 0.10)
+        errors.append(condensed(dm)[0] - 0.10)
         assert abs(errors[-1]) <= 0.005
     elapsed = time.perf_counter() - start
     print(
@@ -362,7 +362,7 @@ def test_criterion_09_patristic_oracle():
     for seed, sizes in ((0, (10,)), (1, (16, 17)), (2, (30, 34)), (3, (64,))):
         tree, _ = simulate_tree(SimConfig(cluster_sizes=sizes, rng_seed=seed))
         labels = tree.tip_labels()  # matrix rows follow traversal order
-        sq = dense(patristic_matrix(tree))
+        sq = dense(patristic_dm(tree))
         tips = {n.label: n for n in tree.preorder() if n.is_tip}
         for i, j in itertools.combinations(range(len(labels)), 2):
             naive = _naive_patristic(tree, tips[labels[i]], tips[labels[j]])

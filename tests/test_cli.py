@@ -79,7 +79,7 @@ def test_dist_phylip_matches_library(cohort, tmp_path):
         load_fasta(cohort / "alignment.fasta"), MatrixKind.P_DISTANCE
     )
     assert dm.ids == direct.ids
-    assert np.allclose(dm.values, condensed(direct), atol=1e-9, equal_nan=True)
+    assert np.allclose(condensed(dm), condensed(direct), atol=1e-9, equal_nan=True)
     manifest = json.loads((tmp_path / "dm.phy.manifest.json").read_text())
     assert manifest["inputs"][str(cohort / "alignment.fasta")] == sha(
         cohort / "alignment.fasta"
@@ -658,18 +658,19 @@ def big_cohort(tmp_path_factory):
 
 
 # each matrix command, and the bytes per n² it may hold: under the n×n
-# square's 8, of which the condensed triangle takes 4.  A p or K80 matrix
+# square's 8, of which the condensed triangle takes 4.  Every matrix
 # lives in a file, which max-p reads in blocks and gap and the phylip
 # writer in strips, and compare writes its triangle a row at a time, so
 # these commands stay under 4 on top of what they hold; a build's run
 # buffers grow with its workers, so the builds run on two.  A phylip
-# read holds the triangle.  The patristic commands sum path lengths from
-# the tree and stay under the triangle itself.
+# read writes each row to its file as it reads it, so it holds what a
+# .bin read holds.  The patristic commands sum path lengths from the
+# tree and stay under the triangle itself.
 _MATRIX_COMMANDS = {
     "gap-bin": ("cluster --method gap --matrix {d}/p.bin", 3),
-    "gap-phy": ("cluster --method gap --matrix {d}/p.phy", 8),
+    "gap-phy": ("cluster --method gap --matrix {d}/p.phy", 3),
     "maxp-bin": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.bin", 3.5),
-    "maxp-phy": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.phy", 8),
+    "maxp-phy": ("cluster --method maxp --tree {d}/tree.nwk --matrix {d}/p.phy", 3.5),
     "medianpatristic": ("cluster --method medianpatristic --tree {d}/tree.nwk", 4),
     "maxpatristic": ("cluster --method maxpatristic --tree {d}/tree.nwk", 4),
     "sweep-medianpatristic": (

@@ -11,7 +11,6 @@ import pytest
 
 from phyloclust import (
     Alignment,
-    DistanceMatrix,
     MatrixKind,
     SequenceRecord,
     build_distance_matrix,
@@ -29,7 +28,7 @@ from phyloclust.distance import (
 )
 from phyloclust.errors import DataError, MalformedMatrix
 
-from conftest import condensed, dense, pair_counts
+from conftest import condensed, condensed_dm, dense, pair_counts
 
 
 def kernel_counts(*seqs):
@@ -400,17 +399,23 @@ def test_matrix_symmetry_and_spot_checks():
                 assert got == direct
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_build_leaves_no_file_behind(monkeypatch, tmp_path, threads):
-    """The matrix's file has no name in the temporary directory, and is
-    gone once the matrix is."""
+@pytest.mark.parametrize("threads", [1, 2, "phylip"])
+def test_build_leaves_no_file_behind(monkeypatch, tmp_path_factory, tmp_path, threads):
+    """The matrix's file, built on one or two threads or read from
+    phylip, has no name in the temporary directory, and is gone once the
+    matrix is."""
     import gc
     import tempfile
 
+    phy = tmp_path_factory.mktemp("phylip") / "m.phy"
+    phy.write_text("3\na 0 0.5 1\nb 0.5 0 1\nc 1 1 0\n")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     aln = parse_fasta(">a\nACGT\n>b\nACGA\n>c\nNNNN\n")
     opened = len(os.listdir("/proc/self/fd"))
-    dm = build_distance_matrix(aln, MatrixKind.K80, cap=1.0, threads=threads)
+    if threads == "phylip":
+        dm = read_matrix_phylip(phy)
+    else:
+        dm = build_distance_matrix(aln, MatrixKind.K80, cap=1.0, threads=threads)
     assert condensed(dm)[1:].tolist() == [1.0, 1.0]  # a and b against all-N c
     assert list(tmp_path.iterdir()) == []
     del dm
@@ -434,15 +439,15 @@ def test_values_within_matches_get_loop(idx):
     does."""
     n = 14
     vals = np.random.default_rng(5).random(n * (n - 1) // 2)
-    dm = DistanceMatrix([f"t{k}" for k in range(n)], vals, MatrixKind.P_DISTANCE)
+    dm = condensed_dm([f"t{k}" for k in range(n)], vals)
     block = dm.block_reader([dm.ids[k] for k in idx])(0, len(idx), 0, len(idx))
     assert block.tobytes() == dense(dm)[np.ix_(idx, idx)].tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 17])
-def test_square_conversions_match_triu_reference(n):
-    """The reader's whole square, and the triangle of a square's upper
-    rows, match a triu reference bit for bit, NaN included."""
+def test_square_conversions_match_triu_reference(tmp_path, n):
+    """The reader's whole square, and the triangle written from a square's
+    upper rows, match a triu reference bit for bit, NaN included."""
     rng = np.random.default_rng(n)
     ids = [f"t{k}" for k in range(n)]
     vals = rng.random(n * (n - 1) // 2)
@@ -451,39 +456,20 @@ def test_square_conversions_match_triu_reference(n):
     ref = np.zeros((n, n))
     ref[iu] = vals
     ref.T[iu] = vals
-    sq = DistanceMatrix(ids, vals, MatrixKind.P_DISTANCE).block_reader(ids)(0, n, 0, n)
+    sq = condensed_dm(ids, vals).block_reader(ids)(0, n, 0, n)
     assert sq.dtype == np.float64
     assert np.array_equal(sq, ref, equal_nan=True)
     # the upper rows leave the diagonal and the lower triangle unread
     noisy = ref.copy()
     noisy[np.tril_indices(n)] = -7.0
     rows = (row[i + 1 :] for i, row in enumerate(noisy))
-    back = DistanceMatrix.from_upper_rows(ids, rows, MatrixKind.K80)
+    write_binary_rows(ids, rows, tmp_path / "m.bin")
+    back = read_matrix_binary(tmp_path / "m.bin", MatrixKind.K80)
     assert back.ids == ids and back.kind is MatrixKind.K80
-    assert back.values.dtype == np.float64
-    assert back.values.tobytes() == ref[iu].tobytes()
+    assert condensed(back).tobytes() == ref[iu].tobytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5])
-def test_from_upper_rows_inverts_upper_rows(n):
-    rng = np.random.default_rng(53 + n)
-    ids = [f"t{k}" for k in range(n)]
-    vals = rng.random(n * (n - 1) // 2)
-    vals[rng.random(vals.shape) < 0.25] = np.nan
-    dm = DistanceMatrix(ids, vals, MatrixKind.PATRISTIC)
-    back = DistanceMatrix.from_upper_rows(ids, dm.upper_rows(), MatrixKind.PATRISTIC)
-    assert back.ids == ids and back.kind is MatrixKind.PATRISTIC
-    assert back.values.tobytes() == vals.tobytes()
-    # a trailing empty row is not read; a missing row is an error
-    rows = [*dm.upper_rows(), np.empty(0)]
-    again = DistanceMatrix.from_upper_rows(ids, rows, MatrixKind.PATRISTIC)
-    assert again.values.tobytes() == vals.tobytes()
-    if n > 1:
-        with pytest.raises(ValueError):
-            DistanceMatrix.from_upper_rows(ids, rows[:-2], MatrixKind.PATRISTIC)
-
-
-def test_upper_rows_of_the_read_square_invert_it_bit_for_bit():
+def test_upper_rows_of_the_read_square_invert_it_bit_for_bit(tmp_path):
     rng = np.random.default_rng(37)
     rows = [f">r{i}\n{_random_seq(rng, 60, 'ACGTN-')}\n" for i in range(25)]
     rows.append(">blank\n" + "N" * 60 + "\n")  # NaN against everyone
@@ -493,8 +479,9 @@ def test_upper_rows_of_the_read_square_invert_it_bit_for_bit():
         assert dm.num_undefined() > 0
         sq = dm.block_reader(dm.ids)(0, dm.n, 0, dm.n)
         rows = (row[i + 1 :] for i, row in enumerate(sq))
-        back = DistanceMatrix.from_upper_rows(dm.ids, rows, kind)
-        assert back.values.tobytes() == condensed(dm).tobytes()
+        write_binary_rows(dm.ids, rows, tmp_path / "m.bin")
+        back = read_matrix_binary(tmp_path / "m.bin", kind)
+        assert condensed(back).tobytes() == condensed(dm).tobytes()
 
 
 @pytest.mark.parametrize("permuted", [False, True])
@@ -508,7 +495,7 @@ def test_block_reader_matches_dense(permuted):
     assert n * n > distance.BLOCK_PAIRS
     vals = rng.random(n * (n - 1) // 2)
     vals[rng.random(vals.shape) < 0.02] = np.nan
-    dm = DistanceMatrix([f"t{k}" for k in range(n)], vals, MatrixKind.PATRISTIC)
+    dm = condensed_dm([f"t{k}" for k in range(n)], vals, MatrixKind.PATRISTIC)
     order = rng.permutation(n) if permuted else np.arange(n)
     read = dm.block_reader([dm.ids[k] for k in order])
     sq = dense(dm)[np.ix_(order, order)]
@@ -529,8 +516,7 @@ def test_block_reader_matches_dense(permuted):
 
 
 def _cocluster(n, vals):
-    return DistanceMatrix([f"t{k}" for k in range(n)], np.asarray(vals, float),
-                          MatrixKind.COCLUSTER)
+    return condensed_dm([f"t{k}" for k in range(n)], vals, MatrixKind.COCLUSTER)
 
 
 def _nonzero_pairs(tmp_path, n, vals):
@@ -621,16 +607,21 @@ def test_p_blocks_bit_equal_matrix(reader, r0, r1, c0, c1):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 17, 64])
 def test_strips_tile_the_dense_square(tmp_path, monkeypatch, n, block):
     """Strips, whatever their height, cover rows 0..n-1 in order and equal
-    the dense square bit for bit, NaN included, from memory and from a
-    .bin file alike."""
+    the dense square bit for bit, NaN included, from a phylip read and
+    from the .bin file written from it alike."""
     monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
     rng = np.random.default_rng(7 * n + block)
     vals = rng.random(n * (n - 1) // 2)
     vals[rng.random(vals.shape) < 0.2] = np.nan
-    held = DistanceMatrix([f"t{k}" for k in range(n)], vals, MatrixKind.P_DISTANCE)
+    ids = [f"t{k}" for k in range(n)]
+    write_matrix_phylip(condensed_dm(ids, vals), tmp_path / "m.phy")
+    held = read_matrix_phylip(tmp_path / "m.phy")
+    assert np.allclose(condensed(held), vals, rtol=1e-9, atol=0, equal_nan=True)
     write_matrix_binary(held, tmp_path / "m.bin")
+    back = read_matrix_binary(tmp_path / "m.bin")
+    assert condensed(back).tobytes() == condensed(held).tobytes()
     want = dense(held)
-    for dm in (held, read_matrix_binary(tmp_path / "m.bin")):
+    for dm in (held, back):
         got = [(a, strip.copy()) for a, strip in dm.strips()]
         assert [a for a, _ in got] == list(range(0, n, len(got[0][1]) if got else 1))
         square = np.concatenate([strip for _, strip in got]) if got else np.zeros((0, 0))
@@ -641,12 +632,12 @@ def test_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(31)
     vals = rng.random(10 * 9 // 2)
     vals[3] = np.nan
-    dm = DistanceMatrix([f"s{i}" for i in range(10)], vals, MatrixKind.K80)
+    dm = condensed_dm([f"s{i}" for i in range(10)], vals, MatrixKind.K80)
     path = tmp_path / "m.bin"
     write_matrix_binary(dm, path)
     back = read_matrix_binary(path, MatrixKind.K80)
     assert back.ids == dm.ids
-    assert condensed(back).tobytes() == dm.values.tobytes()
+    assert condensed(back).tobytes() == vals.tobytes()
 
 
 def test_binary_copy_onto_its_own_file_keeps_it(tmp_path):
@@ -689,7 +680,8 @@ def test_binary_rows_writer_matches_matrix_writer(tmp_path, n):
     dm = _cocluster(n, np.random.default_rng(n).random(n * (n - 1) // 2))
     write_matrix_binary(dm, tmp_path / "a.bin")
     # rows past n - 2 are not read
-    write_binary_rows(dm.ids, [*dm.upper_rows(), np.ones(3)], tmp_path / "b.bin")
+    rows = [row[i + 1 :] for i, row in enumerate(dense(dm))]
+    write_binary_rows(dm.ids, [*rows, np.ones(3)], tmp_path / "b.bin")
     for suffix in ("bin", "bin.ids"):
         a, b = (tmp_path / f"{k}.{suffix}" for k in "ab")
         assert a.read_bytes() == b.read_bytes(), suffix
@@ -703,16 +695,32 @@ def test_binary_rows_writer_rejects_short_rows(tmp_path):
 def test_phylip_roundtrip(tmp_path):
     rng = np.random.default_rng(37)
     vals = rng.random(6 * 5 // 2)
-    dm = DistanceMatrix([f"s{i}" for i in range(6)], vals, MatrixKind.P_DISTANCE)
+    dm = condensed_dm([f"s{i}" for i in range(6)], vals)
     path = tmp_path / "m.phy"
     write_matrix_phylip(dm, path)
     back = read_matrix_phylip(path)
     assert back.ids == dm.ids
-    assert np.allclose(back.values, dm.values, atol=1e-9)
+    assert np.allclose(condensed(back), vals, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "text, ids, square",
+    [("0\n", [], np.zeros((0, 0))), ("1\n\nx  0\n", ["x"], np.zeros((1, 1)))],
+    ids=["count-0", "count-1"],
+)
+def test_phylip_of_no_pair_reads_empty(tmp_path, text, ids, square):
+    """A count line of 0, or of 1 and its one row, reads as a matrix with
+    no pair."""
+    path = tmp_path / "m.phy"
+    path.write_text(text)
+    dm = read_matrix_phylip(path)
+    assert dm.ids == ids and condensed(dm).size == 0 and dm.num_undefined() == 0
+    assert dm.block_reader(ids)(0, len(ids), 0, len(ids)).tobytes() == square.tobytes()
+    assert [strip.tolist() for _, strip in dm.strips()] == [square.tolist()] * len(ids)
 
 
 def _write_bin(tmp_path):
-    dm = DistanceMatrix(["a", "b", "c"], np.array([0.1, 0.2, 0.3]), MatrixKind.P_DISTANCE)
+    dm = condensed_dm(["a", "b", "c"], [0.1, 0.2, 0.3])
     path = tmp_path / "m.bin"
     write_matrix_binary(dm, path)
     return path

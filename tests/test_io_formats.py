@@ -67,6 +67,19 @@ def test_parse_fasta_illegal_character():
     assert (err.value.char, err.value.ident, err.value.site) == ("X", "b", 8)
 
 
+def test_load_fasta_breaks_lines_as_parse_fasta(tmp_path):
+    """Read from a file a line at a time, FASTA splits at every line break
+    str.splitlines knows, as parse_fasta does on the whole text."""
+    from phyloclust.io_formats import load_fasta
+
+    text = ">a x\r\nAC\x0bGT\r>b\x1cACGA\x85\n>c\fAA\u2028TT\n"
+    path = tmp_path / "odd.fasta"
+    path.write_text(text, newline="")
+    records = [(r.id, r.residues) for r in load_fasta(path).records]
+    assert records == [(r.id, r.residues) for r in parse_fasta(text).records]
+    assert records == [("a", "ACGT"), ("b", "ACGA"), ("c", "AATT")]
+
+
 def test_fasta_roundtrip_cohort_scale():
     """A full-size synthetic alignment survives parse/serialize unchanged."""
     cfg = SimConfig(cluster_sizes=(3707,), seq_length=918, rng_seed=42)

@@ -17,14 +17,14 @@ from hypothesis.extra.numpy import arrays
 from phyloclust import newick_string, parse_newick, parse_newick_list
 from phyloclust.cli import _PRESETS
 from phyloclust.distance import (
-    DistanceMatrix, MatrixKind, read_matrix_binary, read_matrix_phylip,
+    MatrixKind, read_matrix_binary, read_matrix_phylip,
     read_nonzero_pairs_binary, write_matrix_binary,
 )
 from phyloclust.errors import DataError
 from phyloclust.io_formats import fasta_string, parse_fasta
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
-from conftest import condensed
+from conftest import condensed, condensed_dm
 
 VALID = (
     "((a:0.1,b:0.2)90:0.05,c:0.3);",
@@ -174,7 +174,7 @@ def test_mutated_binary_matrix_reads_or_raises_data_error(matrix_path, sidecar, 
     sidecar, reads or raises a DataError; both readers agree on a file
     that read_matrix_binary takes."""
     values = np.array([0.0, 0.5, np.nan, 1.0, 0.0, 0.25])
-    matrix = DistanceMatrix(["a", "bb", "c", "d"], values, MatrixKind.COCLUSTER)
+    matrix = condensed_dm(["a", "bb", "c", "d"], values, MatrixKind.COCLUSTER)
     write_matrix_binary(matrix, matrix_path)
     target = matrix_path.with_name("m.bin.ids") if sidecar else matrix_path
     original = target.read_bytes()
@@ -193,13 +193,14 @@ def test_mutated_binary_matrix_reads_or_raises_data_error(matrix_path, sidecar, 
 def test_binary_matrix_reads_back_bit_for_bit(matrix_path, n, data):
     """Any float64 values, over ids drawn from the characters an id may hold."""
     ids = st.text("abz019_.-|", min_size=1, max_size=6)
-    dm = DistanceMatrix(
+    values = data.draw(arrays(np.float64, n * (n - 1) // 2))
+    dm = condensed_dm(
         data.draw(st.lists(ids, min_size=n, max_size=n, unique=True)),
-        data.draw(arrays(np.float64, n * (n - 1) // 2)),
+        values,
         MatrixKind.K80,
     )
     write_matrix_binary(dm, matrix_path)
     back = read_matrix_binary(matrix_path, MatrixKind.K80)
-    assert back.ids == dm.ids and condensed(back).tobytes() == dm.values.tobytes()
+    assert back.ids == dm.ids and condensed(back).tobytes() == values.tobytes()
     ids, _, _, w = read_nonzero_pairs_binary(matrix_path)
-    assert ids == dm.ids and w.tobytes() == dm.values[dm.values != 0].tobytes()
+    assert ids == dm.ids and w.tobytes() == values[values != 0].tobytes()

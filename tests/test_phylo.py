@@ -14,7 +14,7 @@ from phyloclust.phylo import (
 )
 from phyloclust.simulate import SimConfig, simulate_tree
 
-from conftest import decorate_tree, dense
+from conftest import decorate_tree, dense, patristic_dm
 
 
 def _naive_patristic(tree, a, b):
@@ -54,20 +54,18 @@ def test_traversal_orders():
 
 def test_patristic_cherry():
     tree = parse_newick("(a:0.1,b:0.2);")
-    dm = patristic_matrix(tree)
-    assert dm.values.tolist() == [pytest.approx(0.3)]
+    assert patristic_matrix(tree).tolist() == [pytest.approx(0.3)]
 
 
 def test_patristic_zero_star():
     tree = parse_newick("(a:0,b:0,c:0,d:0);")
-    dm = patristic_matrix(tree)
-    assert np.all(dm.values == 0.0)
+    assert np.all(patristic_matrix(tree) == 0.0)
 
 
 def test_patristic_matches_naive_walk():
     for seed in range(8):
         tree, _ = simulate_tree(SimConfig(cluster_sizes=(9, 5, 2), rng_seed=seed))
-        dm = patristic_matrix(tree)
+        dm = patristic_dm(tree)
         labels, sq = dm.ids, dense(dm)
         for i, j in itertools.combinations(range(len(labels)), 2):
             expect = _naive_patristic(tree, labels[i], labels[j])
@@ -78,7 +76,7 @@ def test_patristic_matches_naive_walk_through_unary_nodes():
     for seed in range(4):
         tree, _ = simulate_tree(SimConfig(cluster_sizes=(6, 4, 3), rng_seed=seed))
         decorate_tree(tree, np.random.default_rng(seed), unary_rate=0.3)
-        dm = patristic_matrix(tree)
+        dm = patristic_dm(tree)
         sq = dense(dm)
         for i, j in itertools.combinations(range(dm.n), 2):
             expect = _naive_patristic(tree, dm.ids[i], dm.ids[j])
@@ -87,7 +85,7 @@ def test_patristic_matches_naive_walk_through_unary_nodes():
 
 def test_patristic_metric_properties():
     tree, _ = simulate_tree(SimConfig(cluster_sizes=(12,), rng_seed=4))
-    sq = dense(patristic_matrix(tree))
+    sq = dense(patristic_dm(tree))
     assert np.array_equal(sq, sq.T)
     assert np.all(np.diag(sq) == 0.0)
     n = sq.shape[0]

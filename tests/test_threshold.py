@@ -9,7 +9,6 @@ import pytest
 
 from phyloclust import (
     Alignment,
-    DistanceMatrix,
     MatrixKind,
     SequenceRecord,
     build_distance_matrix,
@@ -18,7 +17,6 @@ from phyloclust import (
 )
 from phyloclust import distance
 from phyloclust.errors import MissingSequence, UnannotatedSupport
-from phyloclust.phylo import patristic_matrix
 from phyloclust.threshold import (
     ClusterCriteria,
     Statistic,
@@ -27,7 +25,14 @@ from phyloclust.threshold import (
 )
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
-from conftest import condensed, decorate_tree, dense, square_dm
+from conftest import (
+    condensed,
+    condensed_dm,
+    decorate_tree,
+    dense,
+    patristic_dm,
+    square_dm,
+)
 
 TWO_CHERRIES = "((a:0.005,b:0.005)1.0:0.15,(c:0.005,d:0.005)1.0:0.15);"
 
@@ -122,7 +127,7 @@ def test_patristic_statistic_rejects_a_matrix(statistic):
     tree = parse_newick(TWO_CHERRIES)
     with pytest.raises(ValueError):
         threshold_cluster(
-            tree, patristic_matrix(tree), ClusterCriteria(0.70, 0.05, statistic)
+            tree, patristic_dm(tree), ClusterCriteria(0.70, 0.05, statistic)
         )
 
 
@@ -256,9 +261,9 @@ def _clusters(part):
 
 
 def _with_nans(dm, rng, rate):
-    vals = dm.values.copy()
+    vals = condensed(dm)
     vals[rng.random(vals.size) < rate] = np.nan
-    return DistanceMatrix(dm.ids, vals, dm.kind)
+    return condensed_dm(dm.ids, vals, dm.kind)
 
 
 @pytest.mark.filterwarnings("error")
@@ -292,7 +297,7 @@ def test_threshold_matches_pair_list_oracle(seed, monkeypatch):
     p = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
     order = rng.permutation(p.n)
     shuffled = square_dm([p.ids[k] for k in order], dense(p)[np.ix_(order, order)])
-    pat = patristic_matrix(tree)
+    pat = patristic_dm(tree)
     blank = dict(zip(rng.choice(p.ids, 2, replace=False).tolist(), "N-"))
     holed = Alignment(
         [
