@@ -184,6 +184,8 @@ def _cmd_dist(args) -> None:
     from .io_formats import load_fasta
 
     started = time.monotonic()
+    if args.cap is not None and not args.cap >= 0:  # NaN fails too
+        raise _UsageError(f"--cap must be a distance of 0 or more, got {args.cap}")
     alignment = load_fasta(args.align)
     kind = MatrixKind.P_DISTANCE if args.kind == "p" else MatrixKind.K80
     dm = build_distance_matrix(

@@ -4,8 +4,8 @@ Two alignment-based distances are provided: the proportion of differing
 sites (p) and the two-parameter transition/transversion correction (K80).
 Both use pairwise deletion: a site counts for a pair only when both
 sequences hold a plain A/C/G/T there.  Both derive from one set of pair
-counts (compared sites, mismatches, transitions), which a single
-bit-packed kernel produces for the whole triangle or for one block.
+counts (compared sites, mismatches, transitions), which one kernel over
+bit-planes packed from the alignment gives for the triangle or a block.
 
 A matrix is stored condensed (upper triangle, row major) in a file in
 write_matrix_binary's layout: an unnamed temporary file for a built
@@ -63,14 +63,6 @@ class MatrixKind(enum.Enum):
     COCLUSTER = "cocluster"
 
 
-def encode_alignment(alignment: "Alignment") -> np.ndarray:
-    """Stack an alignment into an (n, sites) uint8 code matrix, 255 for
-    non-ACGT symbols."""
-    rows = (r.residues.encode("ascii") for r in alignment.records)
-    # row by row, then one stack: one joined buffer cost dist 2 MB of peak RSS
-    return np.vstack([_CODE[np.frombuffer(row, dtype=np.uint8)] for row in rows])
-
-
 # Pair counts come from three bit-planes per sequence, 64 sites to a
 # uint64 word: valid (a plain A/C/G/T), bit 0 and bit 1 of the residue
 # code.  For a pair, with v = va & vb, x0 = a0 ^ b0 and x1 = a1 ^ b1:
@@ -80,23 +72,25 @@ def encode_alignment(alignment: "Alignment") -> np.ndarray:
 # Padding bits past the last site are not valid, so they never count.
 
 
-def _pack_planes(codes: np.ndarray) -> np.ndarray:
-    """Pack (n, sites) residue codes into (3, words, n) uint64 bit-planes.
+def _pack_planes(alignment: "Alignment") -> np.ndarray:
+    """Pack an alignment's residues into (3, words, n) uint64 bit-planes.
 
     The planes are valid, code bit 0 and code bit 1.  Words run along the
     middle axis, so the rows after any one sequence are a slice whose
-    inner axis is long.  One plane's (n, sites) mask exists at a time.
+    inner axis is long.  Each row_chunk of about BLOCK_PAIRS residues is
+    joined, coded and packed one mask at a time: no (n, sites) array.
     """
-    n, sites = codes.shape
+    n, sites = alignment.n, alignment.sites
     words = -(-sites // 64)
-    nbytes = -(-sites // 8)
-    padded = np.zeros((n, words * 8), dtype=np.uint8)  # tail bytes stay zero
     out = np.empty((3, words, n), dtype=np.uint64)
-    for k in range(3):
-        mask = codes != 255 if k == 0 else codes & k  # valid, bit 0, bit 1
-        padded[:, :nbytes] = np.packbits(mask, axis=-1, bitorder="little")
-        del mask
-        out[k] = padded.view(np.uint64).T
+    for a, b in row_chunks(0, n, max(sites, 1)):
+        joined = "".join(r.residues for r in alignment.records[a:b]).encode("ascii")
+        codes = _CODE[np.frombuffer(joined, dtype=np.uint8)].reshape(b - a, sites)
+        padded = np.zeros((b - a, words * 8), dtype=np.uint8)  # tail bytes stay zero
+        for k in range(3):
+            mask = codes != 255 if k == 0 else codes & k  # valid, bit 0, bit 1
+            padded[:, : -(-sites // 8)] = np.packbits(mask, axis=-1, bitorder="little")
+            out[k, :, a:b] = padded.view(np.uint64).T
     return out
 
 
@@ -204,14 +198,14 @@ def _k80_values(
 
 
 def _row_runs(n: int, workers: int) -> list[tuple[int, int, int, int]]:
-    # Contiguous row runs (r0, r1, lo, hi) of about BLOCK_PAIRS pairs each,
-    # and at least workers of them; rows r0..r1-1 hold the condensed
-    # pairs lo..hi-1.  Each cut is the first row at or past an even share
-    # of the pairs, moved so that every run keeps at least one row.
+    # Contiguous row runs (r0, r1, lo, hi), about n / 2 of one row's pairs
+    # each and at least workers; rows r0..r1-1 hold the condensed pairs
+    # lo..hi-1.  Each cut is the first row at or past an even share of
+    # the pairs, moved so that every run keeps at least one row.
     rows = np.arange(n)
     starts = (_row_shift(n, rows) + rows + 1).tolist()
     total = starts[-1]
-    runs = min(n - 1, max(workers, -(-total // BLOCK_PAIRS)))
+    runs = min(n - 1, max(workers, -(-n // 2)))
     cuts = [0]
     for k in range(1, runs):
         r = bisect.bisect_left(starts, total * k // runs)
@@ -262,16 +256,18 @@ def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
         view, offset = view[done:], offset + done
 
 
-def p_block_reader(codes: np.ndarray) -> Callable[[int, int, int, int], np.ndarray]:
+def p_block_reader(
+    alignment: "Alignment",
+) -> Callable[[int, int, int, int], np.ndarray]:
     """p-distances between two runs of an alignment's sequences, on demand.
 
-    codes is an (n, sites) matrix from encode_alignment.  The returned
-    read(r0, r1, c0, c1) gives the (r1 - r0, c1 - c0) block of sequences
-    r0..r1-1 against c0..c1-1, with NaN where a pair compares no site;
-    each value is bit-identical to build_distance_matrix's.  It calls the
-    pair-count kernel once per sequence of the block's smaller side.
+    The alignment is held as its bit-planes.  The returned read(r0, r1,
+    c0, c1) gives the (r1 - r0, c1 - c0) block of sequences r0..r1-1
+    against c0..c1-1, with NaN where a pair compares no site; each value
+    is bit-identical to build_distance_matrix's.  It calls the pair-count
+    kernel once per sequence of the block's smaller side.
     """
-    planes = _pack_planes(codes)
+    planes = _pack_planes(alignment)
     work, pop = _scratch(planes)
 
     def read(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
@@ -292,8 +288,8 @@ def condensed_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
-# Pairs per block read, and per run of build_distance_matrix: either takes
-# a few arrays of that many numbers.
+# Pairs per block read, strip and binary stream, and residues per chunk
+# of bit-plane packing: each takes a few arrays of that many numbers.
 BLOCK_PAIRS = 65_536
 
 
@@ -474,18 +470,18 @@ def build_distance_matrix(
 
     cap=None leaves undefined pairs as NaN; a float replaces them with that
     value and logs how many it replaced.  The rows are counted and
-    transformed in runs of about BLOCK_PAIRS pairs, each written as it is
+    transformed in runs of about one row's pairs, each written as it is
     done into an unnamed temporary file (under TMPDIR) in
     write_matrix_binary's layout, which the matrix then reads; the file
     is gone once the matrix is.  threads spreads the runs over a pool of
-    at most min(threads, cores, n - 1) workers, and results are identical
-    for any thread count.
+    at most min(threads, cores, n - 1) workers, each holding a kernel
+    scratch and one run's values; results are identical for any count.
     """
     if kind is MatrixKind.PATRISTIC:
         raise ValueError("patristic matrices are built from a tree")
     if len(alignment.records) < 2:
         raise EmptyInput("need at least two sequences")
-    planes = _pack_planes(encode_alignment(alignment))
+    planes = _pack_planes(alignment)
     n = planes.shape[2]
     dm = DistanceMatrix([r.id for r in alignment.records], _matrix_file(n), kind)
     workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))

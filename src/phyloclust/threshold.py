@@ -12,10 +12,11 @@ one postorder pass per grid, which reads each pair once, at its tips'
 lowest common ancestor, as a block between one child's tips and its
 earlier siblings'.
 The blocks are read in row chunks: for max-p, a matrix's block_reader
-gathers them from its condensed triangle and an alignment's
-p_block_reader computes them on demand; a patristic block sums the
-tips' path lengths, lifted up the tree as the pass goes.  The maximum
-statistics read a clade's blocks only when all its children pass and
+gathers them from its condensed triangle and p_block_reader computes
+them on demand from the bit-planes of the tips' sequences, packed from
+the alignment in label order; a patristic block sums the tips' path
+lengths, lifted up the tree as the pass goes.  The maximum statistics
+read a clade's blocks only when all its children pass and
 stop at the first block that fails: from an alignment they compute only
 those pairs.  A median passes at once when the diameter does; otherwise
 the count settles it, and the median itself is computed only when the
@@ -32,7 +33,6 @@ import numpy as np
 from .distance import (
     DistanceMatrix,
     MatrixKind,
-    encode_alignment,
     p_block_reader,
     row_chunks,
 )
@@ -215,7 +215,7 @@ def _block_reader(
         for lab in labels:
             if lab not in source:
                 raise MissingSequence(lab)
-        return p_block_reader(encode_alignment(source.subset(labels)))
+        return p_block_reader(source.subset(labels))
     if not isinstance(source, DistanceMatrix):
         raise MissingSequence(labels[0])  # no sequences at all
     if source.kind is not MatrixKind.P_DISTANCE:

@@ -56,11 +56,11 @@ def cocluster_fraction(partitions, ids):
     return condensed_dm(ids, np.concatenate(rows), MatrixKind.COCLUSTER)
 
 
-def pair_counts(codes):
+def pair_counts(alignment):
     """The library kernel's compared, mismatched and transition site counts
-    of every pair of encode_alignment codes, in condensed order."""
-    n = codes.shape[0]
-    planes = distance._pack_planes(codes)
+    of every pair of an alignment's sequences, in condensed order."""
+    n = alignment.n
+    planes = distance._pack_planes(alignment)
     counts = np.empty((3, n * (n - 1) // 2), dtype=np.int32)
     distance._count_rows(planes, 0, n - 1, *distance._scratch(planes), counts)
     counts[2] = counts[1] - counts[2]  # the kernel counts transversions

@@ -100,6 +100,28 @@ def test_dist_binary_roundtrip(cohort, tmp_path):
     assert (tmp_path / "dm.bin.ids").exists()
 
 
+@pytest.mark.parametrize("cap", ["nan", "-1", "-inf", "0", "inf"])
+def test_dist_cap_must_be_a_distance(tmp_path, capsys, cap):
+    """A NaN or negative --cap is a usage error that writes nothing; 0 and
+    inf are distances, and replace the undefined pair."""
+    aln = tmp_path / "a.fasta"
+    aln.write_text(">a\nACGT\n>b\nACGA\n>c\nNNNN\n")
+    out = tmp_path / "out" / "dm.bin"
+    out.parent.mkdir()
+    rc = main(["dist", "--align", str(aln), "--kind", "k80", "--binary",
+               f"--cap={cap}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if float(cap) >= 0:
+        assert rc == 0
+        values = condensed(read_matrix_binary(out, MatrixKind.K80))
+        assert values[1:].tolist() == [float(cap)] * 2
+    else:
+        assert rc == 2
+        assert err.startswith("usage error:") and "--cap" in err.splitlines()[0]
+        assert not any(out.parent.iterdir())
+
+
 def test_cluster_patristic_cutpoints(cohort, tmp_path):
     out = tmp_path / "part.csv"
     rc = main(
@@ -661,11 +683,12 @@ def big_cohort(tmp_path_factory):
 # square's 8, of which the condensed triangle takes 4.  Every matrix
 # lives in a file, which max-p reads in blocks and gap and the phylip
 # writer in strips, and compare writes its triangle a row at a time, so
-# these commands stay under 4 on top of what they hold; a build's run
-# buffers grow with its workers, so the builds run on two.  A phylip
-# read writes each row to its file as it reads it, so it holds what a
-# .bin read holds.  The patristic commands sum path lengths from the
-# tree and stay under the triangle itself.
+# these commands stay under 4 on top of what they hold.  A build holds
+# the alignment, its bit-planes, and per worker one kernel scratch and
+# one run of about a row's values, so the builds, run on two workers,
+# stay under 2.5.  A phylip read writes each row to its file as it reads
+# it, so it holds what a .bin read holds.  The patristic commands sum
+# path lengths from the tree and stay under the triangle itself.
 _MATRIX_COMMANDS = {
     "gap-bin": ("cluster --method gap --matrix {d}/p.bin", 3),
     "gap-phy": ("cluster --method gap --matrix {d}/p.phy", 3),
@@ -685,12 +708,12 @@ _MATRIX_COMMANDS = {
         "sweep --tree {d}/tree.nwk --ref {d}/planted.csv --align {d}/alignment.fasta",
         8,
     ),
-    "gap-align": ("--threads 2 cluster --method gap --align {d}/alignment.fasta", 4),
-    "dist-phylip": ("--threads 2 dist --align {d}/alignment.fasta", 4),
-    "dist-binary": ("--threads 2 dist --align {d}/alignment.fasta --binary", 4),
+    "gap-align": ("--threads 2 cluster --method gap --align {d}/alignment.fasta", 2.5),
+    "dist-phylip": ("--threads 2 dist --align {d}/alignment.fasta", 2.5),
+    "dist-binary": ("--threads 2 dist --align {d}/alignment.fasta --binary", 2.5),
     "dist-binary-k80-cap": (
         "--threads 2 dist --align {d}/alignment.fasta --kind k80 --binary --cap 1.0",
-        6.5,
+        2.5,
     ),
     "compare": (
         "compare --partitions {d}/planted.csv {d}/mcmc.csv {d}/chain/map_partition.csv",

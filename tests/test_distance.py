@@ -18,7 +18,6 @@ from phyloclust import (
 )
 from phyloclust import distance
 from phyloclust.distance import (
-    encode_alignment,
     read_matrix_binary,
     read_matrix_phylip,
     read_nonzero_pairs_binary,
@@ -34,7 +33,7 @@ from conftest import condensed, condensed_dm, dense, pair_counts
 def kernel_counts(*seqs):
     """pair_counts of seqs, pairs in condensed order."""
     aln = Alignment([SequenceRecord(f"s{i}", s) for i, s in enumerate(seqs)])
-    return pair_counts(encode_alignment(aln))
+    return pair_counts(aln)
 
 
 # Single-pair reference distances over the kernel's counts; the matrix
@@ -129,41 +128,67 @@ def _oracle_counts(x, y):
 
 
 def _random_codes(n, sites, seed):
-    """Residue codes as encode_alignment makes them: 0-3 for A, C, G, T and
-    255 for anything else."""
+    """Residue codes: 0-3 for A, C, G, T and 255 for anything else."""
     codes = np.array([0, 1, 2, 3, 255], dtype=np.uint8)
     return np.random.default_rng(seed).choice(codes, size=(n, sites))
 
 
-@pytest.mark.parametrize("sites", [1, 7, 8, 9, 63, 64, 65, 129])
-def test_pack_planes_equals_stacked_packbits(sites):
-    """The planes equal the three (n, sites) masks stacked and packed at
-    once, the padding bits past the last site included."""
-    codes = _random_codes(11, sites, sites)
+def _coded_alignment(codes):
+    """The alignment whose residues have the codes: A, C, G, T, and N for
+    255."""
+    letters = np.full(256, ord("N"), dtype=np.uint8)
+    letters[:4] = np.frombuffer(b"ACGT", dtype=np.uint8)
+    rows = (row.tobytes().decode() for row in letters[codes])
+    return Alignment([SequenceRecord(f"s{i}", row) for i, row in enumerate(rows)])
+
+
+def _stacked_planes(codes):
+    """The three (n, sites) masks of codes stacked and packed at once, the
+    padding bits past the last site zero: the planes _pack_planes makes."""
+    n, sites = codes.shape
     words = -(-sites // 64)
     bits = np.packbits(
         np.stack([codes != 255, codes & 1, codes & 2]), axis=-1, bitorder="little"
     )
-    padded = np.zeros((3, 11, words * 8), dtype=np.uint8)
+    padded = np.zeros((3, n, words * 8), dtype=np.uint8)
     padded[:, :, : bits.shape[2]] = bits
-    want = padded.view(np.uint64).transpose(0, 2, 1)
-    got = distance._pack_planes(codes)
+    return padded.view(np.uint64).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("sites", [1, 7, 8, 9, 63, 64, 65, 129])
+def test_pack_planes_equals_stacked_packbits(sites):
+    """The planes of an alignment equal its codes' three masks stacked and
+    packed at once, the padding bits past the last site included."""
+    codes = _random_codes(11, sites, sites)
+    got = distance._pack_planes(_coded_alignment(codes))
     assert got.dtype == np.uint64 and got.flags.c_contiguous
-    assert got.shape == (3, words, 11) and np.array_equal(got, want)
+    assert got.shape == (3, -(-sites // 64), 11)
+    assert np.array_equal(got, _stacked_planes(codes))
+
+
+def test_pack_planes_in_chunks_equals_stacked_packbits(monkeypatch):
+    """Packed three rows to a chunk, the last chunk short, the planes of
+    an alignment equal the stacked reference."""
+    monkeypatch.setattr(distance, "BLOCK_PAIRS", 3 * 65)
+    codes = _random_codes(11, 65, 3)
+    assert list(distance.row_chunks(0, 11, 65)) == [(0, 3), (3, 6), (6, 9), (9, 11)]
+    got = distance._pack_planes(_coded_alignment(codes))
+    assert np.array_equal(got, _stacked_planes(codes))
 
 
 def test_pack_planes_holds_one_plane_mask():
-    """Packing paper-scale codes (3,704 x 918) peaks at or under 8 MB
-    traced; it measured 5.6 MB.  Stacking the three masks first peaked at
-    20.4 MB: the stack alone is 10.2 MB."""
-    codes = _random_codes(3704, 918, 0)
+    """Packing a paper-scale alignment (3,704 x 918) peaks at or under
+    3 MB traced, 1.33 MB of which are the planes: one chunk of rows is
+    coded and masked at a time.  Coding the whole alignment into an
+    (n, sites) matrix first, and packing that, peaked at 9.0 MB."""
+    aln = _coded_alignment(_random_codes(3704, 918, 0))
     tracemalloc.start()
     try:
-        distance._pack_planes(codes)
+        distance._pack_planes(aln)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8_000_000, peak
+    assert peak <= 3_000_000, peak
 
 
 @pytest.mark.parametrize("sites", [1, 63, 64, 65, 129])
@@ -180,7 +205,7 @@ def test_pair_counts_match_site_oracle(sites, n, threads):
     oracle = np.array(
         [_oracle_counts(x, y) for x, y in itertools.combinations(seqs, 2)]
     ).T
-    assert np.array_equal(pair_counts(encode_alignment(aln)), oracle)
+    assert np.array_equal(pair_counts(aln), oracle)
 
     compared, mism, ts = oracle.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -225,11 +250,12 @@ def _whole_array_values(counts, kind):
 @pytest.mark.parametrize("block", [5, 100])
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
-    """Distances made run by run, in runs of one row (block 5) or of
-    several rows (block 100), on one, two or four threads switching
-    often, equal the whole-array transform of pair_counts bit for bit: NaN
-    of an all-N row, zeros of identical rows, and K80 pairs saturated at
-    w1 <= 0 and at w2 <= 0."""
+    """Distances made run by run, in runs of one row near the top of the
+    triangle and of several rows near its bottom, whatever BLOCK_PAIRS
+    is (5 or 100), on one, two or four threads switching often, equal the
+    whole-array transform of pair_counts bit for bit: NaN of an all-N
+    row, zeros of identical rows, and K80 pairs saturated at w1 <= 0 and
+    at w2 <= 0."""
     monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     rng = np.random.default_rng(block + threads)
@@ -247,9 +273,11 @@ def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
     seqs[22] = "C" * sites  # against A: Q = 1, w2 < 0
     seqs[23] = "A" * (sites // 2) + "G" * (sites // 2)  # against A: w1 = 0
     aln = parse_fasta("".join(f">r{i}\n{s}\n" for i, s in enumerate(seqs)))
-    assert len(distance._row_runs(len(seqs), threads)) >= 8
+    runs = distance._row_runs(len(seqs), threads)
+    assert len(runs) >= 8 and {r1 - r0 > 1 for r0, r1, _, _ in runs} == {False, True}
+    assert max(hi - lo for _, _, lo, hi in runs) < 2 * (len(seqs) - 1)
 
-    counts = pair_counts(encode_alignment(aln))
+    counts = pair_counts(aln)
     want = _whole_array_values(counts, kind)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -268,19 +296,21 @@ def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
 @pytest.mark.parametrize("block", [1, 7, 65_536])
 def test_row_runs_tile_the_triangle(monkeypatch, n, workers, block):
     """Runs cover rows 0..n-2 and the whole triangle in order, every run
-    holds a row, there are enough runs for every worker (as many as
-    n - 1 allows), and none is much larger than BLOCK_PAIRS."""
+    holds a row, and there are enough runs for every worker (as many as
+    n - 1 allows).  Whatever BLOCK_PAIRS is, the runs hold one row's
+    n - 1 pairs on average: about n / 2 of them, a single row at the top
+    of the triangle, and none as many as two rows' 2(n - 1)."""
     monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
     runs = distance._row_runs(n, workers)
-    assert len(runs) >= min(workers, n - 1)
+    assert len(runs) == max(min(workers, n - 1), -(-n // 2))
+    assert runs[0][:2] == (0, 1)
     assert runs[0][::2] == (0, 0) and runs[-1][1::2] == (n - 1, n * (n - 1) // 2)
     for (_, r1, _, hi), (r0, _, lo, _) in zip(runs, runs[1:]):
         assert (r1, hi) == (r0, lo)
     for r0, r1, lo, hi in runs:
         assert r0 < r1
         assert hi - lo == sum(n - 1 - i for i in range(r0, r1))
-        if r1 - r0 > 1:
-            assert hi - lo <= max(block, n * (n - 1) // 2 // len(runs)) + n
+        assert hi - lo < 2 * (n - 1)
 
 
 def test_compare_pair_empty_strings():
@@ -593,7 +623,7 @@ def test_p_blocks_bit_equal_matrix(reader, r0, r1, c0, c1):
     dm = build_distance_matrix(aln, MatrixKind.P_DISTANCE)
     sq = dense(dm)
     if reader == "p":
-        read = distance.p_block_reader(encode_alignment(aln))
+        read = distance.p_block_reader(aln)
     else:
         read = dm.block_reader(dm.ids)
     block = read(r0, r1, c0, c1)

@@ -1,7 +1,9 @@
-"""Property tests of the Newick, FASTA and distance-matrix readers.
+"""Property tests of the Newick, FASTA, partition, metadata and
+distance-matrix readers.
 
-Random edits of valid Newick, FASTA and phylip texts, and of binary
-matrix files and their id sidecars, must parse or raise a DataError,
+Random edits of valid Newick, FASTA, partition, metadata and phylip
+texts, and of binary matrix files and their id sidecars, must parse or
+raise a DataError,
 never another exception; the writers' output reads back to what was
 written; and a list of trees reads as its trees read one at a time.
 Every test is derandomized with a fixed example count, so a run is
@@ -21,7 +23,9 @@ from phyloclust.distance import (
     read_nonzero_pairs_binary, write_matrix_binary,
 )
 from phyloclust.errors import DataError
-from phyloclust.io_formats import fasta_string, parse_fasta
+from phyloclust.io_formats import (
+    fasta_string, parse_fasta, parse_metadata, parse_partition, partition_string,
+)
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
 from conftest import condensed, condensed_dm
@@ -45,6 +49,23 @@ VALID_FASTA = (
 # the header mark, whitespace, residues in both cases, gaps, and
 # characters that are not residues
 FASTA_ALPHABET = ">" + " \t\n\r" + "ACGTUNRYacgtun-." + "xz1?*"
+
+VALID_PARTITION = ("id,label\na,1\nb,1\nc,2\n",
+                   "ID , Label\n\ns1,c-1\ns2 , c,2\n", "id,label\nx,x\n")
+
+# the delimiter, whitespace, id and label characters
+PARTITION_ALPHABET = "," + " \t\n\r" + "abdeilx" + "12-_"
+
+VALID_METADATA = (
+    "id,collection_date,stage,risk_group\na,2017-03-01,PHI,MSM\n"
+    "b,2016-12-31,chronic_untreated,MSM\n",
+    "stage\tid\textra\tcollection_date\trisk_group\n"
+    "UNKNOWN\ts1\t\t2015-01-02\t\nCHRONIC_TREATED\ts2\tz\t2014-06-30\tIDU\n",
+)
+
+# the delimiters, whitespace, quotes, digits and date dashes, and the
+# letters of the column names and stage tokens
+METADATA_ALPHABET = ",\t" + " \n\r" + '"' + "0123456789-" + "_acdehiknoprstuPHI"
 
 VALID_PHYLIP = ("3\na  0 0.1 0.2\nb  0.1 0 nan\nc  0.2 nan 0\n",
                 "2\ns1  0 1e-05\ns2  1e-05 0\n", "1\nx  0\n")
@@ -152,6 +173,21 @@ def test_simulated_alignment_round_trips(preset, seed):
     cfg = SimConfig(cluster_sizes=_PRESETS[preset]["cluster_sizes"], rng_seed=seed)
     alignment = simulate_alignment(simulate_tree(cfg)[0], cfg)
     assert parse_fasta(fasta_string(alignment)).records == alignment.records
+
+
+@fixed(1500)
+@given(mutants(st.sampled_from(VALID_PARTITION), PARTITION_ALPHABET))
+def test_mutated_partition_parses_or_raises_data_error(text):
+    partition = _read_or_reject(parse_partition, text)
+    if partition is not None:
+        again = parse_partition(partition_string(partition))
+        assert again.assignment == partition.assignment
+
+
+@fixed(1500)
+@given(mutants(st.sampled_from(VALID_METADATA), METADATA_ALPHABET))
+def test_mutated_metadata_parses_or_raises_data_error(text):
+    _read_or_reject(parse_metadata, text)
 
 
 @pytest.fixture(scope="module")
