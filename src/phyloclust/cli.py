@@ -660,8 +660,11 @@ def main(argv: list[str] | None = None) -> int:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
                 raise ValueError("expected a JSON object of flag defaults")
-            if "func" in overrides:
-                raise ValueError("'func' is not a flag")
+            flags = {a.dest for p in (parser, *children) for a in p._actions}
+            flags -= {"help", "command", "config"}  # not flag defaults
+            unknown = sorted(set(overrides) - flags)
+            if unknown:
+                raise ValueError(f"{', '.join(map(repr, unknown))} names no flag")
         except (OSError, ValueError) as exc:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return 1

@@ -147,54 +147,31 @@ def _count_rows(
         lo = hi
 
 
-def _p_values(
-    compared: np.ndarray, mism: np.ndarray, out: np.ndarray, undefined: np.ndarray
-) -> np.ndarray:
-    # p = mism / compared into out, NaN where no site is compared.  0/0
-    # alone gives a NaN with its sign bit set, so NaN is written over it;
-    # undefined is bool scratch of out's shape.
+def _p_values(compared: np.ndarray, mism: np.ndarray) -> np.ndarray:
+    # mism / compared, NaN where no site is compared: 0/0 alone gives a
+    # NaN with its sign bit set, so NaN is written over it
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(mism, compared, out=out)
-    np.equal(compared, 0, out=undefined)
-    np.copyto(out, np.nan, where=undefined)
-    return out
+        vals = mism / compared
+    vals[compared == 0] = np.nan
+    return vals
 
 
-def _k80_values(
-    counts: np.ndarray,
-    out: np.ndarray,
-    w1: np.ndarray,
-    w2: np.ndarray,
-    bad: np.ndarray,
-) -> None:
-    # -0.5*ln(1-2P-Q) - 0.25*ln(1-2Q) into out, NaN where no site is
-    # compared or a log argument is not positive.  counts holds compared,
-    # mismatches and transversions; the transversions row is overwritten.
-    # out is the scratch for P, and the operations run in the order of
-    # the whole-array formula, so every value is the same bit for bit.
+def _k80_values(counts: np.ndarray) -> np.ndarray:
+    # -0.5*ln(1-2P-Q) - 0.25*ln(1-2Q) from compared, mismatches and
+    # transversions, NaN where no site is compared or a log argument is
+    # not positive
     compared, mism, tv = counts
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(tv, compared, out=w2)  # Q
-        np.subtract(mism, tv, out=tv)
-        np.divide(tv, compared, out=out)  # P
-        np.multiply(2.0, out, out=w1)
-        np.subtract(1.0, w1, out=w1)
-        np.subtract(w1, w2, out=w1)
-        np.multiply(2.0, w2, out=w2)
-        np.subtract(1.0, w2, out=w2)
-        # w1 and w2 are NaN where no site is compared, so "not both
-        # positive" marks every undefined pair
-        np.minimum(w1, w2, out=out)
-        np.greater(out, 0.0, out=bad)
-        np.logical_not(bad, out=bad)
-        np.copyto(w1, 1.0, where=bad)
-        np.copyto(w2, 1.0, where=bad)
-        np.log(w1, out=w1)
-        np.log(w2, out=w2)
-        np.multiply(-0.5, w1, out=out)
-        np.multiply(0.25, w2, out=w2)
-        np.subtract(out, w2, out=out)
-    np.copyto(out, np.nan, where=bad)
+        p = (mism - tv) / compared
+        q = tv / compared
+        w1 = 1.0 - 2.0 * p - q
+        w2 = 1.0 - 2.0 * q
+        bad = (compared == 0) | (w1 <= 0.0) | (w2 <= 0.0)
+        w1[bad] = 1.0
+        w2[bad] = 1.0
+        vals = -0.5 * np.log(w1) - 0.25 * np.log(w2)
+    vals[bad] = np.nan
+    return vals
 
 
 def _row_runs(n: int, workers: int) -> list[tuple[int, int, int, int]]:
@@ -219,33 +196,25 @@ def _fill_runs(
     runs: list[tuple[int, int, int, int]],
     fd: int,
     cap: float | None,
-    work: np.ndarray,
-    pop: np.ndarray,
-    counts: np.ndarray,
-    values: np.ndarray,
-    undefined: np.ndarray,
-    w1: np.ndarray | None,
-    w2: np.ndarray | None,
+    k80: bool,
 ) -> int:
-    # Counts each run into counts, turns it into distances in values, K80
-    # when the float buffers w1 and w2 are given, else p, and writes them
-    # at the run's place in the .bin-layout file open as fd.  With a cap,
-    # undefined values become cap first; returns how many did.  Every
-    # buffer comes from the caller, so a worker thread allocates nothing.
+    # Counts each run, turns it into K80 or p distances and writes them at
+    # the run's place in the .bin-layout file open as fd.  With a cap,
+    # undefined values become cap first; returns how many did.  The
+    # kernel scratch and one run's counts are made here, once per call.
+    work, pop = _scratch(planes)
+    width = max(hi - lo for _, _, lo, hi in runs)
+    counts = np.empty((3 if k80 else 2, width), dtype=np.int32)
     capped = 0
     for r0, r1, lo, hi in runs:
-        m = hi - lo
-        run, out, bad = counts[:, :m], values[:m], undefined[:m]
+        run = counts[:, : hi - lo]
         _count_rows(planes, r0, r1, work, pop, run)
-        if w1 is None:
-            _p_values(run[0], run[1], out, bad)
-        else:
-            _k80_values(run, out, w1[:m], w2[:m], bad)
+        vals = _k80_values(run) if k80 else _p_values(*run)
         if cap is not None:
-            np.isnan(out, out=bad)
+            bad = np.isnan(vals)
             capped += int(np.count_nonzero(bad))
-            np.copyto(out, cap, where=bad)
-        _pwrite_all(fd, np.ascontiguousarray(out, dtype="<f8"), _HEADER + 8 * lo)
+            vals[bad] = cap
+        _pwrite_all(fd, np.ascontiguousarray(vals, dtype="<f8"), _HEADER + 8 * lo)
     return capped
 
 
@@ -276,10 +245,7 @@ def p_block_reader(
         counts = np.empty((2, r1 - r0, c1 - c0), dtype=np.int32)
         for i in range(r0, r1):
             _count_against(planes, i, slice(c0, c1), work, pop, counts[:, i - r0])
-        compared, mism = counts
-        return _p_values(
-            compared, mism, np.empty(compared.shape), np.empty(compared.shape, bool)
-        )
+        return _p_values(*counts)
 
     return read
 
@@ -474,8 +440,8 @@ def build_distance_matrix(
     done into an unnamed temporary file (under TMPDIR) in
     write_matrix_binary's layout, which the matrix then reads; the file
     is gone once the matrix is.  threads spreads the runs over a pool of
-    at most min(threads, cores, n - 1) workers, each holding a kernel
-    scratch and one run's values; results are identical for any count.
+    min(threads, cores, n - 1) workers, each making its own kernel
+    scratch and one run's counts; results are identical for any count.
     """
     if kind is MatrixKind.PATRISTIC:
         raise ValueError("patristic matrices are built from a tree")
@@ -486,31 +452,13 @@ def build_distance_matrix(
     dm = DistanceMatrix([r.id for r in alignment.records], _matrix_file(n), kind)
     workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))
     runs = _row_runs(n, workers)
-    width = max(hi - lo for _, _, lo, hi in runs)
     k80 = kind is MatrixKind.K80
-    # every buffer is made here: one made in a worker thread would come
-    # from that thread's own malloc arena and raise the peak
-    buffers = [
-        (
-            *_scratch(planes),
-            np.empty((3 if k80 else 2, width), dtype=np.int32),
-            np.empty(width),
-            np.empty(width, dtype=bool),
-            *((np.empty(width), np.empty(width)) if k80 else (None, None)),
-        )
-        for _ in range(workers)
-    ]
-    if workers == 1:
-        capped = _fill_runs(planes, runs, dm._fd, cap, *buffers[0])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(
-                    _fill_runs, planes, runs[w::workers], dm._fd, cap, *buffers[w]
-                )
-                for w in range(workers)
-            ]
-            capped = sum(f.result() for f in futs)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futs = [
+            pool.submit(_fill_runs, planes, runs[w::workers], dm._fd, cap, k80)
+            for w in range(workers)
+        ]
+        capped = sum(f.result() for f in futs)
     if capped:
         log.warning("capping %d undefined %s distances at %g", capped, kind.value, cap)
     return dm

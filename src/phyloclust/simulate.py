@@ -8,6 +8,7 @@ reproducible regardless of call order.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,9 @@ class SimConfig:
             object.__setattr__(self, "stem_min", 3.0 * self.within_mean)
         elif self.stem_min <= 0:
             raise ValueError("stem_min must be positive")
+        for name in ("within_mean", "between_mean", "stem_min", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _rng(cfg: SimConfig, *salt: int) -> np.random.Generator:

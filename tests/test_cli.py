@@ -271,6 +271,13 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
 _NAMED_FLAGS = [
     ("--seed", "simulate --preset demo --seed -1"),
     ("--cluster-sizes", "simulate --cluster-sizes 3,x"),
+] + [
+    # non-finite means and stems once wrote `:inf` edges that load_newick
+    # rejects, and a non-finite kappa a transversion on every branch
+    (flag, f"simulate --cluster-sizes 3,3 {flag} {value}")
+    for flag, value in (("--between-mean", "inf"), ("--stem-min", "nan"),
+                        ("--kappa", "inf"))
+] + [
     ("--burn-in", "cluster --method mcmc --tree {d}/tree.nwk"
      " --align {d}/alignment.fasta --iterations 20 --burn-in -3 --thin 5"),
     ("--seeds", "cluster --method mcmc --tree {d}/tree.nwk"
@@ -428,7 +435,10 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload", [[0.5, 0.95], {"func": 1}])
+@pytest.mark.parametrize(
+    "payload",
+    [[0.5, 0.95], {"func": 1}, {"distance_maxx": 0.3}, {"command": "dist"}],
+)
 def test_config_not_flag_defaults_exits_one(tmp_path, capsys, payload):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))
@@ -439,6 +449,43 @@ def test_config_not_flag_defaults_exits_one(tmp_path, capsys, payload):
     assert err.startswith("error: bad config file: ")
     assert "Traceback" not in err
     assert not (tmp_path / "d").exists()
+
+
+def test_child_process_malformed_input_exits_one_or_two(cohort, tmp_path):
+    """`python -m phyloclust` on malformed input, one child process per
+    case, exits 1 or 2 and prints no traceback."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    tree, aln = str(cohort / "tree.nwk"), str(cohort / "alignment.fasta")
+    bad_tree = _write(tmp_path / "bad.nwk", "((a:1,b:inf),c:1);\n")
+    bad_fasta = _write(tmp_path / "bad.fasta", ">a\nACGT\n>b\nAC\n")
+    bad_phylip = _write(tmp_path / "bad.phy", "2\na 0 x\nb 1 0\n")
+    bad_part = _write(tmp_path / "bad.csv", "id,label\na,\nb,1\n")
+    unknown_key = _write(tmp_path / "key.json", json.dumps({"distance_maxx": 0.3}))
+    out = str(tmp_path / "out" / "o")
+    cases = [
+        ["simulate", "--cluster-sizes", "3,3", "--stem-min", "inf", "--out-dir", out],
+        ["simulate", "--cluster-sizes", "3,3", "--kappa", "nan", "--out-dir", out],
+        ["--config", str(unknown_key), "cluster", "--method", "maxp",
+         "--tree", tree, "--align", aln, "--out", out],
+        ["cluster", "--method", "maxpatristic", "--tree", str(bad_tree), "--out", out],
+        ["cluster", "--method", "gap", "--matrix", str(bad_phylip), "--out", out],
+        ["dist", "--align", str(bad_fasta), "--out", out],
+        ["dist", "--align", aln, "--cap", "nan", "--out", out],
+        ["ari", "--a", str(bad_part), "--b", str(bad_part)],
+        ["growth", "--partition", str(bad_part), "--metadata", str(bad_part),
+         "--window-start", "bogus", "--out", out],
+        ["linkage", "--chain-dir", str(tmp_path / "no-chain"), "--out", out],
+        ["cluster", "--method", "maxp", "--frobnicate", "1", "--out", out],
+    ]
+    for argv in cases:
+        run = subprocess.run(
+            [sys.executable, "-m", "phyloclust", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode in (1, 2), (argv, run.returncode, run.stderr)
+        assert "Traceback" not in run.stderr, argv
+    assert not (tmp_path / "out").exists()
 
 
 def fresh_python(code, *args):

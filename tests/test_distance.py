@@ -342,8 +342,8 @@ class _RecordingPool:
 
 @pytest.mark.parametrize(
     "cores, n, threads, expect",
-    [(2, 40, 8, 2), (2, 40, 2, 2), (16, 3, 8, 2), (16, 40, 3, 3), (2, 40, 1, None),
-     (2, 2, 8, None)],
+    [(2, 40, 8, 2), (2, 40, 2, 2), (16, 3, 8, 2), (16, 40, 3, 3), (2, 40, 1, 1),
+     (2, 2, 8, 1)],
 )
 def test_thread_pool_clamped_to_cores_and_rows(monkeypatch, cores, n, threads, expect):
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
@@ -354,7 +354,7 @@ def test_thread_pool_clamped_to_cores_and_rows(monkeypatch, cores, n, threads, e
     serial = build_distance_matrix(aln, MatrixKind.K80, threads=1)
     _RecordingPool.created.clear()
     pooled = build_distance_matrix(aln, MatrixKind.K80, threads=threads)
-    assert _RecordingPool.created == ([] if expect is None else [expect])
+    assert _RecordingPool.created == [expect]
     assert np.array_equal(condensed(serial), condensed(pooled), equal_nan=True)
 
 
