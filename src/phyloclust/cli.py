@@ -199,13 +199,6 @@ def _cmd_dist(args) -> None:
     _write_manifest(args, out, [args.align], started)
 
 
-def _parse_seeds(text: str) -> list[int]:
-    seeds = list(_parse_list("--seeds", text, int))
-    if len(set(seeds)) != len(seeds):
-        raise _UsageError("--seeds entries must be distinct")
-    return seeds
-
-
 def _cmd_cluster(args) -> None:
     from .distance import MatrixKind
     from .evaluation import ClusterCriteria
@@ -229,7 +222,9 @@ def _cmd_cluster(args) -> None:
     elif args.method == "mcmc":
         if not args.tree or not args.align:
             raise _UsageError("--method mcmc needs --tree and --align")
-        seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+        seeds = _parse_list("--seeds", args.seeds, int) if args.seeds else (args.seed,)
+        if len(set(seeds)) != len(seeds):
+            raise _UsageError("--seeds entries must be distinct")
         seed_flag = "--seeds" if args.seeds else "--seed"
         with _flag_values("iterations", "burn_in", "thin", rng_seed=seed_flag):
             configs = [
@@ -263,13 +258,9 @@ def _cmd_cluster(args) -> None:
                 "inspect the per-seed chain directories"
             )
         if args.chain_dir:
-            if len(summaries) == 1:
-                save_chain_summary(summaries[0], args.chain_dir)
-            else:
-                for seed, summary in zip(seeds, summaries):
-                    save_chain_summary(
-                        summary, Path(args.chain_dir) / f"chain-{seed}"
-                    )
+            for seed, summary in zip(seeds, summaries):
+                sub = f"chain-{seed}" if len(summaries) > 1 else ""
+                save_chain_summary(summary, Path(args.chain_dir) / sub)
         part = best.map_partition
     else:
         statistic = _STATISTIC_BY_METHOD[args.method]
@@ -379,12 +370,10 @@ def _cmd_ari(args) -> None:
     a = load_partition(args.a)
     b = load_partition(args.b)
     if args.ref:
-        ref = ReferenceSet(load_partition(args.ref), tuple(a.ids()))
-        value = reference_ari(a, ref)
-        print(f"{value!r}")
+        value = reference_ari(a, ReferenceSet(load_partition(args.ref), tuple(a.ids())))
     else:
         value = adjusted_rand_index(a, b)
-        print(f"{value!r}")
+    print(f"{value!r}")
     out = Path(args.out) if args.out else None
     if out:
         with open(out, "w") as fh:
@@ -506,12 +495,12 @@ def _cmd_simulate(args) -> None:
 # ---------------------------------------------------------------- parser
 
 
-def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="phyloclust",
         description="Transmission-cluster detection toolkit",
     )
-    children: list[argparse.ArgumentParser] = []
+    children: dict[str, argparse.ArgumentParser] = {}
     parser.add_argument(
         "--threads",
         type=int,
@@ -523,13 +512,13 @@ def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     parser.add_argument(
         "--config",
         default=None,
-        help="JSON file of flag defaults; explicit flags win",
+        help="JSON file of flag defaults, each parsed as its flag's text; "
+        "explicit flags win",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, **kw) -> argparse.ArgumentParser:
-        child = sub.add_parser(name, **kw)
-        children.append(child)
+        child = children[name] = sub.add_parser(name, **kw)
         return child
 
     p = add_parser("dist", help="pairwise distance matrix from a FASTA")
@@ -645,32 +634,57 @@ def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     return parser, children
 
 
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, value):
+    """A --config value converted as its flag's text would be, with the
+    flag's type and choices.  A store-true flag takes a JSON boolean,
+    --partitions a list, and any other flag one string, or one number when
+    its type is numeric."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    elif (action.nargs == "+") == isinstance(value, list) and value != []:
+        items = value if isinstance(value, list) else [value]
+        if all(isinstance(v, str) or action.type and type(v) in (int, float)
+               for v in items):
+            try:
+                return parser._get_values(action, [str(v) for v in items])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{action.dest!r}: {exc}") from None
+    raise ValueError(f"{action.dest!r} cannot be {json.dumps(value)}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, children = _parser()
 
     # pre-scan for --config so its values become defaults the real parse
-    # can override; defaults must reach the subparsers too, because each
+    # can override; the subcommand's go to its own parser, because each
     # subcommand parses into a fresh namespace that wins over the parent
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
+    known, rest = probe.parse_known_args(argv)
     if known.config:
         try:
             with open(known.config) as fh:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
                 raise ValueError("expected a JSON object of flag defaults")
-            flags = {a.dest for p in (parser, *children) for a in p._actions}
+            flags = {a.dest for p in (parser, *children.values()) for a in p._actions}
             flags -= {"help", "command", "config"}  # not flag defaults
             unknown = sorted(set(overrides) - flags)
             if unknown:
                 raise ValueError(f"{', '.join(map(repr, unknown))} names no flag")
+            # only the global flags and the chosen subcommand's apply
+            command = next((children[a] for a in rest if a in children), None)
+            defaults = [
+                (p, {a.dest: _config_value(p, a, overrides[a.dest])
+                     for a in p._actions if a.dest in overrides})
+                for p in (parser, command) if p is not None
+            ]
         except (OSError, ValueError) as exc:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return 1
-        parser.set_defaults(**overrides)
-        for child in children:
-            child.set_defaults(**overrides)
+        for p, values in defaults:
+            p.set_defaults(**values)
 
     args = parser.parse_args(argv)
     try:

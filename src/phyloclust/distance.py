@@ -54,6 +54,7 @@ for _i, _c in enumerate(b"ACGT"):
 _BINARY_MAGIC = b"PCDM"
 _BINARY_VERSION = 1
 _HEADER = 13  # magic, version u8, n u64; the float64 values follow
+_PHYLIP_MAX = 1.797693134e308  # the largest 10-digit value below the largest double
 
 
 class MatrixKind(enum.Enum):
@@ -391,8 +392,6 @@ class DistanceMatrix:
             a, b = order[c0:c1, None], order[r0:r1]
             if ascending and c1 <= r0:  # every column id before every row id
                 return self._gather(shift[c0:c1, None] + b).T
-            if ascending and r1 <= c0:
-                return self._gather(shift[r0:r1] + a).T
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             # a cell of an id against itself reads a stand-in, then 0
             pos = _row_shift(n, lo) + hi
@@ -473,6 +472,8 @@ def write_matrix_phylip(dm: DistanceMatrix, path: str | Path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{dm.n}\n")
         for a, strip in dm.strips():
+            # 10 digits round a finite cell near the largest double up to inf
+            np.clip(strip, -_PHYLIP_MAX, _PHYLIP_MAX, strip, where=np.isfinite(strip))
             for ident, row in zip(dm.ids[a:], strip):
                 fh.write(f"{ident}  {cells % tuple(row.tolist())}\n")
 

@@ -7,9 +7,10 @@ of a Chinese-restaurant prior on the grouping, a Poisson weight on the
 cluster count, uniform windows around the initial branch-length means,
 and a Gamma prior on the concentration.
 
-The sampler moves by splitting a cluster into its child clades, merging
-sibling clusters into their parent, and random-walk updates of the
-continuous parameters.  States are valid antichains by construction.
+The sampler's clade move either splits a cluster into its child clades
+or merges sibling clusters into their parent, the two directions sharing
+one code path; random walks update the continuous parameters.  States
+are valid antichains by construction.
 """
 
 from __future__ import annotations
@@ -498,87 +499,58 @@ def run_chain(
 
     for it in range(1, cfg.iterations + 1):
         move = int(rng.integers(num_moves))
-        if move == 0 and len(splittable) > 0:
-            # SPLIT: replace a cluster by its child clades
-            target = splittable.sample(rng)
-            kids = target.children
-            m = len(kids)
-            d_w = -m
-            d_tw = -child_len_sum[id(target)]
-            d_k = m - 1
-            d_lg = sum(
-                math.lgamma(tip_count[id(ch)]) for ch in kids
-            ) - math.lgamma(tip_count[id(target)])
-            delta = topology_delta(d_w, d_tw, d_k, d_lg)
-            # merge targets afterwards: the split node joins; its parent
-            # stops qualifying if it only qualified through the target
-            parent = target.parent
-            parent_was = parent is not None and parent in mergeable
-            n_merge_after = len(mergeable) + 1 - (1 if parent_was else 0)
-            log_hastings = math.log(len(splittable)) - math.log(n_merge_after)
-            if _accept(rng, delta + log_hastings):
-                unregister_cluster(target)
-                for ch in kids:
-                    register_cluster(ch)
-                w_count += d_w
-                w_total += d_tw
-                k_count += d_k
-                size_lgamma += d_lg
-                lp += delta
-        elif move == 1 and len(mergeable) > 0:
-            # MERGE: collapse sibling clusters into their parent clade
-            target = mergeable.sample(rng)
-            kids = target.children
-            m = len(kids)
-            d_w = m
-            d_tw = child_len_sum[id(target)]
-            d_k = 1 - m
-            d_lg = math.lgamma(tip_count[id(target)]) - sum(
-                math.lgamma(tip_count[id(ch)]) for ch in kids
-            )
-            delta = topology_delta(d_w, d_tw, d_k, d_lg)
-            # split targets afterwards: merged children leave, parent joins
-            n_split_after = (
-                len(splittable)
-                - sum(1 for ch in kids if len(ch.children) >= 2)
-                + 1
-            )
-            log_hastings = math.log(len(mergeable)) - math.log(n_split_after)
-            if _accept(rng, delta + log_hastings):
-                for ch in kids:
-                    unregister_cluster(ch)
-                register_cluster(target)
-                w_count += d_w
-                w_total += d_tw
-                k_count += d_k
-                size_lgamma += d_lg
-                lp += delta
+        if move < 2:
+            # CLADE: a split (move 0) replaces a cluster by its child clades,
+            # a merge (move 1), its inverse, collapses them into the parent
+            pool, other = (mergeable, splittable) if move else (splittable, mergeable)
+            if len(pool) > 0:
+                target = pool.sample(rng)
+                kids = target.children
+                m = len(kids)
+                sign = 1 if move else -1
+                d_w = sign * m
+                d_tw = sign * child_len_sum[id(target)]
+                d_k = -sign * (m - 1)
+                d_lg = sign * (
+                    math.lgamma(tip_count[id(target)])
+                    - sum(math.lgamma(tip_count[id(ch)]) for ch in kids)
+                )
+                delta = topology_delta(d_w, d_tw, d_k, d_lg)
+                # the inverse move's targets afterwards: the target joins,
+                # a merge's kids leave, and so does a split's parent
+                gone = sum(c in other for c in kids) if move else target.parent in other
+                after = len(other) + 1 - gone
+                if _accept(rng, delta + (math.log(len(pool)) - math.log(after))):
+                    leaving, joining = (kids, (target,)) if move else ((target,), kids)
+                    for node in leaving:
+                        unregister_cluster(node)
+                    for node in joining:
+                        register_cluster(node)
+                    w_count += d_w
+                    w_total += d_tw
+                    k_count += d_k
+                    size_lgamma += d_lg
+                    lp += delta
         elif move == 2:
-            # WALK-mu: nudge one regime mean inside its uniform window
-            if int(rng.integers(2)) == 0:
-                step = _MU_STEP_FRACTION * (w_hi - w_lo)
-                prop = mu_w + float(rng.uniform(-step, step))
-                if w_lo <= prop <= w_hi and prop <= mu_b:
-                    delta = (
-                        -w_count * (math.log(prop) - math.log(mu_w))
-                        - w_total * (1.0 / prop - 1.0 / mu_w)
-                    )
-                    if _accept(rng, delta):
-                        mu_w = prop
-                        lp += delta
-            else:
-                step = _MU_STEP_FRACTION * (b_hi - b_lo)
-                prop = mu_b + float(rng.uniform(-step, step))
-                if b_lo <= prop <= b_hi and prop >= mu_w:
-                    b_count = e_count - w_count
-                    b_tot = e_total - w_total
-                    delta = (
-                        -b_count * (math.log(prop) - math.log(mu_b))
-                        - b_tot * (1.0 / prop - 1.0 / mu_b)
-                    )
-                    if _accept(rng, delta):
-                        mu_b = prop
-                        lp += delta
+            # WALK-mu: nudge one regime mean inside its uniform window; the
+            # between regime holds every edge the within regime does not
+            within = int(rng.integers(2)) == 0
+            low, high, mean, count, total = (
+                (w_lo, w_hi, mu_w, w_count, w_total)
+                if within
+                else (b_lo, b_hi, mu_b, e_count - w_count, e_total - w_total)
+            )
+            step = _MU_STEP_FRACTION * (high - low)
+            prop = mean + float(rng.uniform(-step, step))
+            new_w, new_b = (prop, mu_b) if within else (mu_w, prop)
+            if low <= prop <= high and new_w <= new_b:
+                delta = (
+                    -count * (math.log(prop) - math.log(mean))
+                    - total * (1.0 / prop - 1.0 / mean)
+                )
+                if _accept(rng, delta):
+                    mu_w, mu_b = new_w, new_b
+                    lp += delta
         elif move == 3:
             # WALK-alpha: symmetric step in log space, hence the log ratio
             # enters the acceptance as the proposal-density correction

@@ -188,19 +188,33 @@ def patristic_matrix(tree: PhyloTree) -> np.ndarray:
 # ---------------------------------------------------------- support values
 
 
-def _clade_mask_sets(
-    trees: list[PhyloTree], index: dict[str, int]
-) -> list[set[int]]:
-    out = []
+def _clade_counts(
+    sample: list[PhyloTree], index: dict[str, int]
+) -> tuple[dict[int, int], dict[int, float], list[float]]:
+    """Over the sample, per clade mask: the number of trees containing it
+    and the sum of its edge lengths; per tip of index: the sum of its edge
+    lengths.  A unary chain counts once, with its lowest edge."""
+    counts: dict[int, int] = {}
+    length_sums: dict[int, float] = {}
+    tip_length_sums = [0.0] * len(index)
     expected = frozenset(index)
-    for t in trees:
+    for t in sample:
         if frozenset(t.tip_labels()) != expected:
-            raise TipSetMismatch("sample tree tips differ from reference")
+            raise TipSetMismatch("sample tree tips differ")
         masks = t.node_masks(index)
-        out.append(
-            {masks[id(n)] for n in t.postorder() if not n.is_tip}
-        )
-    return out
+        seen: set[int] = set()
+        for node in t.postorder():
+            m = masks[id(node)]
+            if node.is_tip:
+                tip_length_sums[index[node.label or ""]] += node.length or 0.0
+                continue
+            if m in seen:
+                continue
+            seen.add(m)
+            counts[m] = counts.get(m, 0) + 1
+            if node.parent is not None:
+                length_sums[m] = length_sums.get(m, 0.0) + (node.length or 0.0)
+    return counts, length_sums, tip_length_sums
 
 
 def annotate_support(
@@ -212,14 +226,12 @@ def annotate_support(
         raise EmptyInput("empty tree sample")
     out = reference.copy()
     index = out.tip_index()
-    sample_sets = _clade_mask_sets(sample, index)
+    counts, _, _ = _clade_counts(sample, index)
     masks = out.node_masks(index)
     total = len(sample)
     for node in out.postorder():
-        if node.is_tip:
-            continue
-        m = masks[id(node)]
-        node.support = sum(1 for s in sample_sets if m in s) / total
+        if not node.is_tip:
+            node.support = counts.get(masks[id(node)], 0) / total
     return out
 
 
@@ -232,36 +244,15 @@ def majority_consensus(sample: list[PhyloTree]) -> PhyloTree:
     """
     if not sample:
         raise EmptyInput("empty tree sample")
-    ref = sample[0]
-    index = ref.tip_index()
-    labels = ref.tip_labels()
-    n = len(labels)
-    expected = frozenset(labels)
-
-    counts: dict[int, int] = {}
-    length_sums: dict[int, float] = {}
-    tip_length_sums = [0.0] * n
-    for t in sample:
-        if frozenset(t.tip_labels()) != expected:
-            raise TipSetMismatch("sample tree tips differ")
-        masks = t.node_masks(index)
-        seen: set[int] = set()
-        for node in t.postorder():
-            m = masks[id(node)]
-            if node.is_tip:
-                tip_length_sums[index[node.label or ""]] += node.length or 0.0
-                continue
-            if m in seen:  # unary chains collapse to one clade
-                continue
-            seen.add(m)
-            counts[m] = counts.get(m, 0) + 1
-            if node.parent is not None:
-                length_sums[m] = length_sums.get(m, 0.0) + (node.length or 0.0)
+    labels = sample[0].tip_labels()
+    counts, length_sums, tip_length_sums = _clade_counts(
+        sample, sample[0].tip_index()
+    )
 
     total = len(sample)
     majority = [m for m, c in counts.items() if c * 2 > total]
     majority.sort(key=lambda m: (-bin(m).count("1"), m))
-    full = (1 << n) - 1
+    full = (1 << len(labels)) - 1
     if not majority or majority[0] != full:
         majority.insert(0, full)  # every rooted tree contains its tip set
 
@@ -270,12 +261,10 @@ def majority_consensus(sample: list[PhyloTree]) -> PhyloTree:
         node = Node()
         c = counts.get(m, total)
         node.support = c / total
-        if m != full:
-            node.length = length_sums.get(m, 0.0) / c
         nodes[m] = node
         if m != full:
-            parent_mask = _smallest_superset(m, majority)
-            nodes[parent_mask].add(node)
+            node.length = length_sums.get(m, 0.0) / c
+            nodes[_smallest_superset(m, majority)].add(node)
     for k, lab in enumerate(labels):
         tip = Node(lab, tip_length_sums[k] / total)
         parent_mask = _smallest_superset(1 << k, majority)
@@ -284,11 +273,10 @@ def majority_consensus(sample: list[PhyloTree]) -> PhyloTree:
 
 
 def _smallest_superset(m: int, ordered_masks: list[int]) -> int:
-    # ordered_masks is sorted by descending popcount, so the last strict
-    # superset found is the smallest one.
+    # ordered_masks is sorted by descending popcount and its masks nest or
+    # are disjoint, so the last strict superset found is the smallest one.
     best = ordered_masks[0]
     for cand in ordered_masks:
         if cand != m and cand & m == m:
-            if bin(cand).count("1") < bin(best).count("1"):
-                best = cand
+            best = cand
     return best

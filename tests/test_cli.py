@@ -451,6 +451,71 @@ def test_config_not_flag_defaults_exits_one(tmp_path, capsys, payload):
     assert not (tmp_path / "d").exists()
 
 
+_BAD_CONFIG_VALUES = [
+    ({"seeds": [1, 2]}, ["cluster", "--method", "mcmc", "--tree", "{d}/tree.nwk",
+                         "--align", "{d}/alignment.fasta"]),
+    ({"support_grid": [0.7]}, ["sweep", "--tree", "{d}/tree.nwk",
+                               "--ref", "{d}/planted.csv", "--method", "maxpatristic"]),
+    ({"cluster_sizes": [3, 3]}, ["simulate"]),
+    ({"gap_quantile": None}, ["cluster", "--method", "gap", "--align", "{d}/alignment.fasta"]),
+    ({"top_k": 2.5}, ["growth", "--partition", "{d}/planted.csv",
+                      "--metadata", "{d}/metadata.csv"]),
+    ({"window_start": 5}, ["growth", "--partition", "{d}/planted.csv",
+                           "--metadata", "{d}/metadata.csv"]),
+    ({"seed": 1.5}, ["simulate", "--cluster-sizes", "3,3"]),
+    ({"kind": "bogus"}, ["dist", "--align", "{d}/alignment.fasta"]),
+    ({"binary": "no"}, ["dist", "--align", "{d}/alignment.fasta"]),
+    ({"threads": True}, ["dist", "--align", "{d}/alignment.fasta"]),
+    # sweep's --method takes no "gap", though cluster's does
+    ({"method": "gap"}, ["sweep", "--tree", "{d}/tree.nwk", "--ref", "{d}/planted.csv"]),
+    ({"partitions": "{d}/planted.csv"}, ["compare", "--partitions", "{d}/planted.csv"]),
+]
+
+
+@pytest.mark.parametrize(
+    "config, argv", _BAD_CONFIG_VALUES, ids=[json.dumps(c) for c, _ in _BAD_CONFIG_VALUES]
+)
+def test_config_value_its_flag_rejects_exits_one(cohort, tmp_path, capsys, config, argv):
+    """A --config value that its flag's parsing rejects, or of the wrong
+    JSON type for the flag, exits 1 naming its key, before anything runs."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config).replace("{d}", str(cohort)))
+    out = tmp_path / "out"
+    target = ["--out-dir" if argv[0] == "simulate" else "--out", str(out)]
+    rc = main(["--config", str(cfg)] + [a.replace("{d}", str(cohort)) for a in argv] + target)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad config file: {next(iter(config))!r}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, flags, argv",
+    [
+        ({"threads": 1, "kind": "k80", "binary": True, "cap": 1},
+         ["--threads", "1", "dist", "--kind", "k80", "--binary", "--cap", "1"],
+         ["dist", "--align", "{d}/alignment.fasta"]),
+        ({"support_min": "0.5", "distance_max": 0.1},
+         ["cluster", "--support-min", "0.5", "--distance-max", "0.1"],
+         ["cluster", "--method", "maxpatristic", "--tree", "{d}/tree.nwk"]),
+    ],
+)
+def test_config_run_matches_its_flags(cohort, tmp_path, config, flags, argv):
+    """A valid config writes the output and the manifest flags that the
+    same values given as flags do."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [a.replace("{d}", str(cohort)) for a in argv] + ["--out", str(out)]
+    runs = []
+    for run in (["--config", str(cfg)] + argv, flags + argv[1:]):
+        assert main(run) == 0
+        manifest = json.loads(out.with_name("out.manifest.json").read_text())
+        runs.append((out.read_bytes(), {**manifest["flags"], "config": None}))
+    assert runs[0] == runs[1]
+
+
 def test_child_process_malformed_input_exits_one_or_two(cohort, tmp_path):
     """`python -m phyloclust` on malformed input, one child process per
     case, exits 1 or 2 and prints no traceback."""

@@ -5,14 +5,16 @@ Random edits of valid Newick, FASTA, partition, metadata and phylip
 texts, and of binary matrix files and their id sidecars, must parse or
 raise a DataError,
 never another exception; the writers' output reads back to what was
-written; and a list of trees reads as its trees read one at a time.
+written (for phylip, which keeps 10 significant digits, a second write
+gives the first one's bytes); and a list of trees reads as its trees read
+one at a time.
 Every test is derandomized with a fixed example count, so a run is
 repeatable.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,11 +22,12 @@ from phyloclust import newick_string, parse_newick, parse_newick_list
 from phyloclust.cli import _PRESETS
 from phyloclust.distance import (
     MatrixKind, read_matrix_binary, read_matrix_phylip,
-    read_nonzero_pairs_binary, write_matrix_binary,
+    read_nonzero_pairs_binary, write_matrix_binary, write_matrix_phylip,
 )
 from phyloclust.errors import DataError
 from phyloclust.io_formats import (
-    fasta_string, parse_fasta, parse_metadata, parse_partition, partition_string,
+    CaseMetadata, Partition, Stage, fasta_string, metadata_string, parse_fasta,
+    parse_metadata, parse_partition, partition_string,
 )
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
@@ -190,6 +193,31 @@ def test_mutated_metadata_parses_or_raises_data_error(text):
     _read_or_reject(parse_metadata, text)
 
 
+# ids hold no delimiter or whitespace; a label or risk group may hold
+# inner spaces (and a label commas) but is stripped as it is read
+IDS = st.text("abz019_.-|", min_size=1, max_size=6)
+
+
+def _cell(alphabet):
+    return st.text(alphabet, max_size=6).filter(lambda s: s == s.strip())
+
+
+@fixed(300)
+@given(st.dictionaries(IDS, _cell("abz019_.-|, ").filter(bool), max_size=8))
+def test_partition_round_trips(assignment):
+    p = Partition(assignment)
+    assert parse_partition(partition_string(p)) == p
+
+
+@fixed(300)
+@given(st.lists(
+    st.builds(CaseMetadata, IDS, st.dates(), st.sampled_from(Stage), _cell("MSIDU_x ")),
+    min_size=1, max_size=8, unique_by=lambda r: r.id,
+))
+def test_metadata_round_trips(rows):
+    assert parse_metadata(metadata_string(rows)) == rows
+
+
 @pytest.fixture(scope="module")
 def matrix_path(tmp_path_factory):
     """The path each example writes its matrix file to."""
@@ -201,6 +229,28 @@ def matrix_path(tmp_path_factory):
 def test_mutated_phylip_parses_or_raises_data_error(matrix_path, text):
     matrix_path.with_suffix(".phy").write_text(text)
     _read_or_reject(read_matrix_phylip, matrix_path.with_suffix(".phy"))
+
+
+@st.composite
+def matrices(draw):
+    """Distinct ids and any float64 values for their triangle."""
+    ids = draw(st.lists(IDS, max_size=8, unique=True))
+    return ids, draw(arrays(np.float64, len(ids) * (len(ids) - 1) // 2))
+
+
+@fixed(200)
+@given(matrices())
+@example((["a", "b"], np.array([np.finfo(np.float64).max])))
+def test_phylip_rewrite_is_byte_identical(matrix_path, matrix):
+    """Any float64 values: the first write rounds them to 10 significant
+    digits, and reading and writing again gives the same bytes.  The
+    largest double's 10 digits round up past it, to a number that reads
+    as inf, so the writer rounds it down."""
+    ids, values = matrix
+    first, second = matrix_path.with_suffix(".phy"), matrix_path.with_suffix(".2.phy")
+    write_matrix_phylip(condensed_dm(ids, values), first)
+    write_matrix_phylip(read_matrix_phylip(first), second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 @fixed(1500)
@@ -228,10 +278,9 @@ def test_mutated_binary_matrix_reads_or_raises_data_error(matrix_path, sidecar, 
 @given(n=st.integers(0, 12), data=st.data())
 def test_binary_matrix_reads_back_bit_for_bit(matrix_path, n, data):
     """Any float64 values, over ids drawn from the characters an id may hold."""
-    ids = st.text("abz019_.-|", min_size=1, max_size=6)
     values = data.draw(arrays(np.float64, n * (n - 1) // 2))
     dm = condensed_dm(
-        data.draw(st.lists(ids, min_size=n, max_size=n, unique=True)),
+        data.draw(st.lists(IDS, min_size=n, max_size=n, unique=True)),
         values,
         MatrixKind.K80,
     )

@@ -1,5 +1,6 @@
-"""No module-level import in the library or the tests goes unused, and
-every error type in errors.py is raised somewhere in the library."""
+"""No module-level import in the library or the tests goes unused, every
+error type in errors.py is raised somewhere in the library, and every
+private module-level function or class of the library is used in it."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,43 @@ def test_every_error_type_has_a_raiser():
     errors = ast.parse((SRC / "errors.py").read_text())
     unraised = _unraised(errors, [ast.parse(p.read_text()) for p in SRC.glob("*.py")])
     assert not unraised, f"never raised: {sorted(unraised)}"
+
+
+def _unreferenced(modules):
+    """The module-level _name functions and classes of modules that no
+    statement but their own definition names: as a name read (quoted
+    annotations included), an attribute taken or a name imported."""
+    names = {}
+    for tree in modules:
+        for stmt in tree.body:
+            found = _used(stmt)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    found.update(alias.name for alias in node.names)
+            names[stmt] = found
+    return [
+        stmt.name
+        for stmt in names
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+        and not any(stmt.name in found for s, found in names.items() if s is not stmt)
+    ]
+
+
+def test_checker_flags_an_unreferenced_private_definition():
+    one = ast.parse(
+        "def _a():\n    _a()\ndef _b(): pass\nclass _C: pass\n"
+        "def __dunder__(): pass\ndef _d(): pass\ndef _e(): pass\n"
+        "def f() -> '_C': return m._d\n"
+    )
+    other = ast.parse("from one import _e\n")
+    assert _unreferenced([one, other]) == ["_a", "_b"]
+
+
+def test_every_private_definition_is_used():
+    modules = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    unused = _unreferenced(modules)
+    assert not unused, f"defined but never used: {unused}"
