@@ -1,9 +1,10 @@
 """Command-line surface: one subcommand per pipeline stage.
 
-Every run writes a manifest JSON beside its primary output recording the
-resolved flags, input digests, seeds, and duration, so a run can be
-reproduced from the manifest alone.  Exit codes: 0 success, 1 data
-error, 2 usage error.
+Every command that writes a file writes a manifest JSON beside its primary
+output recording the resolved flags, input digests, seeds, and duration,
+so a run can be reproduced from the manifest alone.  A handler returns
+what it wrote and `main` writes the record, timing the whole command.
+Exit codes: 0 success, 1 data error, 2 usage error.
 
 Each handler imports the modules it runs, so a command loads only what
 it uses: `ari`, `growth`, `support` and `consensus` never import numpy.
@@ -29,7 +30,8 @@ from .errors import DataError
 from .evaluation import Statistic
 
 if TYPE_CHECKING:
-    from .distance import DistanceMatrix, MatrixKind
+    from .distance import DistanceMatrix
+    from .io_formats import Alignment
 
 log = logging.getLogger(__name__)
 
@@ -115,10 +117,10 @@ def _jsonable(value):
 
 def _write_manifest(
     args: argparse.Namespace,
-    anchor: Path,
-    inputs: list[str | Path],
     started: float,
-    seeds: list[int] | None = None,
+    anchor: str | Path,
+    inputs: list[str | Path],
+    seeds: tuple[int, ...] = (),
 ) -> None:
     flags = {
         k: _jsonable(v)
@@ -130,9 +132,10 @@ def _write_manifest(
         "flags": flags,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "version": __version__,
-        "seeds": seeds or [],
+        "seeds": list(seeds),
         "duration_seconds": round(time.monotonic() - started, 3),
     }
+    anchor = Path(anchor)
     if anchor.is_dir():
         target = anchor / "manifest.json"
     else:
@@ -163,18 +166,39 @@ def _resolve_threads(args: argparse.Namespace) -> int:
     return os.cpu_count() or 1
 
 
-def _load_matrix(path: str, kind: MatrixKind) -> DistanceMatrix:
-    from .distance import read_matrix_binary, read_matrix_phylip
+def _p_source(args, inputs: list) -> Alignment | DistanceMatrix:
+    """The p-distances of --matrix (phylip or .bin), else of --align, with
+    the path read appended to inputs.  gap reads whole rows, so it gets the
+    alignment's matrix; the clade statistics compute the pairs they need."""
+    from .distance import (
+        MatrixKind,
+        build_distance_matrix,
+        read_matrix_binary,
+        read_matrix_phylip,
+    )
+    from .io_formats import load_fasta
 
-    if path.endswith(".bin"):
-        return read_matrix_binary(path, kind)
-    return read_matrix_phylip(path, kind)
+    matrix = getattr(args, "matrix", None)  # sweep takes no --matrix
+    if matrix:
+        inputs.append(matrix)
+        read = read_matrix_binary if matrix.endswith(".bin") else read_matrix_phylip
+        return read(matrix, MatrixKind.P_DISTANCE)
+    if not args.align:
+        alternative = " or --matrix" if hasattr(args, "matrix") else ""
+        raise _UsageError(f"--method {args.method} needs --align{alternative}")
+    inputs.append(args.align)
+    alignment = load_fasta(args.align)
+    if args.method != "gap":
+        return alignment
+    return build_distance_matrix(
+        alignment, MatrixKind.P_DISTANCE, threads=_resolve_threads(args)
+    )
 
 
 # -------------------------------------------------------------- handlers
 
 
-def _cmd_dist(args) -> None:
+def _cmd_dist(args) -> tuple:
     from .distance import (
         MatrixKind,
         build_distance_matrix,
@@ -183,7 +207,6 @@ def _cmd_dist(args) -> None:
     )
     from .io_formats import load_fasta
 
-    started = time.monotonic()
     if args.cap is not None and not args.cap >= 0:  # NaN fails too
         raise _UsageError(f"--cap must be a distance of 0 or more, got {args.cap}")
     alignment = load_fasta(args.align)
@@ -191,34 +214,28 @@ def _cmd_dist(args) -> None:
     dm = build_distance_matrix(
         alignment, kind, cap=args.cap, threads=_resolve_threads(args)
     )
-    out = Path(args.out)
     if args.binary:
-        write_matrix_binary(dm, out)
+        write_matrix_binary(dm, args.out)
     else:
-        write_matrix_phylip(dm, out)
-    _write_manifest(args, out, [args.align], started)
+        write_matrix_phylip(dm, args.out)
+    return args.out, [args.align]
 
 
-def _cmd_cluster(args) -> None:
-    from .distance import MatrixKind
+def _cmd_cluster(args) -> tuple:
     from .evaluation import ClusterCriteria
     from .gap import GapConfig, gap_cluster
     from .io_formats import load_fasta, load_newick, write_partition
     from .mcmc import ChainConfig, run_chain, save_chain_summary
     from .threshold import threshold_cluster
 
-    started = time.monotonic()
     inputs: list[str | Path] = []
-    out = Path(args.out)
-
     if args.seeds and args.method != "mcmc":
         raise _UsageError("--seeds applies only to --method mcmc")
+    seeds: tuple[int, ...] = ()
     if args.method == "gap":
         with _flag_values(search_quantile="--gap-quantile"):
             config = GapConfig(search_quantile=args.gap_quantile)
-        dm = _cluster_distance_source(args, inputs)
-        part = gap_cluster(dm, config)
-        seeds: list[int] = []
+        part = gap_cluster(_p_source(args, inputs), config)
     elif args.method == "mcmc":
         if not args.tree or not args.align:
             raise _UsageError("--method mcmc needs --tree and --align")
@@ -270,88 +287,52 @@ def _cmd_cluster(args) -> None:
             raise _UsageError("--matrix is for maxp and gap; patristic is from --tree")
         with _flag_values("support_min", "distance_max"):
             criteria = ClusterCriteria(args.support_min, args.distance_max, statistic)
-        tree = load_newick(args.tree)
-        inputs.append(args.tree)
-        source = None  # patristic distances come from the tree
-        if statistic is Statistic.MAX_PAIRWISE_P:
-            if args.matrix:
-                source = _load_matrix(args.matrix, MatrixKind.P_DISTANCE)
-                inputs.append(args.matrix)
-            elif args.align:
-                source = load_fasta(args.align)
-                inputs.append(args.align)
-            else:
-                raise _UsageError("--method maxp needs --align or --matrix")
-        part = threshold_cluster(tree, source, criteria)
-        seeds = []
-    write_partition(part, out)
-    _write_manifest(args, out, inputs, started, seeds)
+        maxp = statistic is Statistic.MAX_PAIRWISE_P  # patristic is from the tree
+        inputs.append(args.tree)  # hashing a matrix first raised the peak 0.3 MB
+        source = _p_source(args, inputs) if maxp else None
+        part = threshold_cluster(load_newick(args.tree), source, criteria)
+    write_partition(part, args.out)
+    return args.out, inputs, seeds
 
 
-def _cluster_distance_source(args, inputs) -> DistanceMatrix:
-    from .distance import MatrixKind, build_distance_matrix
-    from .io_formats import load_fasta
-
-    if args.matrix:
-        inputs.append(args.matrix)
-        return _load_matrix(args.matrix, MatrixKind.P_DISTANCE)
-    if not args.align:
-        raise _UsageError("gap clustering needs --align or --matrix")
-    inputs.append(args.align)
-    alignment = load_fasta(args.align)
-    return build_distance_matrix(
-        alignment, MatrixKind.P_DISTANCE, threads=_resolve_threads(args)
-    )
-
-
-def _cmd_support(args) -> None:
+def _cmd_support(args) -> tuple:
     from .io_formats import load_newick, load_newick_list, write_newick
     from .phylo import annotate_support
 
-    started = time.monotonic()
     tree = load_newick(args.tree)
     sample = load_newick_list(args.samples)
-    out = Path(args.out)
-    write_newick(annotate_support(tree, sample), out)
-    _write_manifest(args, out, [args.tree, args.samples], started)
+    write_newick(annotate_support(tree, sample), args.out)
+    return args.out, [args.tree, args.samples]
 
 
-def _cmd_consensus(args) -> None:
+def _cmd_consensus(args) -> tuple:
     from .io_formats import load_newick_list, write_newick
     from .phylo import majority_consensus
 
-    started = time.monotonic()
     sample = load_newick_list(args.samples)
-    out = Path(args.out)
-    write_newick(majority_consensus(sample), out)
-    _write_manifest(args, out, [args.samples], started)
+    write_newick(majority_consensus(sample), args.out)
+    return args.out, [args.samples]
 
 
-def _cmd_sweep(args) -> None:
+def _cmd_sweep(args) -> tuple:
     from .evaluation import ClusterCriteria, ReferenceSet, cutpoint_sweep
-    from .io_formats import load_fasta, load_newick, load_partition
+    from .io_formats import load_newick, load_partition
     from .threshold import threshold_runner
 
-    started = time.monotonic()
     statistic = _STATISTIC_BY_METHOD[args.method]
     supports = _parse_list("--support-grid", args.support_grid, float)
     distances = _parse_list("--distance-grid", args.distance_grid, float)
     with _flag_values(support_min="--support-grid", distance_max="--distance-grid"):
         points = [ClusterCriteria(s, d, statistic) for s in supports for d in distances]
-    if statistic is Statistic.MAX_PAIRWISE_P and not args.align:
-        raise _UsageError("--method maxp needs --align")
+    inputs: list[str | Path] = [args.tree, args.ref]
+    maxp = statistic is Statistic.MAX_PAIRWISE_P  # patristic is from the tree
+    source = _p_source(args, inputs) if maxp else None
     tree = load_newick(args.tree)
     reference = load_partition(args.ref)
-    inputs: list[str | Path] = [args.tree, args.ref]
     ref = ReferenceSet(reference, tuple(tree.tip_labels()))
-    source = None  # patristic distances come from the tree
-    if statistic is Statistic.MAX_PAIRWISE_P:
-        source = load_fasta(args.align)
-        inputs.append(args.align)
     runner = threshold_runner(tree, source, points)
     best, best_ari, grid = cutpoint_sweep(runner, ref, points)
-    out = Path(args.out)
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write("support_min\tdistance_max\tari\n")
         for (s, d), value in sorted(grid.items()):
             fh.write(f"{s!r}\t{d!r}\t{value!r}\n")
@@ -359,14 +340,13 @@ def _cmd_sweep(args) -> None:
         f"best support_min={best.support_min} "
         f"distance_max={best.distance_max} ari={best_ari:.6f}"
     )
-    _write_manifest(args, out, inputs, started)
+    return args.out, inputs
 
 
-def _cmd_ari(args) -> None:
+def _cmd_ari(args) -> tuple | None:
     from .evaluation import ReferenceSet, adjusted_rand_index, reference_ari
     from .io_formats import load_partition
 
-    started = time.monotonic()
     a = load_partition(args.a)
     b = load_partition(args.b)
     if args.ref:
@@ -374,33 +354,29 @@ def _cmd_ari(args) -> None:
     else:
         value = adjusted_rand_index(a, b)
     print(f"{value!r}")
-    out = Path(args.out) if args.out else None
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(f"{value!r}\n")
-        inputs = [args.a, args.b] + ([args.ref] if args.ref else [])
-        _write_manifest(args, out, inputs, started)
+        return args.out, [args.a, args.b] + ([args.ref] if args.ref else [])
+    return None  # a score printed only is no run to record
 
 
-def _cmd_compare(args) -> None:
+def _cmd_compare(args) -> tuple:
     from .evaluation import method_cocluster_matrix
     from .io_formats import load_partition
 
-    started = time.monotonic()
     partitions = [load_partition(p) for p in args.partitions]
     universe = partitions[0].ids()
-    out = Path(args.out)
-    method_cocluster_matrix(partitions, universe, out)
-    _write_manifest(args, out, list(args.partitions), started)
+    method_cocluster_matrix(partitions, universe, args.out)
+    return args.out, list(args.partitions)
 
 
-def _cmd_linkage(args) -> None:
+def _cmd_linkage(args) -> tuple:
     from .community import WeightedGraph, walktrap_communities
     from .distance import read_nonzero_pairs_binary
     from .errors import MalformedMatrix
     from .io_formats import write_partition
 
-    started = time.monotonic()
     if args.walk_length < 1:
         raise _UsageError(f"--walk-length must be at least 1, got {args.walk_length}")
     matrix = Path(args.chain_dir) / "cocluster.bin"
@@ -410,12 +386,11 @@ def _cmd_linkage(args) -> None:
         raise MalformedMatrix(f"{matrix}: co-clustering weights must be non-negative")
     graph = WeightedGraph(ids, i, j, w)
     part = walktrap_communities(graph, walk_length=args.walk_length)
-    out = Path(args.out)
-    write_partition(part, out)
-    _write_manifest(args, out, [matrix], started)
+    write_partition(part, args.out)
+    return args.out, [matrix]
 
 
-def _cmd_growth(args) -> None:
+def _cmd_growth(args) -> tuple:
     from .growth import (
         GrowthWindow,
         emit_growth_svg,
@@ -425,7 +400,6 @@ def _cmd_growth(args) -> None:
     )
     from .io_formats import load_metadata, load_partition
 
-    started = time.monotonic()
     if args.top_k < 1:
         raise _UsageError(f"--top-k must be a positive integer, got {args.top_k}")
     date = datetime.date.fromisoformat
@@ -438,17 +412,16 @@ def _cmd_growth(args) -> None:
     part = load_partition(args.partition)
     meta = load_metadata(args.metadata)
     rows = growth_report(part, meta, window, top_k=args.top_k)
-    out = Path(args.out)
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write(growth_report_tsv(rows))
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(emit_growth_svg(rows))
     print(json.dumps(phi_breakdown(part, meta, window), sort_keys=True))
-    _write_manifest(args, out, [args.partition, args.metadata], started)
+    return args.out, [args.partition, args.metadata]
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args) -> tuple:
     from .io_formats import write_fasta, write_metadata, write_newick, write_partition
     from .simulate import (
         SimConfig,
@@ -457,19 +430,11 @@ def _cmd_simulate(args) -> None:
         simulate_tree,
     )
 
-    started = time.monotonic()
     base = dict(_PRESETS[args.preset]) if args.preset else {}
     if not (args.cluster_sizes or args.preset):
-        raise DataError("simulate needs --preset or --cluster-sizes")
-    fields = (
-        "within_mean",
-        "between_mean",
-        "stem_min",
-        "seq_length",
-        "kappa",
-        "phi_fraction",
-        "mask_fraction",
-    )
+        raise _UsageError("simulate needs --preset or --cluster-sizes")
+    fields = ("within_mean", "between_mean", "stem_min", "seq_length", "kappa",
+              "phi_fraction", "mask_fraction")
     for key in fields:
         value = getattr(args, key)
         if value is not None:
@@ -489,7 +454,7 @@ def _cmd_simulate(args) -> None:
     write_fasta(alignment, out_dir / "alignment.fasta")
     write_metadata(meta, out_dir / "metadata.csv")
     write_partition(planted, out_dir / "planted.csv")
-    _write_manifest(args, out_dir, [], started, [args.seed])
+    return out_dir, [], (args.seed,)
 
 
 # ---------------------------------------------------------------- parser
@@ -685,10 +650,15 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         for p, values in defaults:
             p.set_defaults(**values)
+            for action in p._actions:  # a config value supplies a required flag
+                action.required &= action.dest not in values
 
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        args.func(args)
+        record = args.func(args)
+        if record is not None:
+            _write_manifest(args, started, *record)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -247,6 +247,7 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
         mcmc + ["--iterations", "0", "--burn-in", "-1"],
         mcmc + ["--seed", "-1"],
         mcmc + ["--seeds=-2,1"],
+        simulate,
         simulate + ["--preset", "demo", "--seed", "-1"],
         simulate + ["--cluster-sizes", "3,0"],
         simulate + ["--cluster-sizes", "3,x"],
@@ -495,19 +496,29 @@ def test_config_value_its_flag_rejects_exits_one(cohort, tmp_path, capsys, confi
     [
         ({"threads": 1, "kind": "k80", "binary": True, "cap": 1},
          ["--threads", "1", "dist", "--kind", "k80", "--binary", "--cap", "1"],
-         ["dist", "--align", "{d}/alignment.fasta"]),
+         ["dist", "--align", "{d}/alignment.fasta", "--out", "{out}"]),
         ({"support_min": "0.5", "distance_max": 0.1},
          ["cluster", "--support-min", "0.5", "--distance-max", "0.1"],
+         ["cluster", "--method", "maxpatristic", "--tree", "{d}/tree.nwk",
+          "--out", "{out}"]),
+        # a config value supplies a flag that the command requires
+        ({"out": "{out}"}, ["cluster", "--out", "{out}"],
          ["cluster", "--method", "maxpatristic", "--tree", "{d}/tree.nwk"]),
+        ({"method": "maxpatristic"}, ["cluster", "--method", "maxpatristic"],
+         ["cluster", "--tree", "{d}/tree.nwk", "--out", "{out}"]),
     ],
 )
 def test_config_run_matches_its_flags(cohort, tmp_path, config, flags, argv):
     """A valid config writes the output and the manifest flags that the
     same values given as flags do."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    argv = [a.replace("{d}", str(cohort)) for a in argv] + ["--out", str(out)]
+
+    def fill(text):
+        return text.replace("{d}", str(cohort)).replace("{out}", str(out))
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(fill(json.dumps(config)))
+    argv, flags = [fill(a) for a in argv], [fill(f) for f in flags]
     runs = []
     for run in (["--config", str(cfg)] + argv, flags + argv[1:]):
         assert main(run) == 0
@@ -771,6 +782,74 @@ def test_linkage_bad_cocluster_is_data_error(chain, tmp_path, capsys, edit, mess
     err = capsys.readouterr().err
     assert "MalformedMatrix" in err and message in err and "Traceback" not in err
     assert not out.exists()
+
+
+# each command's run: its arguments over the cohort {d}, the chain {c} and
+# the run's own directory {o}; the manifest it writes there, or None; the
+# files the manifest digests; and the seeds it records
+_RECORDS = {
+    "dist": ("dist --align {d}/alignment.fasta --binary --out {o}/p.bin",
+             "p.bin.manifest.json", ["{d}/alignment.fasta"], []),
+    "cluster-gap": ("cluster --method gap --align {d}/alignment.fasta --out {o}/g.csv",
+                    "g.csv.manifest.json", ["{d}/alignment.fasta"], []),
+    "cluster-maxp": (
+        "cluster --method maxp --tree {d}/tree.nwk --align {d}/alignment.fasta"
+        " --out {o}/m.csv",
+        "m.csv.manifest.json", ["{d}/tree.nwk", "{d}/alignment.fasta"], []),
+    "cluster-mcmc": (
+        "cluster --method mcmc --tree {d}/tree.nwk --align {d}/alignment.fasta"
+        " --iterations 300 --burn-in 100 --thin 100 --seeds 3,4 --out {o}/c.csv",
+        "c.csv.manifest.json", ["{d}/tree.nwk", "{d}/alignment.fasta"], [3, 4]),
+    "support": ("support --tree {d}/tree.nwk --samples {o}/t.nwk --out {o}/s.nwk",
+                "s.nwk.manifest.json", ["{d}/tree.nwk", "{o}/t.nwk"], []),
+    "consensus": ("consensus --samples {o}/t.nwk --out {o}/c.nwk",
+                  "c.nwk.manifest.json", ["{o}/t.nwk"], []),
+    "sweep": (
+        "sweep --tree {d}/tree.nwk --align {d}/alignment.fasta --ref {d}/planted.csv"
+        " --support-grid 0.9 --distance-grid 0.045 --out {o}/s.tsv",
+        "s.tsv.manifest.json",
+        ["{d}/tree.nwk", "{d}/alignment.fasta", "{d}/planted.csv"], []),
+    "ari": ("ari --a {d}/planted.csv --b {o}/t.csv --out {o}/a.txt",
+            "a.txt.manifest.json", ["{d}/planted.csv", "{o}/t.csv"], []),
+    "ari-ref": (
+        "ari --a {d}/planted.csv --b {o}/t.csv --ref {o}/r.csv --out {o}/a.txt",
+        "a.txt.manifest.json", ["{d}/planted.csv", "{o}/t.csv", "{o}/r.csv"], []),
+    "ari-printed": ("ari --a {d}/planted.csv --b {o}/t.csv", None, [], []),
+    "compare": ("compare --partitions {d}/planted.csv {o}/t.csv --out {o}/c.bin",
+                "c.bin.manifest.json", ["{d}/planted.csv", "{o}/t.csv"], []),
+    "linkage": ("linkage --chain-dir {c} --out {o}/l.csv",
+                "l.csv.manifest.json", ["{c}/cocluster.bin"], []),
+    "growth": (
+        "growth --partition {d}/planted.csv --metadata {d}/metadata.csv"
+        " --out {o}/g.tsv",
+        "g.tsv.manifest.json", ["{d}/planted.csv", "{d}/metadata.csv"], []),
+    "simulate": ("simulate --cluster-sizes 3,2 --seed 5 --out-dir {o}/sim",
+                 "sim/manifest.json", [], [5]),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_every_command_records_its_run(cohort, chain, tmp_path, name):
+    """Every command that writes a file writes one manifest beside it, with
+    its subcommand, a digest of each file it read, its seeds and its
+    duration; ari without --out writes no manifest."""
+    argv, manifest, inputs, seeds = _RECORDS[name]
+
+    def fill(text):
+        return text.format(d=cohort, c=chain, o=tmp_path)
+
+    (tmp_path / "t.nwk").write_text((cohort / "tree.nwk").read_text() * 2)
+    for partition in ("t.csv", "r.csv"):
+        (tmp_path / partition).write_text((cohort / "planted.csv").read_text())
+    assert main(fill(argv).split()) == 0
+    written = [p.relative_to(tmp_path) for p in tmp_path.rglob("*manifest.json")]
+    assert written == ([Path(manifest)] if manifest else [])
+    if manifest:
+        record = json.loads((tmp_path / manifest).read_text())
+        assert record["subcommand"] == argv.split()[0]
+        assert sorted(record["inputs"]) == sorted(fill(p) for p in inputs)
+        assert record["seeds"] == seeds
+        assert record["duration_seconds"] >= 0
 
 
 @pytest.fixture(scope="module")

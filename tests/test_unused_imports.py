@@ -1,6 +1,7 @@
 """No module-level import in the library or the tests goes unused, every
 error type in errors.py is raised somewhere in the library, and every
-private module-level function or class of the library is used in it."""
+private module-level function, class or constant of the library is used
+in it."""
 
 import ast
 from pathlib import Path
@@ -91,10 +92,26 @@ def test_every_error_type_has_a_raiser():
     assert not unraised, f"never raised: {sorted(unraised)}"
 
 
+def _defined(stmt):
+    """The names a module-level statement defines: a function's or a
+    class's, or each plain name that an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    bound = (n for t in targets for n in getattr(t, "elts", [t]))
+    return [n.id for n in bound if isinstance(n, ast.Name)]
+
+
 def _unreferenced(modules):
-    """The module-level _name functions and classes of modules that no
-    statement but their own definition names: as a name read (quoted
-    annotations included), an attribute taken or a name imported."""
+    """The module-level _name functions, classes and constants of modules
+    that no statement but their own definition names: as a name read
+    (quoted annotations included), an attribute taken or a name
+    imported."""
     names = {}
     for tree in modules:
         for stmt in tree.body:
@@ -106,12 +123,12 @@ def _unreferenced(modules):
                     found.update(alias.name for alias in node.names)
             names[stmt] = found
     return [
-        stmt.name
+        name
         for stmt in names
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and stmt.name.startswith("_")
-        and not stmt.name.startswith("__")
-        and not any(stmt.name in found for s, found in names.items() if s is not stmt)
+        for name in _defined(stmt)
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in found for s, found in names.items() if s is not stmt)
     ]
 
 
@@ -119,10 +136,11 @@ def test_checker_flags_an_unreferenced_private_definition():
     one = ast.parse(
         "def _a():\n    _a()\ndef _b(): pass\nclass _C: pass\n"
         "def __dunder__(): pass\ndef _d(): pass\ndef _e(): pass\n"
-        "def f() -> '_C': return m._d\n"
+        "_K = 1\n_L: int = _K\n_M, n = 2, 3\n_N = _O = 4\n__all__ = []\n"
+        "def f() -> '_C': return m._d, _M, _O, _P\n"
     )
-    other = ast.parse("from one import _e\n")
-    assert _unreferenced([one, other]) == ["_a", "_b"]
+    other = ast.parse("from one import _e\n_P = 5\n")
+    assert _unreferenced([one, other]) == ["_a", "_b", "_L", "_N"]
 
 
 def test_every_private_definition_is_used():
