@@ -105,16 +105,6 @@ def _sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, datetime.date):
-        return value.isoformat()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _write_manifest(
     args: argparse.Namespace,
     started: float,
@@ -123,9 +113,7 @@ def _write_manifest(
     seeds: tuple[int, ...] = (),
 ) -> None:
     flags = {
-        k: _jsonable(v)
-        for k, v in vars(args).items()
-        if k != "func" and not k.startswith("_")
+        k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")
     }
     manifest = {
         "subcommand": args.command,
@@ -187,11 +175,11 @@ def _p_source(args, inputs: list) -> Alignment | DistanceMatrix:
         alternative = " or --matrix" if hasattr(args, "matrix") else ""
         raise _UsageError(f"--method {args.method} needs --align{alternative}")
     inputs.append(args.align)
-    alignment = load_fasta(args.align)
     if args.method != "gap":
-        return alignment
+        return load_fasta(args.align)
+    threads = _resolve_threads(args)  # a bad setting fails before the parse
     return build_distance_matrix(
-        alignment, MatrixKind.P_DISTANCE, threads=_resolve_threads(args)
+        load_fasta(args.align), MatrixKind.P_DISTANCE, threads=threads
     )
 
 
@@ -209,10 +197,10 @@ def _cmd_dist(args) -> tuple:
 
     if args.cap is not None and not args.cap >= 0:  # NaN fails too
         raise _UsageError(f"--cap must be a distance of 0 or more, got {args.cap}")
-    alignment = load_fasta(args.align)
+    threads = _resolve_threads(args)  # a bad setting fails before the parse
     kind = MatrixKind.P_DISTANCE if args.kind == "p" else MatrixKind.K80
     dm = build_distance_matrix(
-        alignment, kind, cap=args.cap, threads=_resolve_threads(args)
+        load_fasta(args.align), kind, cap=args.cap, threads=threads
     )
     if args.binary:
         write_matrix_binary(dm, args.out)
@@ -347,17 +335,18 @@ def _cmd_ari(args) -> tuple | None:
     from .evaluation import ReferenceSet, adjusted_rand_index, reference_ari
     from .io_formats import load_partition
 
+    if (args.b is None) == (args.ref is None):
+        raise _UsageError("ari needs exactly one of --b (--planted) and --ref")
     a = load_partition(args.a)
-    b = load_partition(args.b)
     if args.ref:
         value = reference_ari(a, ReferenceSet(load_partition(args.ref), tuple(a.ids())))
     else:
-        value = adjusted_rand_index(a, b)
+        value = adjusted_rand_index(a, load_partition(args.b))
     print(f"{value!r}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(f"{value!r}\n")
-        return args.out, [args.a, args.b] + ([args.ref] if args.ref else [])
+        return args.out, [args.a, args.b or args.ref]
     return None  # a score printed only is no run to record
 
 
@@ -552,9 +541,11 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
     p = add_parser("ari", help="adjusted Rand index between two partitions")
     p.add_argument("--a", required=True)
-    p.add_argument("--b", "--planted", dest="b", required=True)
+    p.add_argument("--b", "--planted", dest="b", default=None,
+                   help="partition csv to score --a against")
     p.add_argument("--ref", default=None,
-                   help="partial reference csv; scores --a against it")
+                   help="partial reference csv to score --a against, "
+                        "instead of --b")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ari)
 

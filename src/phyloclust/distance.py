@@ -16,7 +16,6 @@ pair whose log argument is not positive.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import logging
@@ -128,26 +127,6 @@ def _scratch(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _count_rows(
-    planes: np.ndarray,
-    r0: int,
-    r1: int,
-    work: np.ndarray,
-    pop: np.ndarray,
-    counts: np.ndarray,
-) -> None:
-    # Counts each row i of r0..r1-1 against rows i+1.. into counts, from
-    # column 0: the pairs of a row run are one contiguous run of the
-    # condensed triangle.  Row 2 of counts, when there is one, holds
-    # popcount(v & x0), the transversions.
-    n = planes.shape[2]
-    lo = 0
-    for i in range(r0, r1):
-        hi = lo + n - 1 - i
-        _count_against(planes, i, slice(i + 1, n), work, pop, counts[:, lo:hi])
-        lo = hi
-
-
 def _p_values(compared: np.ndarray, mism: np.ndarray) -> np.ndarray:
     # mism / compared, NaN where no site is compared: 0/0 alone gives a
     # NaN with its sign bit set, so NaN is written over it
@@ -175,55 +154,47 @@ def _k80_values(counts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _row_runs(n: int, workers: int) -> list[tuple[int, int, int, int]]:
-    # Contiguous row runs (r0, r1, lo, hi), about n / 2 of one row's pairs
-    # each and at least workers; rows r0..r1-1 hold the condensed pairs
-    # lo..hi-1.  Each cut is the first row at or past an even share of
-    # the pairs, moved so that every run keeps at least one row.
-    rows = np.arange(n)
-    starts = (_row_shift(n, rows) + rows + 1).tolist()
-    total = starts[-1]
-    runs = min(n - 1, max(workers, -(-n // 2)))
-    cuts = [0]
-    for k in range(1, runs):
-        r = bisect.bisect_left(starts, total * k // runs)
-        cuts.append(min(max(r, cuts[-1] + 1), n - 1 - runs + k))
-    cuts.append(n - 1)
-    return [(a, b, starts[a], starts[b]) for a, b in zip(cuts, cuts[1:])]
-
-
-def _fill_runs(
+def _fill_rows(
     planes: np.ndarray,
-    runs: list[tuple[int, int, int, int]],
+    rows: Iterable[int],
     fd: int,
     cap: float | None,
     k80: bool,
 ) -> int:
-    # Counts each run, turns it into K80 or p distances and writes them at
-    # the run's place in the .bin-layout file open as fd.  With a cap,
-    # undefined values become cap first; returns how many did.  The
-    # kernel scratch and one run's counts are made here, once per call.
+    # Counts each item i of rows, row i with row n-2-i of the triangle (the
+    # middle row alone when they meet), turns their pairs into K80 or p
+    # distances in one call and writes each row at its place in the
+    # .bin-layout file open as fd.  With a cap, undefined values become
+    # cap first; returns how many did.  The kernel scratch and one item's
+    # counts are made here, once per call.
+    n = planes.shape[2]
     work, pop = _scratch(planes)
-    width = max(hi - lo for _, _, lo, hi in runs)
-    counts = np.empty((3 if k80 else 2, width), dtype=np.int32)
+    counts = np.empty((3 if k80 else 2, n), dtype=np.int32)
     capped = 0
-    for r0, r1, lo, hi in runs:
-        run = counts[:, : hi - lo]
-        _count_rows(planes, r0, r1, work, pop, run)
-        vals = _k80_values(run) if k80 else _p_values(*run)
+    for item in rows:
+        pair = sorted({item, n - 2 - item})
+        ends = list(itertools.accumulate((n - 1 - i for i in pair), initial=0))
+        for i, lo, hi in zip(pair, ends, ends[1:]):
+            _count_against(planes, i, slice(i + 1, n), work, pop, counts[:, lo:hi])
+        held = counts[:, : ends[-1]]
+        vals = _k80_values(held) if k80 else _p_values(*held)
         if cap is not None:
             bad = np.isnan(vals)
             capped += int(np.count_nonzero(bad))
             vals[bad] = cap
-        _pwrite_all(fd, np.ascontiguousarray(vals, dtype="<f8"), _HEADER + 8 * lo)
+        for i, lo, hi in zip(pair, ends, ends[1:]):
+            _pwrite_all(fd, vals[lo:hi], _HEADER + 8 * (_row_shift(n, i) + i + 1))
     return capped
 
 
-def _pwrite_all(fd: int, data: np.ndarray, offset: int) -> None:
-    view = memoryview(data).cast("B")
+def _pwrite_all(fd: int, values: np.ndarray, offset: int) -> int:
+    # Writes values as float64 LE at offset in the file open as fd, and
+    # returns the offset past them.
+    view = memoryview(np.ascontiguousarray(values, dtype="<f8")).cast("B")
     while view:
         done = os.pwrite(fd, view, offset)
         view, offset = view[done:], offset + done
+    return offset
 
 
 def p_block_reader(
@@ -418,10 +389,7 @@ def _write_rows(fd: int, rows: Iterable[np.ndarray]) -> int:
     # many values they hold.
     at = _HEADER
     for row in rows:
-        # a view of row on a little-endian host, a byte-swapped copy elsewhere
-        data = np.ascontiguousarray(row, dtype="<f8")
-        _pwrite_all(fd, data, at)
-        at += data.nbytes
+        at = _pwrite_all(fd, row, at)
     return (at - _HEADER) // 8
 
 
@@ -434,13 +402,15 @@ def build_distance_matrix(
     """All-pairs p or K80 distances for an alignment.
 
     cap=None leaves undefined pairs as NaN; a float replaces them with that
-    value and logs how many it replaced.  The rows are counted and
-    transformed in runs of about one row's pairs, each written as it is
-    done into an unnamed temporary file (under TMPDIR) in
-    write_matrix_binary's layout, which the matrix then reads; the file
-    is gone once the matrix is.  threads spreads the runs over a pool of
-    min(threads, cores, n - 1) workers, each making its own kernel
-    scratch and one run's counts; results are identical for any count.
+    value and logs how many it replaced.  Each of n // 2 items pairs row
+    i of the triangle with row n-2-i, n pairs between them (when n is
+    even, the middle row stands alone).  An item is counted and
+    transformed at once and its rows written into an unnamed temporary
+    file (under TMPDIR) in write_matrix_binary's layout, which the matrix
+    then reads; the file is gone once the matrix is.  threads deals the
+    items in turn to min(threads, cores, n - 1) workers, each making its
+    own kernel scratch and one item's counts; results are identical for
+    any count.
     """
     if kind is MatrixKind.PATRISTIC:
         raise ValueError("patristic matrices are built from a tree")
@@ -450,11 +420,11 @@ def build_distance_matrix(
     n = planes.shape[2]
     dm = DistanceMatrix([r.id for r in alignment.records], _matrix_file(n), kind)
     workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))
-    runs = _row_runs(n, workers)
+    items = range(n // 2)
     k80 = kind is MatrixKind.K80
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futs = [
-            pool.submit(_fill_runs, planes, runs[w::workers], dm._fd, cap, k80)
+            pool.submit(_fill_rows, planes, items[w::workers], dm._fd, cap, k80)
             for w in range(workers)
         ]
         capped = sum(f.result() for f in futs)

@@ -472,8 +472,6 @@ def parse_metadata(text: str) -> list[CaseMetadata]:
     out: list[CaseMetadata] = []
     seen: set[str] = set()
     for rownum, row in enumerate(reader, start=1):
-        if not row:
-            continue
         if len(row) < width:
             raise MalformedRow(
                 rownum, f"{len(row)} cells; the required columns need {width}"

@@ -61,8 +61,13 @@ def pair_counts(alignment):
     of every pair of an alignment's sequences, in condensed order."""
     n = alignment.n
     planes = distance._pack_planes(alignment)
+    scratch = distance._scratch(planes)
     counts = np.empty((3, n * (n - 1) // 2), dtype=np.int32)
-    distance._count_rows(planes, 0, n - 1, *distance._scratch(planes), counts)
+    lo = 0
+    for i in range(n - 1):  # row i's pairs (i, i+1..n-1) follow row i-1's
+        hi = lo + n - 1 - i
+        distance._count_against(planes, i, slice(i + 1, n), *scratch, counts[:, lo:hi])
+        lo = hi
     counts[2] = counts[1] - counts[2]  # the kernel counts transversions
     return counts
 

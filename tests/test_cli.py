@@ -212,6 +212,10 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
         ["cluster", "--method", "gap", "--align", str(cohort / "alignment.fasta"),
          "--seeds", "1,2", "--out", str(out)]
     ) == 2
+    # ari scores --a against exactly one of --b and --ref
+    planted = str(cohort / "planted.csv")
+    for extra in ([], ["--b", planted, "--ref", planted]):
+        assert main(["ari", "--a", planted, *extra, "--out", str(out)]) == 2
     # the patristic methods sum path lengths from the tree, so even a
     # well-formed matrix is a usage error
     p_bin = tmp_path / "p.bin"
@@ -811,9 +815,8 @@ _RECORDS = {
         ["{d}/tree.nwk", "{d}/alignment.fasta", "{d}/planted.csv"], []),
     "ari": ("ari --a {d}/planted.csv --b {o}/t.csv --out {o}/a.txt",
             "a.txt.manifest.json", ["{d}/planted.csv", "{o}/t.csv"], []),
-    "ari-ref": (
-        "ari --a {d}/planted.csv --b {o}/t.csv --ref {o}/r.csv --out {o}/a.txt",
-        "a.txt.manifest.json", ["{d}/planted.csv", "{o}/t.csv", "{o}/r.csv"], []),
+    "ari-ref": ("ari --a {d}/planted.csv --ref {o}/r.csv --out {o}/a.txt",
+                "a.txt.manifest.json", ["{d}/planted.csv", "{o}/r.csv"], []),
     "ari-printed": ("ari --a {d}/planted.csv --b {o}/t.csv", None, [], []),
     "compare": ("compare --partitions {d}/planted.csv {o}/t.csv --out {o}/c.bin",
                 "c.bin.manifest.json", ["{d}/planted.csv", "{o}/t.csv"], []),
@@ -1023,26 +1026,35 @@ def test_growth_command(cohort, tmp_path, capsys):
     assert svg.read_bytes() == first
 
 
+def _thread_runs(cohort, tmp_path):
+    """dist and cluster gap over the cohort and over a ragged FASTA: the
+    thread setting is checked before the alignment is parsed."""
+    ragged = tmp_path / "ragged.fasta"
+    ragged.write_text(">a\nACGT\n>b\nACG\n")
+    out = tmp_path / "out"
+    for align in (cohort / "alignment.fasta", ragged):
+        yield ["dist", "--align", str(align), "--out", str(out)], out
+        yield ["cluster", "--method", "gap", "--align", str(align),
+               "--out", str(out)], out
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 def test_bad_thread_env_exits_two(cohort, tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("PHYLOCLUST_THREADS", value)
-    out = tmp_path / "dm.phy"
-    rc = main(["dist", "--align", str(cohort / "alignment.fasta"), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "PHYLOCLUST_THREADS" in err and "Traceback" not in err
-    assert not out.exists()
+    for argv, out in _thread_runs(cohort, tmp_path):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "PHYLOCLUST_THREADS" in err and "Traceback" not in err, argv
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_bad_threads_flag_exits_two(cohort, tmp_path, capsys, value):
-    out = tmp_path / "dm.phy"
-    rc = main(["--threads", value, "dist", "--align", str(cohort / "alignment.fasta"),
-               "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--threads" in err and "Traceback" not in err
-    assert not out.exists()
+    for argv, out in _thread_runs(cohort, tmp_path):
+        assert main(["--threads", value, *argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert "--threads" in err and "Traceback" not in err, argv
+        assert not out.exists()
 
 
 def _cut_header(path):
@@ -1090,18 +1102,18 @@ def test_malformed_phylip_count_exits_one(cohort, tmp_path, capsys):
 
 @pytest.fixture
 def matrix_builds(monkeypatch):
-    """The row runs of every whole p/K80 matrix build, however the caller
-    imported build_distance_matrix."""
+    """The row items each worker of a whole p/K80 matrix build fills,
+    however the caller imported build_distance_matrix."""
     from phyloclust import distance
 
     calls = []
-    real = distance._fill_runs
+    real = distance._fill_rows
 
-    def counted(planes, runs, *rest):
-        calls.append(runs)
-        return real(planes, runs, *rest)
+    def counted(planes, rows, *rest):
+        calls.append(rows)
+        return real(planes, rows, *rest)
 
-    monkeypatch.setattr(distance, "_fill_runs", counted)
+    monkeypatch.setattr(distance, "_fill_rows", counted)
     return calls
 
 
@@ -1206,6 +1218,30 @@ def test_patristic_sweep_reads_no_alignment(cohort, tmp_path, monkeypatch, metho
     assert given.read_bytes() == plain.read_bytes()
     manifest = json.loads((tmp_path / "given.tsv.manifest.json").read_text())
     assert aln not in manifest["inputs"]
+
+
+@pytest.mark.parametrize("method", ["maxpatristic", "medianpatristic"])
+def test_patristic_without_tree_exits_two(cohort, tmp_path, capsys, method):
+    out = tmp_path / "c.csv"
+    rc = main(["cluster", "--method", method,
+               "--align", str(cohort / "alignment.fasta"), "--out", str(out)])
+    assert rc == 2
+    assert f"--method {method} needs --tree" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_maxp_matrix_missing_tip_exits_one(cohort, tmp_path, capsys):
+    records = (cohort / "alignment.fasta").read_text().split(">")[1:]
+    missing = records[0].split()[0]
+    short, dm, out = tmp_path / "short.fasta", tmp_path / "dm.bin", tmp_path / "c.csv"
+    short.write_text("".join(">" + r for r in records[1:]))
+    assert main(["dist", "--align", str(short), "--binary", "--out", str(dm)]) == 0
+    rc = main(["cluster", "--method", "maxp", "--tree", str(cohort / "tree.nwk"),
+               "--matrix", str(dm), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"TipSetMismatch: matrix is missing tip {missing!r}" in err
+    assert not out.exists()
 
 
 def test_sweep_maxp_missing_sequence_exits_one(cohort, tmp_path, capsys):

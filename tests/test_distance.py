@@ -226,7 +226,8 @@ def test_pair_counts_match_site_oracle(sites, n, threads):
 
 def _whole_array_values(counts, kind):
     """Distances from all pair counts at once, in the operation order
-    build_distance_matrix keeps per run: the oracle of its run transform."""
+    build_distance_matrix keeps per item: the oracle of its item
+    transform."""
     compared, mism = counts[0], counts[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind is MatrixKind.P_DISTANCE:
@@ -250,12 +251,11 @@ def _whole_array_values(counts, kind):
 @pytest.mark.parametrize("block", [5, 100])
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
-    """Distances made run by run, in runs of one row near the top of the
-    triangle and of several rows near its bottom, whatever BLOCK_PAIRS
-    is (5 or 100), on one, two or four threads switching often, equal the
-    whole-array transform of pair_counts bit for bit: NaN of an all-N
-    row, zeros of identical rows, and K80 pairs saturated at w1 <= 0 and
-    at w2 <= 0."""
+    """Distances made item by item, a row near the top of the triangle
+    with its partner near the bottom, whatever BLOCK_PAIRS is (5 or 100),
+    on one, two or four threads switching often, equal the whole-array
+    transform of pair_counts bit for bit: NaN of an all-N row, zeros of
+    identical rows, and K80 pairs saturated at w1 <= 0 and at w2 <= 0."""
     monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     rng = np.random.default_rng(block + threads)
@@ -273,10 +273,6 @@ def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
     seqs[22] = "C" * sites  # against A: Q = 1, w2 < 0
     seqs[23] = "A" * (sites // 2) + "G" * (sites // 2)  # against A: w1 = 0
     aln = parse_fasta("".join(f">r{i}\n{s}\n" for i, s in enumerate(seqs)))
-    runs = distance._row_runs(len(seqs), threads)
-    assert len(runs) >= 8 and {r1 - r0 > 1 for r0, r1, _, _ in runs} == {False, True}
-    assert max(hi - lo for _, _, lo, hi in runs) < 2 * (len(seqs) - 1)
-
     counts = pair_counts(aln)
     want = _whole_array_values(counts, kind)
     interval = sys.getswitchinterval()
@@ -291,26 +287,35 @@ def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
         assert np.count_nonzero(np.isnan(want)) > np.count_nonzero(counts[0] == 0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 9, 40, 300])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 40, 300])
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("block", [1, 7, 65_536])
 def test_row_runs_tile_the_triangle(monkeypatch, n, workers, block):
-    """Runs cover rows 0..n-2 and the whole triangle in order, every run
-    holds a row, and there are enough runs for every worker (as many as
-    n - 1 allows).  Whatever BLOCK_PAIRS is, the runs hold one row's
-    n - 1 pairs on average: about n / 2 of them, a single row at the top
-    of the triangle, and none as many as two rows' 2(n - 1)."""
+    """The writes of a build, one per row, tile the value region of the
+    matrix file exactly once, whatever BLOCK_PAIRS is and for one, two or
+    four workers (as many as n - 1 allows): row i's n - 1 - i values land
+    at the row's own place."""
     monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
-    runs = distance._row_runs(n, workers)
-    assert len(runs) == max(min(workers, n - 1), -(-n // 2))
-    assert runs[0][:2] == (0, 1)
-    assert runs[0][::2] == (0, 0) and runs[-1][1::2] == (n - 1, n * (n - 1) // 2)
-    for (_, r1, _, hi), (r0, _, lo, _) in zip(runs, runs[1:]):
-        assert (r1, hi) == (r0, lo)
-    for r0, r1, lo, hi in runs:
-        assert r0 < r1
-        assert hi - lo == sum(n - 1 - i for i in range(r0, r1))
-        assert hi - lo < 2 * (n - 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    writes = []
+    real = distance._pwrite_all
+
+    def recorded(fd, values, offset):
+        writes.append((offset, len(values)))
+        return real(fd, values, offset)
+
+    monkeypatch.setattr(distance, "_pwrite_all", recorded)
+    aln = parse_fasta("".join(f">r{i}\nACGTN\n" for i in range(n)))
+    dm = build_distance_matrix(aln, MatrixKind.P_DISTANCE, threads=workers)
+    assert len(writes) == n - 1
+    covered = np.zeros(n * (n - 1) // 2, dtype=int)
+    for offset, size in writes:
+        lo = (offset - distance._HEADER) // 8
+        assert lo >= 0 and (offset - distance._HEADER) % 8 == 0 and size > 0
+        covered[lo : lo + size] += 1
+    assert covered.tolist() == [1] * (n * (n - 1) // 2)
+    assert sorted(size for _, size in writes) == list(range(1, n))
+    assert np.array_equal(condensed(dm), np.zeros(n * (n - 1) // 2))
 
 
 def test_compare_pair_empty_strings():
