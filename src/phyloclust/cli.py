@@ -459,7 +459,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         "--threads",
         type=int,
         default=None,
-        help="worker threads for a whole p/K80 matrix build (dist, and gap "
+        help="worker processes for a whole p/K80 matrix build (dist, and gap "
         "from --align), clamped to the cores and the rows "
         "(default: PHYLOCLUST_THREADS or all cores)",
     )

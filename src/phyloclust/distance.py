@@ -24,7 +24,6 @@ import struct
 import sys
 import tempfile
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
@@ -195,6 +194,69 @@ def _pwrite_all(fd: int, values: np.ndarray, offset: int) -> int:
         done = os.pwrite(fd, view, offset)
         view, offset = view[done:], offset + done
     return offset
+
+
+class _Worker:
+    """_fill_rows(*args) in a forked child process, which shares the
+    parent's bit-planes and matrix file.  The child sends its capped
+    count, or "TypeName: message" if it raised, down a pipe and leaves
+    with os._exit, so it never returns into the caller nor flushes the
+    stdio buffers it inherited."""
+
+    def __init__(self, *args) -> None:
+        rfd, wfd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(rfd)
+            os.close(wfd)
+            raise
+        if self.pid:
+            os.close(wfd)
+            self._pipe = open(rfd, "rb")
+            return
+        status = 1
+        try:
+            os.close(rfd)
+            try:
+                reply, failed = str(_fill_rows(*args)), False
+            except BaseException as exc:
+                reply, failed = f"{type(exc).__name__}: {exc}", True
+            with open(wfd, "wb") as pipe:
+                pipe.write(reply.encode())
+            status = int(failed)
+        finally:
+            os._exit(status)
+
+    def result(self) -> int:
+        """Waits for the child and returns its capped count; OSError names
+        the error it raised or the signal that killed it."""
+        with self._pipe:
+            reply = self._pipe.read().decode(errors="replace")
+        status = self._wait()
+        if os.WIFSIGNALED(status):
+            import signal  # only a failed build loads it
+
+            num = os.WTERMSIG(status)
+            raise OSError(
+                f"distance worker killed by signal {num} ({signal.strsignal(num)})"
+            )
+        if os.WEXITSTATUS(status):
+            raise OSError(f"distance worker failed: {reply}")
+        return int(reply)
+
+    def kill(self) -> None:
+        """Kills and waits for the child unless result() has waited."""
+        self._pipe.close()
+        if self.pid:
+            import signal  # only a failed build loads it
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._wait()
+
+    def _wait(self) -> int:
+        pid, self.pid = self.pid, 0
+        return os.waitpid(pid, 0)[1]
 
 
 def p_block_reader(
@@ -410,7 +472,10 @@ def build_distance_matrix(
     then reads; the file is gone once the matrix is.  threads deals the
     items in turn to min(threads, cores, n - 1) workers, each making its
     own kernel scratch and one item's counts; results are identical for
-    any count.
+    any count.  Worker 0 is the calling process, and each other worker a
+    forked child (one worker where os.fork does not exist), so no two
+    share an interpreter lock.  A worker that fails raises OSError naming
+    its error; a child left when the build fails is killed and waited for.
     """
     if kind is MatrixKind.PATRISTIC:
         raise ValueError("patristic matrices are built from a tree")
@@ -420,14 +485,19 @@ def build_distance_matrix(
     n = planes.shape[2]
     dm = DistanceMatrix([r.id for r in alignment.records], _matrix_file(n), kind)
     workers = max(1, min(int(threads), os.cpu_count() or 1, n - 1))
+    if not hasattr(os, "fork"):
+        workers = 1
     items = range(n // 2)
-    k80 = kind is MatrixKind.K80
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [
-            pool.submit(_fill_rows, planes, items[w::workers], dm._fd, cap, k80)
-            for w in range(workers)
-        ]
-        capped = sum(f.result() for f in futs)
+    rest = (dm._fd, cap, kind is MatrixKind.K80)
+    children: list[_Worker] = []
+    try:
+        for w in range(1, workers):
+            children.append(_Worker(planes, items[w::workers], *rest))
+        capped = _fill_rows(planes, items[::workers], *rest)
+        capped += sum(child.result() for child in children)
+    finally:
+        for child in children:
+            child.kill()
     if capped:
         log.warning("capping %d undefined %s distances at %g", capped, kind.value, cap)
     return dm
@@ -437,15 +507,26 @@ def build_distance_matrix(
 
 
 def write_matrix_phylip(dm: DistanceMatrix, path: str | Path) -> None:
-    """Square whitespace-separated matrix with a leading count line."""
-    cells = " ".join(["%.10g"] * dm.n)  # "nan" for an undefined cell
+    """Square whitespace-separated matrix with a leading count line.
+
+    The distinct values of each eight rows are formatted once with %.10g
+    ("nan" for an undefined cell), keyed on their bits so that -0 stays
+    apart from 0, and each row is joined from that table.  The table's
+    sort takes a few arrays of eight rows: a whole strip's would hold
+    several times the strip."""
     with open(path, "w") as fh:
         fh.write(f"{dm.n}\n")
         for a, strip in dm.strips():
             # 10 digits round a finite cell near the largest double up to inf
             np.clip(strip, -_PHYLIP_MAX, _PHYLIP_MAX, strip, where=np.isfinite(strip))
-            for ident, row in zip(dm.ids[a:], strip):
-                fh.write(f"{ident}  {cells % tuple(row.tolist())}\n")
+            for r0 in range(0, len(strip), 8):
+                rows = strip[r0 : r0 + 8]
+                keys, index = np.unique(rows.view(np.uint64), return_inverse=True)
+                table = np.array(
+                    ["%.10g" % v for v in keys.view(np.float64).tolist()], dtype=object
+                )
+                for ident, row in zip(dm.ids[a + r0 :], index.reshape(rows.shape)):
+                    fh.write(f"{ident}  {' '.join(table[row].tolist())}\n")
 
 
 def read_matrix_phylip(

@@ -126,9 +126,15 @@ def _cocluster_rows(ends: np.ndarray) -> Iterator[np.ndarray]:
     # of one histogram.  Each count is exact and divided once.  It stays
     # beside that equality kernel, which takes any partition, because on
     # clade ranges it is faster: 0.06 s against 8.2 s for 1,000 samples
-    # over 3,704 ids (2 cores).
+    # over 3,704 ids (2 cores).  A row whose ends never pass i + 1 is all
+    # zero, and is a slice of one shared zero row.
     k, n = ends.shape
+    top = ends.max(axis=0, initial=0).tolist()
+    zeros = np.zeros(n)
     for i in range(n - 1):
+        if top[i] <= i + 1:
+            yield zeros[: n - 1 - i]
+            continue
         count = np.bincount(ends[:, i], minlength=n + 1)[i + 2 :]
         yield np.cumsum(count[::-1])[::-1] / max(k, 1)
 

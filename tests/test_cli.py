@@ -589,6 +589,48 @@ def test_cli_import_leaves_scipy_unloaded():
     assert fresh_python(probe) == "False"
 
 
+def test_distance_import_loads_no_pool_module():
+    probe = (
+        "import sys, phyloclust.distance; "
+        "print([m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')])"
+    )
+    assert fresh_python(probe) == "[]"
+
+
+def test_dist_failing_worker_process_exits_one(tmp_path):
+    """dist --threads 2 whose forked worker raises exits 1 with one error
+    line naming the worker's error, no traceback and no output file."""
+    fasta = tmp_path / "a.fasta"
+    fasta.write_text(">a\nACGT\n>b\nACGA\n>c\nAGGA\n>d\nTTGA\n")
+    out = tmp_path / "d.phy"
+    code = (
+        "import os, sys\n"
+        "from phyloclust import distance\n"
+        "from phyloclust.cli import main\n"
+        "real = distance._fill_rows\n"
+        "def fill(planes, rows, *rest):\n"
+        "    if rows.start == 1:\n"
+        "        raise RuntimeError('boom')\n"
+        "    return real(planes, rows, *rest)\n"
+        "distance._fill_rows = fill\n"
+        "os.cpu_count = lambda: 2\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--threads", "2", "dist",
+         "--align", str(fasta), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: distance worker failed: RuntimeError: boom\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_package_import_loads_no_submodule():
     probe = (
         "import sys, phyloclust; "

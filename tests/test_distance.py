@@ -3,7 +3,6 @@
 import itertools
 import math
 import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -253,7 +252,7 @@ def _whole_array_values(counts, kind):
 def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
     """Distances made item by item, a row near the top of the triangle
     with its partner near the bottom, whatever BLOCK_PAIRS is (5 or 100),
-    on one, two or four threads switching often, equal the whole-array
+    by one, two or four worker processes, equal the whole-array
     transform of pair_counts bit for bit: NaN of an all-N row, zeros of
     identical rows, and K80 pairs saturated at w1 <= 0 and at w2 <= 0."""
     monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
@@ -275,12 +274,7 @@ def test_run_transform_bit_equal_whole_array(monkeypatch, kind, block, threads):
     aln = parse_fasta("".join(f">r{i}\n{s}\n" for i, s in enumerate(seqs)))
     counts = pair_counts(aln)
     want = _whole_array_values(counts, kind)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = build_distance_matrix(aln, kind, threads=threads)
-    finally:
-        sys.setswitchinterval(interval)
+    got = build_distance_matrix(aln, kind, threads=threads)
     assert condensed(got).tobytes() == want.tobytes()
     assert np.count_nonzero(want == 0.0) and np.isnan(want).any()
     if kind is MatrixKind.K80:
@@ -294,9 +288,11 @@ def test_row_runs_tile_the_triangle(monkeypatch, n, workers, block):
     """The writes of a build, one per row, tile the value region of the
     matrix file exactly once, whatever BLOCK_PAIRS is and for one, two or
     four workers (as many as n - 1 allows): row i's n - 1 - i values land
-    at the row's own place."""
+    at the row's own place.  The workers run in this process, so that
+    every write is seen."""
     monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(distance, "_Worker", _InProcessWorker)
     writes = []
     real = distance._pwrite_all
 
@@ -322,27 +318,22 @@ def test_compare_pair_empty_strings():
     assert kernel_counts("", "")[:, 0].tolist() == [0, 0, 0]
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers and runs each
-    task at once on the calling thread, so no thread is started."""
+class _InProcessWorker:
+    """Stands in for distance._Worker: records the items of each share
+    that would be forked and fills them at once in this process, so no
+    process is forked and every write and call is seen here."""
 
-    created: list[int] = []
+    created: list[range] = []
 
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
+    def __init__(self, planes, rows, *rest):
+        self.created.append(rows)
+        self._capped = distance._fill_rows(planes, rows, *rest)
 
-    def __enter__(self):
-        return self
+    def result(self):
+        return self._capped
 
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+    def kill(self):
+        pass
 
 
 @pytest.mark.parametrize(
@@ -351,16 +342,121 @@ class _RecordingPool:
      (2, 2, 8, 1)],
 )
 def test_thread_pool_clamped_to_cores_and_rows(monkeypatch, cores, n, threads, expect):
+    """min(threads, cores, n - 1) workers: the calling process fills share
+    0 and one forked worker each other share, items dealt in turn."""
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(distance, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(distance, "_Worker", _InProcessWorker)
+    monkeypatch.setattr(_InProcessWorker, "created", [])
     rng = np.random.default_rng(n)
     aln = parse_fasta("".join(f">r{i}\n{_random_seq(rng, 70)}\n" for i in range(n)))
     serial = build_distance_matrix(aln, MatrixKind.K80, threads=1)
-    _RecordingPool.created.clear()
+    assert _InProcessWorker.created == []
     pooled = build_distance_matrix(aln, MatrixKind.K80, threads=threads)
-    assert _RecordingPool.created == [expect]
+    assert len(_InProcessWorker.created) + 1 == expect
+    items = range(n // 2)
+    assert _InProcessWorker.created == [items[w::expect] for w in range(1, expect)]
     assert np.array_equal(condensed(serial), condensed(pooled), equal_nan=True)
+
+
+_FOUR = ">a\nACGT\n>b\nACGA\n>c\nAGGA\n>d\nTTGA\n"
+_FOUR_P = [0.25, 0.5, 0.75, 0.25, 0.5, 0.5]
+
+
+def test_one_worker_where_fork_is_missing(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(distance, "_Worker", _InProcessWorker)
+    monkeypatch.setattr(_InProcessWorker, "created", [])
+    dm = build_distance_matrix(parse_fasta(_FOUR), MatrixKind.P_DISTANCE, threads=4)
+    assert _InProcessWorker.created == []
+    assert condensed(dm).tolist() == _FOUR_P
+
+
+def _no_child_left():
+    # os.waitpid(-1) raises once this process has no child, live or dead
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_share(monkeypatch, share, act):
+    # Patches _fill_rows so that worker `share` of a two-worker build
+    # (0: this process, 1: the forked child) calls act first.
+    real = distance._fill_rows
+
+    def fill(planes, rows, *rest):
+        if rows.start == share:
+            act()
+        return real(planes, rows, *rest)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(distance, "_fill_rows", fill)
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+def _killed():
+    import signal
+
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "act, message",
+    [(_boom, "distance worker failed: RuntimeError: boom"),
+     (_killed, "distance worker killed by signal 9")],
+)
+def test_failing_worker_process_raises_oserror(monkeypatch, act, message):
+    """A forked worker that raises, or is killed, fails the build with an
+    OSError naming the cause, and no child process is left over."""
+    _failing_share(monkeypatch, 1, act)
+    with pytest.raises(OSError, match=message):
+        build_distance_matrix(parse_fasta(_FOUR), MatrixKind.K80, threads=2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failing_own_share_kills_worker_processes(monkeypatch, error):
+    """When the calling process's own share raises, KeyboardInterrupt
+    included, the error propagates and the forked worker, here one that
+    would sleep for a minute, is killed and waited for."""
+    import time
+
+    real = distance._fill_rows
+
+    def fill(planes, rows, *rest):
+        if rows.start == 0:
+            raise error("own share")
+        time.sleep(60)
+        return real(planes, rows, *rest)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(distance, "_fill_rows", fill)
+    t0 = time.monotonic()
+    with pytest.raises(error, match="own share"):
+        build_distance_matrix(parse_fasta(_FOUR), MatrixKind.P_DISTANCE, threads=2)
+    assert time.monotonic() - t0 < 30
+    _no_child_left()
+
+
+def test_worker_processes_close_their_pipes(monkeypatch):
+    """A build on two worker processes, failed or not, leaves this
+    process's open descriptors as it found them once the matrix is gone."""
+    import gc
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    aln = parse_fasta(_FOUR)
+    opened = len(os.listdir("/proc/self/fd"))
+    dm = build_distance_matrix(aln, MatrixKind.P_DISTANCE, threads=2)
+    assert condensed(dm).tolist() == _FOUR_P
+    del dm
+    _failing_share(monkeypatch, 1, _boom)
+    with pytest.raises(OSError):
+        build_distance_matrix(aln, MatrixKind.P_DISTANCE, threads=2)
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == opened
+    _no_child_left()
 
 
 def test_k80_identical_is_zero():
@@ -436,9 +532,9 @@ def test_matrix_symmetry_and_spot_checks():
 
 @pytest.mark.parametrize("threads", [1, 2, "phylip"])
 def test_build_leaves_no_file_behind(monkeypatch, tmp_path_factory, tmp_path, threads):
-    """The matrix's file, built on one or two threads or read from
-    phylip, has no name in the temporary directory, and is gone once the
-    matrix is."""
+    """The matrix's file, built by one or two worker processes or read
+    from phylip, has no name in the temporary directory, and is gone once
+    the matrix is."""
     import gc
     import tempfile
 
@@ -636,6 +732,34 @@ def test_p_blocks_bit_equal_matrix(reader, r0, r1, c0, c1):
     off = np.arange(r0, r1)[:, None] != np.arange(c0, c1)[None, :]  # not i, i
     assert np.isnan(want[off]).any()
     assert want[off].tobytes() == block[off].tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 40, 65_536])
+@pytest.mark.parametrize("n", [2, 9, 30])
+def test_phylip_cells_are_each_values_own_format(tmp_path, monkeypatch, n, block):
+    """Each phylip cell is "%.10g" of its own value, however the strips and
+    the writer's shared tables of distinct values split the rows: -0 stays
+    -0 beside 0, NaN of either sign is nan, repeated values are written
+    alike, and a finite value past 10 digits of the largest double is
+    clipped to them."""
+    monkeypatch.setattr(distance, "BLOCK_PAIRS", block)
+    rng = np.random.default_rng(n + block)
+    big = np.finfo(np.float64).max
+    pool = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.25, 1 / 3, big, -big]
+    m = n * (n - 1) // 2
+    vals = np.where(rng.random(m) < 0.6, rng.choice(pool, m), rng.random(m))
+    ids = [f"t{k}" for k in range(n)]
+    dm = condensed_dm(ids, vals)
+    want = [str(n)] + [
+        f"{ident}  " + " ".join(
+            "%.10g" % (min(max(v, -distance._PHYLIP_MAX), distance._PHYLIP_MAX)
+                       if math.isfinite(v) else v)
+            for v in row.tolist()
+        )
+        for ident, row in zip(ids, dense(dm))
+    ]
+    write_matrix_phylip(dm, tmp_path / "m.phy")
+    assert (tmp_path / "m.phy").read_text().splitlines() == want
 
 
 @pytest.mark.parametrize("block", [1, 5, 40, 65_536])
