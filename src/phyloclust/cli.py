@@ -217,8 +217,13 @@ def _cmd_cluster(args) -> tuple:
     from .threshold import threshold_cluster
 
     inputs: list[str | Path] = []
-    if args.seeds and args.method != "mcmc":
-        raise _UsageError("--seeds applies only to --method mcmc")
+    # a flag the method never reads is refused, not recorded as if it took
+    # effect; the patristic methods sum path lengths from --tree, not --matrix
+    for flag, methods in (("seeds", ("mcmc",)), ("chain_dir", ("mcmc",)),
+                          ("matrix", ("maxp", "gap"))):
+        if getattr(args, flag) is not None and args.method not in methods:
+            name, allowed = "--" + flag.replace("_", "-"), " and ".join(methods)
+            raise _UsageError(f"{name} applies only to --method {allowed}")
     seeds: tuple[int, ...] = ()
     if args.method == "gap":
         with _flag_values(search_quantile="--gap-quantile"):
@@ -227,10 +232,11 @@ def _cmd_cluster(args) -> tuple:
     elif args.method == "mcmc":
         if not args.tree or not args.align:
             raise _UsageError("--method mcmc needs --tree and --align")
-        seeds = _parse_list("--seeds", args.seeds, int) if args.seeds else (args.seed,)
+        listed = args.seeds is not None
+        seeds = _parse_list("--seeds", args.seeds, int) if listed else (args.seed,)
         if len(set(seeds)) != len(seeds):
             raise _UsageError("--seeds entries must be distinct")
-        seed_flag = "--seeds" if args.seeds else "--seed"
+        seed_flag = "--seeds" if listed else "--seed"
         with _flag_values("iterations", "burn_in", "thin", rng_seed=seed_flag):
             configs = [
                 ChainConfig(
@@ -271,8 +277,6 @@ def _cmd_cluster(args) -> tuple:
         statistic = _STATISTIC_BY_METHOD[args.method]
         if not args.tree:
             raise _UsageError(f"--method {args.method} needs --tree")
-        if args.matrix and statistic is not Statistic.MAX_PAIRWISE_P:
-            raise _UsageError("--matrix is for maxp and gap; patristic is from --tree")
         with _flag_values("support_min", "distance_max"):
             criteria = ClusterCriteria(args.support_min, args.distance_max, statistic)
         maxp = statistic is Statistic.MAX_PAIRWISE_P  # patristic is from the tree

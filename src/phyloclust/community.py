@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,29 +42,6 @@ class WeightedGraph:
 
     def total_weight(self) -> float:
         return float(self.w.sum())
-
-
-def cocluster_rows(
-    partitions: Sequence[Partition], ids: Sequence[str]
-) -> Iterator[np.ndarray]:
-    """Row i of the COCLUSTER triangle over ids, for i = 0 .. n-2: the
-    fraction of partitions that put ids[i] in one cluster with each of
-    ids[i+1:], 0 for every pair when there are none.
-
-    Every partition must assign every id.  Each fraction is an exact count
-    divided once by the number of partitions.  This equality kernel stays
-    because it takes the arbitrary partitions that compare passes.  A
-    chain's samples are clade ranges and take the histogram kernel
-    mcmc._cocluster_rows: over 3,704 ids and 1,000 samples of random clade
-    ranges (2 cores), this kernel took 8.2 s and that one 0.06 s.
-    """
-    k = len(partitions)
-    codes = np.empty((k, len(ids)), dtype=np.int32)
-    for row, p in zip(codes, partitions):
-        labels: dict[str, int] = {}
-        row[:] = [labels.setdefault(p.assignment[i], len(labels)) for i in ids]
-    for i in range(len(ids) - 1):
-        yield (codes[:, i + 1 :] == codes[:, i, None]).sum(axis=0) / max(k, 1)
 
 
 def partition_adjacency(p: Partition) -> WeightedGraph:

@@ -9,13 +9,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import EmptyList, IdSetMismatch
 from .io_formats import Partition
 
 if TYPE_CHECKING:
     from pathlib import Path
+
+    import numpy as np
 
 
 class Statistic(enum.Enum):
@@ -159,6 +161,38 @@ def cutpoint_sweep(
     return best, float(scores[best]), grid
 
 
+def cocluster_rows(codes: np.ndarray) -> Iterator[np.ndarray]:
+    """Row i of the COCLUSTER triangle over the columns of codes, a (k, n)
+    array of non-negative integer labels with one row per partition: the
+    fraction of rows that give column i the label of each of columns
+    i+1 .. n-1, for i = 0 .. n-2, and 0 for every pair when k = 0.
+
+    Each fraction is an exact count divided once by k.  Row i reads only
+    up to top[i], the last column that shares its label in some row; a row
+    with none past i is a slice of one shared zero row.
+    """
+    import numpy as np
+
+    k, n = codes.shape
+    top = np.zeros(n, dtype=np.intp)
+    if codes.size:  # max() of an empty array raises
+        cols = np.arange(n)
+        last = np.empty(int(codes.max()) + 1, dtype=np.intp)
+        for row in codes:
+            last.fill(0)
+            np.maximum.at(last, row, cols)
+            np.maximum(top, last[row], out=top)
+    zeros = np.zeros(n)
+    for i, hi in enumerate(top[:-1].tolist()):
+        if hi <= i:
+            yield zeros[: n - 1 - i]
+            continue
+        same = codes[:, i + 1 : hi + 1] == codes[:, i, None]
+        out = np.zeros(n - 1 - i)
+        out[: hi - i] = same.sum(axis=0) / k
+        yield out
+
+
 def method_cocluster_matrix(
     partitions: list[Partition], ids: Sequence[str], path: str | Path
 ) -> None:
@@ -168,9 +202,11 @@ def method_cocluster_matrix(
     Only ids that are non-singleton in at least one partition appear.
     They are ordered by their labels in partition 1, ..., k, then by id,
     so each run of ids that every partition co-clusters is contiguous.
-    The triangle is written a row at a time and never held whole.
+    Each partition's labels become integer codes for cocluster_rows (the
+    chain's kernel too), and the triangle is streamed, never held whole.
     """
-    from .community import cocluster_rows
+    import numpy as np
+
     from .distance import write_binary_rows
 
     if not partitions:
@@ -183,4 +219,8 @@ def method_cocluster_matrix(
     for p in partitions:
         keep |= p.restrict(ids).multi_member_ids()
     order = sorted(keep, key=lambda i: (*(p.assignment[i] for p in partitions), i))
-    write_binary_rows(order, cocluster_rows(partitions, order), path)
+    codes = np.array([
+        np.unique([p.assignment[i] for i in order], return_inverse=True)[1]
+        for p in partitions
+    ])
+    write_binary_rows(order, cocluster_rows(codes), path)

@@ -20,12 +20,12 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from .distance import DistanceMatrix, write_binary_rows
 from .errors import DegenerateTree, MalformedRow
+from .evaluation import cocluster_rows
 from .io_formats import (
     Alignment,
     Partition,
@@ -106,8 +106,9 @@ class ChainSummary:
     trace[k] is the log posterior after iteration burn_in + 1 + k.  Every
     cluster is a clade, so a tip range ids[lo:hi]; retained_samples holds
     one int32 row per retained sample, whose entry t is the hi of tip t's
-    range.  The co-clustering triangle is not kept: save_chain_summary
-    streams it to disk row by row.
+    range.  That hi names tip t's cluster, so save_chain_summary passes the
+    rows as label codes to evaluation.cocluster_rows, the kernel compare
+    uses too, and streams the co-clustering triangle to disk row by row.
     """
 
     map_partition: Partition
@@ -116,27 +117,6 @@ class ChainSummary:
     burn_in: int
     trace: np.ndarray
     retained_samples: np.ndarray
-
-
-def _cocluster_rows(ends: np.ndarray) -> Iterator[np.ndarray]:
-    # Row i of the COCLUSTER triangle over the (k, n) retained ends, as
-    # community.cocluster_rows gives it.  Tip j > i shares tip i's range
-    # exactly when that range ends past j, so the count for j is the
-    # number of samples whose end for i is at least j + 1: a suffix sum
-    # of one histogram.  Each count is exact and divided once.  It stays
-    # beside that equality kernel, which takes any partition, because on
-    # clade ranges it is faster: 0.06 s against 8.2 s for 1,000 samples
-    # over 3,704 ids (2 cores).  A row whose ends never pass i + 1 is all
-    # zero, and is a slice of one shared zero row.
-    k, n = ends.shape
-    top = ends.max(axis=0, initial=0).tolist()
-    zeros = np.zeros(n)
-    for i in range(n - 1):
-        if top[i] <= i + 1:
-            yield zeros[: n - 1 - i]
-            continue
-        count = np.bincount(ends[:, i], minlength=n + 1)[i + 2 :]
-        yield np.cumsum(count[::-1])[::-1] / max(k, 1)
 
 
 def _sample_labels(end: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -620,7 +600,7 @@ def save_chain_summary(summary: ChainSummary, directory: str | Path) -> None:
     write_partition(summary.map_partition, directory / "map_partition.csv")
     ids = summary.ids
     write_binary_rows(
-        ids, _cocluster_rows(summary.retained_samples), directory / "cocluster.bin"
+        ids, cocluster_rows(summary.retained_samples), directory / "cocluster.bin"
     )
 
     with open(directory / "trace.tsv", "w") as fh:

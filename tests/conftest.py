@@ -5,7 +5,8 @@ import tempfile
 import numpy as np
 
 from phyloclust import DistanceMatrix, MatrixKind, distance
-from phyloclust.community import WeightedGraph, cocluster_rows
+from phyloclust.community import WeightedGraph
+from phyloclust.evaluation import cocluster_rows
 from phyloclust.phylo import Node, patristic_matrix
 
 
@@ -50,9 +51,19 @@ def dense(dm):
     return out
 
 
+def label_codes(partitions, ids):
+    """Each partition's labels over ids as the integer codes that
+    evaluation.cocluster_rows takes, numbered in the order of ids."""
+    codes = np.empty((len(partitions), len(ids)), dtype=np.int32)
+    for row, p in zip(codes, partitions):
+        labels = {}
+        row[:] = [labels.setdefault(p.assignment[i], len(labels)) for i in ids]
+    return codes
+
+
 def cocluster_fraction(partitions, ids):
-    """The COCLUSTER matrix whose rows community.cocluster_rows gives."""
-    rows = [np.empty(0), *cocluster_rows(partitions, ids)]
+    """The COCLUSTER matrix whose rows evaluation.cocluster_rows gives."""
+    rows = [np.empty(0), *cocluster_rows(label_codes(partitions, ids))]
     return condensed_dm(ids, np.concatenate(rows), MatrixKind.COCLUSTER)
 
 

@@ -240,6 +240,8 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
     growth = ["growth", "--partition", planted, "--metadata", meta,
               "--svg", str(bad / "g.svg"), "--out", str(bad / "g.tsv")]
     simulate = ["simulate", "--out-dir", str(bad / "sim")]
+    chain_config = tmp_path / "chain.json"
+    chain_config.write_text(json.dumps({"chain_dir": str(bad / "chain")}))
     for argv in (
         cluster + ["--method", "maxp", "--distance-max", "0"],
         cluster + ["--method", "maxp", "--distance-max", "nan"],
@@ -251,6 +253,13 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
         mcmc + ["--iterations", "0", "--burn-in", "-1"],
         mcmc + ["--seed", "-1"],
         mcmc + ["--seeds=-2,1"],
+        # an empty --seeds once ran one chain at --seed, or passed unread
+        mcmc + ["--seeds", ""],
+        cluster + ["--method", "maxp", "--seeds", ""],
+        cluster + ["--method", "maxp", "--chain-dir", str(bad / "chain")],
+        mcmc + ["--matrix", str(bad / "p.bin")],
+        # a config key supplies its flag, so the method refuses it alike
+        ["--config", str(chain_config)] + cluster + ["--method", "maxp"],
         simulate,
         simulate + ["--preset", "demo", "--seed", "-1"],
         simulate + ["--cluster-sizes", "3,0"],
@@ -289,6 +298,11 @@ _NAMED_FLAGS = [
      " --align {d}/alignment.fasta --seeds=-2,1"),
     ("--gap-quantile", "cluster --method gap --align {d}/alignment.fasta"
      " --gap-quantile 0"),
+    # flags that the method never reads, which once ran and were recorded
+    ("--chain-dir", "cluster --method maxp --tree {d}/tree.nwk"
+     " --align {d}/alignment.fasta --chain-dir nochain"),
+    ("--matrix", "cluster --method mcmc --tree {d}/tree.nwk"
+     " --align {d}/alignment.fasta --matrix {d}/p.bin"),
     ("--support-min", "cluster --method maxpatristic --tree {d}/tree.nwk"
      " --support-min 1.5"),
     ("--distance-grid", "sweep --tree {d}/tree.nwk --align {d}/alignment.fasta"
@@ -1012,6 +1026,18 @@ def test_compare_command(cohort, tmp_path):
     dm = read_matrix_binary(out, MatrixKind.COCLUSTER)
     assert set(np.unique(condensed(dm))) <= {0.0, 0.5, 1.0}
     assert sorted(dm.ids) == sorted(load_partition(a).ids())
+
+
+def test_compare_of_universal_singletons_is_empty(tmp_path):
+    """compare keeps only ids that some partition groups, so when none is
+    grouped its triangle is the header alone and its id sidecar is empty."""
+    a = _write(tmp_path / "a.csv", "id,label\na,1\nb,2\nc,3\n")
+    b = _write(tmp_path / "b.csv", "id,label\na,x\nb,y\nc,z\n")
+    out = tmp_path / "c.bin"
+    assert main(["compare", "--partitions", str(a), str(b), "--out", str(out)]) == 0
+    assert out.read_bytes() == b"PCDM" + struct.pack("<BQ", 1, 0)
+    assert (tmp_path / "c.bin.ids").read_text() == ""
+    assert read_matrix_binary(out, MatrixKind.COCLUSTER).ids == []
 
 
 def test_support_and_consensus_commands(cohort, tmp_path):

@@ -18,13 +18,13 @@ from phyloclust import (
     walktrap_communities,
 )
 from phyloclust.cli import _PRESETS
-from phyloclust.community import cocluster_rows, modularity
+from phyloclust.community import modularity
+from phyloclust.evaluation import cocluster_rows
 from phyloclust.distance import read_matrix_binary, write_matrix_binary
 from phyloclust.errors import DegenerateTree, MalformedRow
 from phyloclust.mcmc import (
     ChainConfig,
     _clade_nodes_for,
-    _cocluster_rows,
     initialize_chain,
     load_chain_summary,
     log_posterior,
@@ -34,7 +34,15 @@ from phyloclust.mcmc import (
 
 from phyloclust.simulate import SimConfig, simulate_alignment, simulate_tree
 
-from conftest import cocluster_fraction, condensed, decorate_tree, dense, weighted_graph
+from conftest import (
+    cocluster_fraction,
+    condensed,
+    decorate_tree,
+    dense,
+    label_codes,
+    weighted_graph,
+)
+from test_community import pair_loop_fraction
 
 EDGE_FLOOR = 1e-9
 
@@ -513,9 +521,10 @@ def random_chain(seed, retained):
 @pytest.mark.parametrize("retained", [0, 1, 3, 50])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_histogram_rows_equal_cocluster_rows(tmp_path, seed, retained):
-    """Rows built from the retained ends equal community.cocluster_rows
-    over the samples as partitions bit for bit, and retained_samples.txt
-    written from the ends equals the one written from the partitions."""
+    """evaluation.cocluster_rows over the retained ends as they are equals
+    it over the samples' partitions as dict codes bit for bit, and both
+    equal the pair-loop fractions; retained_samples.txt written from the
+    ends equals the one written from the partitions."""
     tree, summary = random_chain(seed, retained)
     ids = summary.ids
     assert ids == tree.tip_labels() and ids != sorted(ids)
@@ -528,11 +537,14 @@ def test_histogram_rows_equal_cocluster_rows(tmp_path, seed, retained):
             hi = end[lo]
             assert (lo, hi) in clades and end[lo:hi] == [hi] * (hi - lo)
             lo = hi
-    want = list(cocluster_rows(parts, ids))
-    got = list(_cocluster_rows(summary.retained_samples))
+    want = list(cocluster_rows(label_codes(parts, ids)))
+    got = list(cocluster_rows(summary.retained_samples))
     assert len(got) == len(want) == len(ids) - 1
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    loop = pair_loop_fraction(parts, ids)
+    for i, row in enumerate(got):
+        assert row.tobytes() == loop[i, i + 1 :].tobytes(), i
 
     save_chain_summary(summary, tmp_path)
     expect = ",".join(ids) + "\n" + "".join(
