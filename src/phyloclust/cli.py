@@ -223,6 +223,8 @@ def _cmd_cluster(args) -> tuple:
                           ("matrix", ("maxp", "gap"))):
         if getattr(args, flag) is not None and args.method not in methods:
             name, allowed = "--" + flag.replace("_", "-"), " and ".join(methods)
+            if flag in args._from_config:
+                name += " (from --config)"
             raise _UsageError(f"{name} applies only to --method {allowed}")
     seeds: tuple[int, ...] = ()
     if args.method == "gap":
@@ -622,6 +624,7 @@ def main(argv: list[str] | None = None) -> int:
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, rest = probe.parse_known_args(argv)
+    defaults: list[tuple[argparse.ArgumentParser, dict]] = []
     if known.config:
         try:
             with open(known.config) as fh:
@@ -649,6 +652,12 @@ def main(argv: list[str] | None = None) -> int:
                 action.required &= action.dest not in values
 
     args = parser.parse_args(argv)
+    # a config value that no flag replaced is still the config's own
+    # object (an equal cached one given both ways counts as the config's)
+    args._from_config = {
+        dest for _, values in defaults for dest, value in values.items()
+        if getattr(args, dest) is value
+    }
     started = time.monotonic()
     try:
         record = args.func(args)

@@ -167,30 +167,47 @@ def cocluster_rows(codes: np.ndarray) -> Iterator[np.ndarray]:
     fraction of rows that give column i the label of each of columns
     i+1 .. n-1, for i = 0 .. n-2, and 0 for every pair when k = 0.
 
-    Each fraction is an exact count divided once by k.  Row i reads only
-    up to top[i], the last column that shares its label in some row; a row
-    with none past i is a slice of one shared zero row.
+    Each fraction is an exact count divided once by k.  In a row whose
+    labels each fill one run of columns (a chain's clade ranges, compare's
+    first partition), column j > i shares column i's label exactly when
+    i's run ends past j, so those rows are counted by a suffix sum of one
+    histogram of run ends, whatever the clusters' sizes.  Other rows are
+    compared for equality, row i only up to its last co-member in them.
+    A row with no co-member past i is a slice of one shared zero row.
     """
     import numpy as np
 
     k, n = codes.shape
-    top = np.zeros(n, dtype=np.intp)
+    cols = np.arange(n)
+    ends = np.empty((k, n), dtype=np.int32)  # of the m rows that fill runs
+    m, ranged = 0, np.zeros(k, dtype=bool)
+    top = np.zeros(n, dtype=np.int32)  # one past the last co-member in the rest
     if codes.size:  # max() of an empty array raises
-        cols = np.arange(n)
         last = np.empty(int(codes.max()) + 1, dtype=np.intp)
-        for row in codes:
+        for r, row in enumerate(codes):
             last.fill(0)
             np.maximum.at(last, row, cols)
-            np.maximum(top, last[row], out=top)
-    zeros = np.zeros(n)
+            end = last[row] + 1
+            # each label's last column ends a run, and no other does when
+            # every label fills one run
+            if np.count_nonzero(end == cols + 1) == np.count_nonzero(row[1:] != row[:-1]) + 1:
+                ends[m], m, ranged[r] = end, m + 1, True
+            else:
+                np.maximum(top, end, out=top)
+    rest, zeros = codes[~ranged], np.zeros(n)
+    far = ends[:m].max(axis=0, initial=0).tolist()
     for i, hi in enumerate(top[:-1].tolist()):
-        if hi <= i:
+        if max(hi, far[i]) <= i + 1:
             yield zeros[: n - 1 - i]
             continue
-        same = codes[:, i + 1 : hi + 1] == codes[:, i, None]
-        out = np.zeros(n - 1 - i)
-        out[: hi - i] = same.sum(axis=0) / k
-        yield out
+        if far[i] > i + 1:
+            runs = np.bincount(ends[:m, i], minlength=n + 1)[i + 2 :]
+            count = np.cumsum(runs[::-1])[::-1]
+        else:
+            count = np.zeros(n - 1 - i, dtype=np.intp)
+        if hi > i + 1:
+            count[: hi - i - 1] += (rest[:, i + 1 : hi] == rest[:, i, None]).sum(axis=0)
+        yield count / k
 
 
 def method_cocluster_matrix(
@@ -201,9 +218,10 @@ def method_cocluster_matrix(
 
     Only ids that are non-singleton in at least one partition appear.
     They are ordered by their labels in partition 1, ..., k, then by id,
-    so each run of ids that every partition co-clusters is contiguous.
-    Each partition's labels become integer codes for cocluster_rows (the
-    chain's kernel too), and the triangle is streamed, never held whole.
+    so each run of ids that every partition co-clusters is contiguous,
+    and each of partition 1's labels fills one run.  Each partition's
+    labels become integer codes for cocluster_rows (the chain's kernel
+    too), and the triangle is streamed, never held whole.
     """
     import numpy as np
 

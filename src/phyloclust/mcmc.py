@@ -108,7 +108,8 @@ class ChainSummary:
     one int32 row per retained sample, whose entry t is the hi of tip t's
     range.  That hi names tip t's cluster, so save_chain_summary passes the
     rows as label codes to evaluation.cocluster_rows, the kernel compare
-    uses too, and streams the co-clustering triangle to disk row by row.
+    uses too, which counts clade ranges by a histogram of their ends, and
+    streams the co-clustering triangle to disk row by row.
     """
 
     map_partition: Partition

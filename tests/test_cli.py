@@ -253,7 +253,7 @@ def test_usage_errors_exit_two(cohort, chain, tmp_path, capsys):
         mcmc + ["--iterations", "0", "--burn-in", "-1"],
         mcmc + ["--seed", "-1"],
         mcmc + ["--seeds=-2,1"],
-        # an empty --seeds once ran one chain at --seed, or passed unread
+        # an empty --seeds, and flags their method does not read
         mcmc + ["--seeds", ""],
         cluster + ["--method", "maxp", "--seeds", ""],
         cluster + ["--method", "maxp", "--chain-dir", str(bad / "chain")],
@@ -298,7 +298,7 @@ _NAMED_FLAGS = [
      " --align {d}/alignment.fasta --seeds=-2,1"),
     ("--gap-quantile", "cluster --method gap --align {d}/alignment.fasta"
      " --gap-quantile 0"),
-    # flags that the method never reads, which once ran and were recorded
+    # a flag its method does not read is a usage error
     ("--chain-dir", "cluster --method maxp --tree {d}/tree.nwk"
      " --align {d}/alignment.fasta --chain-dir nochain"),
     ("--matrix", "cluster --method mcmc --tree {d}/tree.nwk"
@@ -325,6 +325,24 @@ def test_usage_error_names_the_flag(cohort, tmp_path, capsys, named, flags):
     assert message.startswith("usage error:") and named in message, message
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_refused_flag_says_it_came_from_config(cohort, tmp_path, capsys):
+    """A refused cluster flag that the config file supplied is named as
+    coming from --config; one given on the command line is not."""
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"chain_dir": str(tmp_path / "chain")}))
+    cluster = ["cluster", "--method", "maxpatristic", "--tree",
+               str(cohort / "tree.nwk"), "--out", str(tmp_path / "c.csv")]
+    for argv, named in (
+        (["--config", str(config)] + cluster, "--chain-dir (from --config)"),
+        (["--config", str(config)] + cluster + ["--chain-dir", "other"], "--chain-dir"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        message = capsys.readouterr().err.splitlines()[0]
+        assert message == f"usage error: {named} applies only to --method mcmc"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["pipeline.json"]
 
 
 def test_unknown_flag_exits_two(cohort, tmp_path):

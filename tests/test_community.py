@@ -103,15 +103,15 @@ def pair_loop_fraction(partitions, ids):
 def test_cocluster_fraction_matches_pair_loop():
     rng = np.random.default_rng(41)
     for k in range(6):
-        for n in (0, 1, 2, 3, 7, 40):
+        for n in (0, 1, 2, 3, 7, 40, 200):
             ids = [f"id{i}" for i in rng.permutation(n)]
             # every partition draws from the same few label strings
-            parts = [
-                Partition.from_labels(
-                    ids, [f"L{int(v)}" for v in rng.integers(0, 1 + n // 4, n)]
-                )
-                for _ in range(k)
-            ]
+            parts = []
+            for r in range(k):
+                labels = rng.integers(0, 1 + n // 4, n)
+                if r % 2:  # each label fills one run of ids
+                    labels = np.sort(labels)
+                parts.append(Partition.from_labels(ids, [f"L{int(v)}" for v in labels]))
             dm = cocluster_fraction(parts, ids)
             assert dm.ids == ids and dm.kind is MatrixKind.COCLUSTER
             ref = pair_loop_fraction(parts, ids)

@@ -521,10 +521,11 @@ def random_chain(seed, retained):
 @pytest.mark.parametrize("retained", [0, 1, 3, 50])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_histogram_rows_equal_cocluster_rows(tmp_path, seed, retained):
-    """evaluation.cocluster_rows over the retained ends as they are equals
-    it over the samples' partitions as dict codes bit for bit, and both
-    equal the pair-loop fractions; retained_samples.txt written from the
-    ends equals the one written from the partitions."""
+    """evaluation.cocluster_rows counts clade ranges by a histogram of run
+    ends: over the retained ends as they are it equals itself over the
+    samples' partitions as dict codes bit for bit, and both equal the
+    pair-loop fractions; retained_samples.txt written from the ends equals
+    the one written from the partitions."""
     tree, summary = random_chain(seed, retained)
     ids = summary.ids
     assert ids == tree.tip_labels() and ids != sorted(ids)
@@ -551,6 +552,35 @@ def test_histogram_rows_equal_cocluster_rows(tmp_path, seed, retained):
         ",".join(p.assignment[i] for i in ids) + "\n" for p in parts
     )
     assert (tmp_path / "retained_samples.txt").read_text() == expect
+
+
+class _CountedCodes(np.ndarray):
+    """Label codes that count the labels compared for equality."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        out = np.ndarray.__eq__(self, other)
+        _CountedCodes.compared += out.size
+        return out
+
+
+def test_clade_ranges_are_counted_not_compared():
+    """The kernel counts a chain's clade ranges from their run ends and
+    compares no labels, even with a clade that spans every tip, where
+    comparing row i with each later co-member costs k * n^2 / 2."""
+    _, summary = random_chain(0, 50)
+    ends = summary.retained_samples
+    n = ends.shape[1]
+    ends = np.vstack([ends, np.full((1, n), n, dtype=ends.dtype)])
+    _CountedCodes.compared = 0
+    rows = list(cocluster_rows(ends.view(_CountedCodes)))
+    assert _CountedCodes.compared == 0
+    assert len(rows) == n - 1 and all(row.min() >= 1 / len(ends) for row in rows)
+    _CountedCodes.compared = 0
+    scattered = np.vstack([ends, np.arange(n, dtype=ends.dtype) % 2])
+    list(cocluster_rows(scattered.view(_CountedCodes)))  # labels 0, 1, 0, 1, ...
+    assert _CountedCodes.compared > 0
 
 
 def test_chain_samples_take_int32_ends():
